@@ -119,9 +119,9 @@ class LeafStencil:
     """Tensor-product collocation matrices for one 2D leaf box.
 
     Fields Dx1/Dy1 act along a single coordinate of a (p, p) nodal array;
-    the kron-assembled Dx, Dy, Dxx, Dyy, Dxy act on the row-major
-    flattening (y outer, x inner). Second derivatives are matrix products
-    of first derivatives, so they inherit the same null space.
+    the kron-assembled Dx, Dy, Dxx, Dyy act on the row-major flattening
+    (y outer, x inner). Second derivatives are matrix products of first
+    derivatives, so they inherit the same null space.
     """
 
     p: int
@@ -134,7 +134,6 @@ class LeafStencil:
     Dy: np.ndarray = field(repr=False)
     Dxx: np.ndarray = field(repr=False)
     Dyy: np.ndarray = field(repr=False)
-    Dxy: np.ndarray = field(repr=False)
 
 
 def leaf_stencil(p: int, hx: float, hy: float) -> LeafStencil:
@@ -158,7 +157,6 @@ def leaf_stencil(p: int, hx: float, hy: float) -> LeafStencil:
         Dy=Dy,
         Dxx=Dx @ Dx,
         Dyy=Dy @ Dy,
-        Dxy=Dx @ Dy,
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import fit_rate, max_error, richardson, richardson_errors
-from .problems import PROBLEMS, TransientCase, make_stepper
+from .problems import PROBLEMS, TransientCase, make_stepper, resolution_step_count
 from .verification import oracle_equivalence_report, tableau_report
 
 FORMULATIONS = ("slopes", "stages")
@@ -44,6 +43,16 @@ SWEEP_COLUMNS = ("series", "axis", "value", "error", "rate")
 
 class ConfigError(ValueError):
     """Raised with the offending field name in the message."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive_number(value) -> bool:
+    # the upper bound rejects inf and ints beyond float range; nan fails both
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and 0 < value <= sys.float_info.max
 
 
 @dataclass
@@ -80,7 +89,7 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        if self.experiment not in PROBLEMS:
+        if not isinstance(self.experiment, str) or self.experiment not in PROBLEMS:
             raise ConfigError(
                 f"experiment: unknown name {self.experiment!r}; "
                 f"choose from {', '.join(sorted(PROBLEMS))}"
@@ -90,28 +99,32 @@ class RunConfig:
         for key in ("n1", "n2", "p"):
             if key not in self.mesh:
                 raise ConfigError(f"mesh.{key}: required")
-            if not isinstance(self.mesh[key], int) or isinstance(self.mesh[key], bool):
+            if not _is_int(self.mesh[key]):
                 raise ConfigError(f"mesh.{key}: expected an integer")
         extra = set(self.mesh) - {"n1", "n2", "p"}
         if extra:
             raise ConfigError(f"mesh.{sorted(extra)[0]}: unknown mesh field")
-        if self.mesh["n1"] < 1 or self.mesh["p"] < 4:
-            raise ConfigError("mesh.n1/mesh.p: need n1 >= 1 and p >= 4")
+        if self.mesh["n1"] < 1:
+            raise ConfigError("mesh.n1: need at least one leaf")
+        if self.mesh["p"] < 4:
+            raise ConfigError("mesh.p: need at least 4 nodes per leaf side")
         if self.formulation is not None and self.formulation not in FORMULATIONS:
             raise ConfigError(
                 f"formulation: {self.formulation!r} not in {FORMULATIONS}"
             )
-        if self.q_rk is not None and self.q_rk not in (3, 4, 5):
+        if self.q_rk is not None and not (_is_int(self.q_rk) and self.q_rk in (3, 4, 5)):
             raise ConfigError("q_rk: choose 3, 4 or 5")
-        if self.dt is not None and self.dt_rule is not None:
-            raise ConfigError("dt: give either dt or dt_rule, not both")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("dt: must be positive")
         if self.dt_rule is not None and self.dt_rule != "resolution":
             raise ConfigError(f"dt_rule: unknown rule {self.dt_rule!r}")
-        if self.t_end is not None and self.t_end <= 0:
-            raise ConfigError("t_end: must be positive")
-        if not isinstance(self.threads, int) or self.threads < 1:
+        if self.dt is not None and self.dt_rule is not None:
+            raise ConfigError("dt: give either dt or dt_rule, not both")
+        for name in ("dt", "t_end"):
+            value = getattr(self, name)
+            if value is not None and not _is_positive_number(value):
+                raise ConfigError(f"{name}: expected a positive finite number, got {value!r}")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError("output_dir: expected a non-empty path string")
+        if not _is_int(self.threads) or self.threads < 1:
             raise ConfigError("threads: expected a positive integer")
 
     def to_dict(self) -> dict:
@@ -135,11 +148,7 @@ class RunConfig:
     def resolve_steps(self, case: TransientCase) -> int:
         """Whole number of steps covering [0, t_end]."""
         if self.dt_rule == "resolution":
-            order = self.resolve_order(case)
-            if case.step_count is not None:
-                return case.step_count(order)
-            target = case.mesh.hx ** (case.mesh.p / order)
-            return max(1, math.ceil(case.t_end / target))
+            return resolution_step_count(case, self.resolve_order(case))
         dt = self.dt if self.dt is not None else case.defaults.get("dt")
         if dt is None:
             raise ConfigError(
@@ -152,9 +161,9 @@ class RunConfig:
 def load_config(path: str, overrides=()) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config: no such file {path!r}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path!r} ({exc.strerror})") from None
+    except ValueError as exc:  # bad JSON, bad encoding, oversized integer
         raise ConfigError(f"config: {path} is not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be an object")
@@ -164,11 +173,13 @@ def load_config(path: str, overrides=()) -> RunConfig:
             raise ConfigError(f"override {item!r}: expected key=value")
         try:
             value = json.loads(text)
-        except json.JSONDecodeError:
+        except ValueError:
             value = text
         head, _, tail = key.partition(".")
         if tail:
-            raw.setdefault(head, {})[tail] = value
+            if not isinstance(raw.setdefault(head, {}), dict):
+                raise ConfigError(f"{head}: has no field {tail!r} to override")
+            raw[head][tail] = value
         else:
             raw[key] = value
     return RunConfig.from_dict(raw)
@@ -441,6 +452,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ tensor line indices, which makes every construction deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,12 +23,6 @@ from .chebyshev import cheb_nodes
 INTERIOR = 0
 INTERFACE = 1
 BOUNDARY = 2
-
-
-class NodeClasses(NamedTuple):
-    interior: np.ndarray
-    interface: np.ndarray
-    boundary: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,23 +69,6 @@ class Mesh:
 
     def ids_of(self, node_class: int) -> np.ndarray:
         return np.nonzero(self.node_class == node_class)[0]
-
-    def points(self, ids: np.ndarray | None = None) -> np.ndarray:
-        """Node coordinates as an (m, dim) array."""
-        if ids is None:
-            ids = np.arange(self.n_nodes)
-        if self.dim == 1:
-            return self.x[ids, None]
-        return np.stack([self.x[ids], self.y[ids]], axis=1)
-
-
-def classify_nodes(mesh: Mesh) -> NodeClasses:
-    """Partition global ids by node class."""
-    return NodeClasses(
-        interior=mesh.ids_of(INTERIOR),
-        interface=mesh.ids_of(INTERFACE),
-        boundary=mesh.ids_of(BOUNDARY),
-    )
 
 
 def _local_index_sets(p: int, dim: int) -> tuple[np.ndarray, np.ndarray]:

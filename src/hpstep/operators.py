@@ -209,13 +209,6 @@ class LeafOperators:
     Fb: np.ndarray = field(repr=False)
     T: np.ndarray = field(repr=False)
 
-    def particular(self, f_int: np.ndarray) -> np.ndarray:
-        """Interior solution with zero edge data; f_int may be (n_int, k)."""
-        return lu_solve(self.lu, f_int)
-
-    def interior_solution(self, z_part: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return z_part - self.G @ g
-
 
 @dataclass
 class LeafOperatorSet:
@@ -307,8 +300,8 @@ class OperatorApplier:
 
     Coefficients are sampled once; `interior_apply` then evaluates
     sigma*u + scale*A(u) at every interior node of the mesh by batched
-    leaf differentiation. Values returned at non-interior slots are not
-    meaningful and are zeroed in the global output.
+    leaf differentiation. Every interior node has exactly one owning
+    leaf, so its value is copied straight from that leaf's array.
     """
 
     def __init__(self, mesh: Mesh, op: EllipticOperator):
@@ -325,7 +318,10 @@ class OperatorApplier:
             self.st = _stencil_for(mesh)
         else:
             self.g1d = cheb_grid(0.0, mesh.hx, mesh.p)
-        self._interior_mask = mesh.node_class == 0
+        # interior ids per leaf, matching the leaf's flattened interior slots
+        self._interior_ids = mesh.leaf_grid.reshape(mesh.n_leaves, -1)[
+            :, mesh.interior_local
+        ]
 
     def leaf_values(self, u: np.ndarray, fill: bool = False) -> np.ndarray:
         """Batched operator values on leaf arrays (interior slots valid).
@@ -358,9 +354,13 @@ class OperatorApplier:
 
     def interior_apply(self, u: np.ndarray) -> np.ndarray:
         """Global array holding operator values at interior ids, 0 elsewhere."""
+        mesh = self.mesh
         vals = self.leaf_values(u)
-        out = scatter_mean(self.mesh, vals)
-        return np.where(self._interior_mask, out, 0.0)
+        lead = vals.shape[: vals.ndim - mesh.leaf_grid.ndim]
+        vals = vals.reshape(lead + (mesh.n_leaves, -1))[..., mesh.interior_local]
+        out = np.zeros(lead + (mesh.n_nodes,), dtype=vals.dtype)
+        out[..., self._interior_ids] = vals
+        return out
 
 
 def averaged_gradient(mesh: Mesh, u: np.ndarray) -> tuple[np.ndarray, ...]:

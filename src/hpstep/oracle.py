@@ -11,6 +11,11 @@ solve time, so the assembled matrix itself stays purely structural.
 This path shares only the differentiation stencils with the fast solver;
 assembly and solution are otherwise disjoint, which is what makes it
 usable as a cross-check.
+
+The oracle also supplies the reference interface completion: with the
+identity operator the interior rows pin the given values and the
+interface rows are exactly the derivative-continuity equations that the
+stepper's tridiagonal chains solve (`OracleCompleter`).
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .mesh import BOUNDARY, INTERFACE, INTERIOR, Mesh
-from .operators import EllipticOperator, collocate_leaf, flux_matrix
+from .operators import EllipticOperator, collocate_leaf, flux_matrix, identity_operator
 
 MAX_DENSE_NODES = 6000
 
@@ -114,3 +119,27 @@ def oracle_solve(
         rhs = rhs.astype(np.result_type(dtype, data.dtype))
         rhs[gamma] = data
     return scipy.linalg.solve(A, rhs)
+
+
+class OracleCompleter:
+    """Dense reference for `stepping.InterfaceCompleter`.
+
+    Returns the whole dense solution of the continuity system per field
+    component, so given interior and boundary values come back only to
+    rounding; keeping just its interface values would leave rounding
+    kinks that the uncorrected stepper accumulates.
+    """
+
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        self.boundary_ids = np.nonzero(mesh.node_class == BOUNDARY)[0]
+        self._system = assemble_global(mesh, identity_operator())
+
+    def complete(self, field: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+        """Same contract as `InterfaceCompleter.complete`."""
+        field = np.asarray(field)
+        boundary = np.asarray(boundary)
+        out = np.empty(field.shape, dtype=np.result_type(field, boundary))
+        for i in np.ndindex(field.shape[:-1]):
+            out[i] = oracle_solve(self._system, field[i], dirichlet=boundary[i])
+        return out

@@ -28,7 +28,6 @@ class TransientCase:
     t_end: float
     exact: Optional[Callable] = None
     defaults: dict = field(default_factory=dict)
-    step_count: Optional[Callable] = None
 
     @property
     def mesh(self) -> Mesh:
@@ -42,7 +41,7 @@ def make_stepper(
     order: int | None = None,
     formulation: str | None = None,
     corrected: bool | None = None,
-    interface_method="solve",
+    interface_method="tridiagonal",
     threads: int = 1,
 ) -> ImexStepper:
     """Stepper for a case, falling back to its defaults where unset."""
@@ -58,6 +57,13 @@ def make_stepper(
         interface_method=interface_method,
         threads=threads,
     )
+
+
+def resolution_step_count(case: TransientCase, order: int) -> int:
+    """Steps over [0, case.t_end] so that dt tracks h**(p/order), at
+    least one."""
+    target = case.mesh.hx ** (case.mesh.p / order)
+    return max(1, math.ceil(case.t_end / target))
 
 
 def _zero(t, x, y):
@@ -123,12 +129,6 @@ def heat_kink(p: int = 9, n: int = 2) -> TransientCase:
 # -- Schrodinger, 2D -----------------------------------------------------
 
 
-def _resolution_step_count(mesh: Mesh, order: int, t_end: float) -> int:
-    """Steps so that dt tracks h**(p/order), capped below by one step."""
-    target = mesh.hx ** (mesh.p / order)
-    return max(1, math.ceil(t_end / target))
-
-
 def schrodinger_harmonic(n: int = 16, p: int = 8, half: float = 8.0) -> TransientCase:
     """i u_t = -(1/2) lap(u) + (r^2/2) u on (-half, half)^2; the ground
     state pi^(-1/4) exp(-r^2/2) evolves by the phase exp(-i t) only."""
@@ -147,17 +147,14 @@ def schrodinger_harmonic(n: int = 16, p: int = 8, half: float = 8.0) -> Transien
         bc=exact,
         bc_rate=lambda t, x, y: -1j * exact(t, x, y),
     )
-    t_end = 2.0 * np.pi
-    case = TransientCase(
+    return TransientCase(
         name="schrodinger-harmonic",
         evolution=evo,
         u0=exact(0.0, mesh.x, mesh.y),
-        t_end=t_end,
+        t_end=2.0 * np.pi,
         exact=exact,
         defaults={"order": 3, "formulation": "stages"},
     )
-    case.step_count = lambda order: _resolution_step_count(mesh, order, t_end)
-    return case
 
 
 def schrodinger_asymmetric(n: int = 8, p: int = 8) -> TransientCase:

@@ -30,7 +30,7 @@ derivative jump the evolving field has picked up; passing
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -80,13 +80,11 @@ class HpsFactorization:
     leaf_ops: LeafOperatorSet = field(repr=False)
     nodes: list = field(repr=False)  # post-order, leaves and merges mixed
     root: Union[_LeafNode, _MergeNode] = field(repr=False)
-    T_root: np.ndarray = field(repr=False)
     gamma_ids: np.ndarray = field(repr=False)
-    _lu_root: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def dtype(self):
-        return self.T_root.dtype
+        return self.leaf_ops.for_leaf(0).T.dtype
 
     def solve(
         self,
@@ -107,6 +105,7 @@ class HpsFactorization:
 
         Returns:
             Field over all active nodes, same leading shape as the input.
+            NaN or inf in the data is not screened and reaches the result.
         """
         mesh = self.mesh
         n = mesh.n_nodes
@@ -151,7 +150,7 @@ class HpsFactorization:
                 hu_store[node.slot] = np.concatenate(
                     [hul[node.idx1], hur[node.idx2]], axis=0
                 )
-            w = lu_solve(node.lu_X, delta)
+            w = lu_solve(node.lu_X, delta, check_finite=False)
             w_store[node.slot] = w
             h_store[node.slot] = np.concatenate(
                 [hl[node.idx1] + node.C1 @ w, hr[node.idx2] + node.C2 @ w], axis=0
@@ -198,7 +197,9 @@ class HpsFactorization:
             else:
                 f = np.stack([load_c[nd.interior_ids] for nd in leaves])
                 z_all = (
-                    lu_solve(lf.lu, f.transpose(1, 0, 2).reshape(n_int, -1))
+                    lu_solve(
+                        lf.lu, f.transpose(1, 0, 2).reshape(n_int, -1), check_finite=False
+                    )
                     .reshape(n_int, len(leaves), k)
                     .transpose(1, 0, 2)
                 )
@@ -213,7 +214,7 @@ class HpsFactorization:
                     z = np.zeros((nd.interior_ids.size, k), dtype=dtype)
                     h = np.zeros((lf.Fi.shape[0], k), dtype=dtype)
                 else:
-                    z = lu_solve(lf.lu, load_c[nd.interior_ids])
+                    z = lu_solve(lf.lu, load_c[nd.interior_ids], check_finite=False)
                     h = lf.Fi @ z
                 z_store[nd.slot] = z
                 h_store[nd.slot] = h
@@ -223,79 +224,6 @@ class HpsFactorization:
                 hu_store[nd.slot] = (
                     lf.Fi @ pen_c[nd.interior_ids] + lf.Fb @ pen_c[nd.boundary_ids]
                 )
-
-    def boundary_flux(self, dirichlet=None, load=None) -> np.ndarray:
-        """Directional derivatives at the outer boundary for given data.
-
-        Returns T_root @ g + h_root ordered like `gamma_ids` (no outward
-        sign applied).
-        """
-        n = self.mesh.n_nodes
-        load_c, lead = _as_cols(load, n, self.dtype)
-        diri_c, lead_d = _as_cols(dirichlet, self.gamma_ids.size, self.dtype)
-        lead = lead if lead is not None else lead_d
-        h = self._root_particular(load_c)
-        if diri_c is not None:
-            h = h + self.T_root @ diri_c
-        return _from_cols(h, lead)
-
-    def _root_particular(self, load_c) -> np.ndarray:
-        k = load_c.shape[1] if load_c is not None else 1
-        dtype = self.dtype if load_c is None else np.result_type(
-            self.dtype, load_c.dtype
-        )
-        h_store: list = [None] * len(self.nodes)
-        hu_store: list = [None] * len(self.nodes)
-        z_store: dict[int, np.ndarray] = {}
-        self._leaf_upward(load_c, None, k, dtype, h_store, hu_store, z_store)
-        for node in self.nodes:
-            if isinstance(node, _LeafNode):
-                continue
-            hl, hr = h_store[node.left.slot], h_store[node.right.slot]
-            w = lu_solve(node.lu_X, hr[node.ib] - hl[node.ia])
-            h_store[node.slot] = np.concatenate(
-                [hl[node.idx1] + node.C1 @ w, hr[node.idx2] + node.C2 @ w], axis=0
-            )
-        return h_store[self.root.slot]
-
-    def outward_signs(self) -> np.ndarray:
-        """Per-gamma-node sign mapping directional to outward derivatives."""
-        mesh = self.mesh
-        ids = self.gamma_ids
-        if mesh.dim == 1:
-            (a, b), = mesh.bounds
-            return np.where(np.isclose(mesh.x[ids], a), -1.0, 1.0)
-        (x0, x1), (y0, y1) = mesh.bounds
-        x, y = mesh.x[ids], mesh.y[ids]
-        sign = np.ones(ids.size)
-        sign[np.isclose(x, x0) | np.isclose(y, y0)] = -1.0
-        return sign
-
-
-def map_neumann_to_dirichlet(
-    fact: HpsFactorization,
-    neumann: np.ndarray,
-    load: np.ndarray | None = None,
-) -> np.ndarray:
-    """Boundary values whose solution has the given outward normal data.
-
-    Args:
-        neumann: outward normal derivatives ordered like `fact.gamma_ids`.
-        load: interior data of the accompanying solve, if any.
-
-    Returns:
-        Dirichlet values in the same ordering; feed them to `fact.solve`
-        to get the full field.
-    """
-    n = fact.mesh.n_nodes
-    load_c, _ = _as_cols(load, n, fact.dtype)
-    nu_c, lead = _as_cols(neumann, fact.gamma_ids.size, fact.dtype)
-    signs = fact.outward_signs()[:, None]
-    h = fact._root_particular(load_c)
-    if fact._lu_root is None:
-        fact._lu_root = _factor_interface(fact.T_root, "root boundary map")
-    g = lu_solve(fact._lu_root, signs * nu_c - h)
-    return _from_cols(g, lead)
 
 
 def build_factorization(
@@ -378,14 +306,13 @@ def build_factorization(
         return node, Tp
 
     ny = mesh.n2 if mesh.dim == 2 else 1
-    root, T_root = build(0, mesh.n1, 0, ny)
+    root, _ = build(0, mesh.n1, 0, ny)
     fact = HpsFactorization(
         mesh=mesh,
         op=op,
         leaf_ops=leaf_ops,
         nodes=nodes,
         root=root,
-        T_root=T_root,
         gamma_ids=root.boundary_ids,
     )
     if not np.array_equal(

@@ -5,10 +5,12 @@ One step can be organized around stage slopes or stage values:
 * slopes: every implicit stage solves for the rate k_i with boundary
   data from the time derivative of the boundary values. The first stage
   rate is known explicitly at interior nodes and is completed to the
-  interfaces by a derivative-continuity solve. The interface conditions
-  of the implicit stage solves can carry the derivative-jump penalty of
-  the incoming solution (`corrected`), which removes spurious fixed
-  points with kinked data.
+  interfaces by one derivative-continuity route, a set of tridiagonal
+  chains (`InterfaceCompleter`); one-sided averaging of the operator
+  values is kept only to demonstrate the instability that continuity
+  avoids. The interface conditions of the implicit stage solves can
+  carry the derivative-jump penalty of the incoming solution
+  (`corrected`), which removes spurious fixed points with kinked data.
 * stages: every implicit stage solves for the stage value itself with
   boundary data g(t_i) and plain interface conditions. With
   time-dependent boundary data this is the variant that loses accuracy
@@ -29,12 +31,7 @@ from scipy.linalg import solve_banded
 
 from .chebyshev import cheb_grid
 from .mesh import BOUNDARY, INTERFACE, Mesh
-from .operators import (
-    EllipticOperator,
-    OperatorApplier,
-    identity_operator,
-    scatter_mean,
-)
+from .operators import EllipticOperator, OperatorApplier, scatter_mean
 from .solver import build_factorization
 from .tableaus import ImexTableau
 
@@ -78,34 +75,24 @@ class InterfaceCompleter:
 
     Given interior values and boundary values, the interface values are
     chosen so that the one-sided edge-normal derivatives of the
-    piecewise-spectral interpolant agree across every interface. The
-    general route reuses the multidomain solver with identity interior
-    equations; the banded route exploits that each continuity equation
-    only couples values along one grid line of the two adjacent leaves,
-    so the interface system splits into independent tridiagonal chains.
-    Both routes solve the same equations and agree to rounding.
+    piecewise-spectral interpolant agree across every interface. Each
+    continuity equation only couples values along one grid line of the
+    two adjacent leaves, so the interface system splits into independent
+    tridiagonal chains, one per grid line crossing a row or column of
+    interfaces. The dense reference solve of the same system lives in
+    `hpstep.oracle.OracleCompleter`.
     """
 
-    def __init__(self, mesh: Mesh, method: str = "solve", threads: int = 1):
-        if method not in ("solve", "tridiagonal"):
-            raise ValueError(f"unknown completion method {method!r}")
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.method = method
         self.boundary_ids = np.nonzero(mesh.node_class == BOUNDARY)[0]
         self._iface_ids = np.nonzero(mesh.node_class == INTERFACE)[0]
-        if method == "solve":
-            self._fact = build_factorization(mesh, identity_operator(), threads)
-            # solver orders boundary data its own way
-            self._perm = np.searchsorted(self.boundary_ids, self._fact.gamma_ids)
-        else:
-            self._setup_chains()
-
-    def _setup_chains(self) -> None:
-        mesh = self.mesh
         p = mesh.p
         self._dx = cheb_grid(0.0, mesh.hx, p).D
+        self._ab_x = self._banded(self._dx, mesh.n1 - 1)
         if mesh.dim == 2:
             self._dy = cheb_grid(0.0, mesh.hy, p).D
+            self._ab_y = self._banded(self._dy, mesh.n2 - 1)
             lg = mesh.leaf_grid.reshape(mesh.n2, mesh.n1, p, p)
             self._ids_v = lg[:, : mesh.n1 - 1, 1 : p - 1, p - 1]
             self._ids_h = lg[: mesh.n2 - 1, :, p - 1, 1 : p - 1]
@@ -123,7 +110,7 @@ class InterfaceCompleter:
         # solve_banded wants the unknown axis first and flat right-hand sides
         b = np.moveaxis(rhs, axis, 0)
         shape = b.shape
-        vals = solve_banded((1, 1), ab, b.reshape(shape[0], -1))
+        vals = solve_banded((1, 1), ab, b.reshape(shape[0], -1), check_finite=False)
         return np.moveaxis(vals.reshape(shape), 0, axis)
 
     def complete(self, field: np.ndarray, boundary: np.ndarray) -> np.ndarray:
@@ -132,8 +119,6 @@ class InterfaceCompleter:
         `boundary` is ordered by ascending global id of the outer
         boundary nodes; interface slots of `field` are ignored.
         """
-        if self.method == "solve":
-            return self._fact.solve(field, np.asarray(boundary)[..., self._perm])
         mesh = self.mesh
         dtype = np.result_type(np.asarray(field).dtype, np.asarray(boundary).dtype)
         out = np.array(field, dtype=dtype, copy=True)
@@ -147,7 +132,7 @@ class InterfaceCompleter:
                 a = U @ self._dx[-1]
                 b = U @ self._dx[0]
                 rhs = b[..., 1:] - a[..., :-1]
-                vals = self._chain_solve(self._banded(self._dx, mesh.n1 - 1), rhs, -1)
+                vals = self._chain_solve(self._ab_x, rhs, -1)
                 out[..., self._iface_ids] = vals
             return out
         grid = np.maximum(mesh.leaf_grid, 0)
@@ -157,13 +142,13 @@ class InterfaceCompleter:
             a = U[..., 1 : p - 1, :] @ self._dx[-1]
             b = U[..., 1 : p - 1, :] @ self._dx[0]
             rhs = b[..., 1:, :] - a[..., : mesh.n1 - 1, :]
-            vals = self._chain_solve(self._banded(self._dx, mesh.n1 - 1), rhs, -2)
+            vals = self._chain_solve(self._ab_x, rhs, -2)
             out[..., self._ids_v] = vals
         if mesh.n2 > 1:
             a = np.einsum("m,...mk->...k", self._dy[-1], U[..., 1 : p - 1])
             b = np.einsum("m,...mk->...k", self._dy[0], U[..., 1 : p - 1])
             rhs = b[..., 1:, :, :] - a[..., : mesh.n2 - 1, :, :]
-            vals = self._chain_solve(self._banded(self._dy, mesh.n2 - 1), rhs, -3)
+            vals = self._chain_solve(self._ab_y, rhs, -3)
             out[..., self._ids_h] = vals
         return out
 
@@ -179,10 +164,11 @@ class ImexStepper:
         corrected: penalize derivative jumps of the incoming solution in
             the implicit stage solves (slope formulation only).
         interface_method: how the first-stage rate of the slope
-            formulation gets its interface values: "solve" or
-            "tridiagonal" for the two continuity routes, "averaged" for
-            one-sided means (kept as an instability demonstration), or a
-            ready-made InterfaceCompleter to share across steppers.
+            formulation gets its interface values: "tridiagonal" for the
+            continuity completion, "averaged" for one-sided means (kept
+            as an instability demonstration), or a ready-made completer
+            (an InterfaceCompleter to share across steppers, or any
+            object with `mesh`, `boundary_ids` and `complete`).
     """
 
     def __init__(
@@ -193,7 +179,7 @@ class ImexStepper:
         *,
         formulation: str = "slopes",
         corrected: bool = True,
-        interface_method: Union[str, InterfaceCompleter] = "solve",
+        interface_method: Union[str, InterfaceCompleter] = "tridiagonal",
         threads: int = 1,
     ):
         if formulation not in ("slopes", "stages"):
@@ -211,19 +197,17 @@ class ImexStepper:
         self._gids = self.fact.gamma_ids
         mesh = evo.mesh
         self._nb_ids = np.nonzero(mesh.node_class != BOUNDARY)[0]
+        # None for stages and for the averaged slope variant
         self.completer: Optional[InterfaceCompleter] = None
-        self.interface_method = "none"
-        if formulation == "slopes":
-            if isinstance(interface_method, InterfaceCompleter):
-                if interface_method.mesh is not mesh:
-                    raise ValueError("completer was built for a different mesh")
-                self.completer = interface_method
-                self.interface_method = interface_method.method
-            elif interface_method == "averaged":
-                self.interface_method = "averaged"
-            else:
-                self.completer = InterfaceCompleter(mesh, interface_method, threads)
-                self.interface_method = interface_method
+        if isinstance(interface_method, str):
+            if interface_method not in ("tridiagonal", "averaged"):
+                raise ValueError(f"unknown interface method {interface_method!r}")
+            if formulation == "slopes" and interface_method == "tridiagonal":
+                self.completer = InterfaceCompleter(mesh)
+        elif formulation == "slopes":
+            if interface_method.mesh is not mesh:
+                raise ValueError("completer was built for a different mesh")
+            self.completer = interface_method
 
     # -- sampling helpers ------------------------------------------------
 
@@ -251,7 +235,7 @@ class ImexStepper:
 
     def _first_slope(self, t: float, u: np.ndarray, f2):
         evo = self.evo
-        if self.interface_method == "averaged":
+        if self.completer is None:
             vals = self.applier.leaf_values(u, fill=True)
             k1 = evo.lam * scatter_mean(evo.mesh, vals)
             f = self._forcing_field(t)
@@ -337,10 +321,17 @@ class ImexStepper:
 
     def run(self, t0: float, u0: np.ndarray, n_steps: int, callback=None):
         """Advance n_steps from (t0, u0); callback(i, t, u) after each
-        step may return True to stop early. Returns the final field."""
+        step may return True to stop early. Returns the final field.
+
+        Raises FloatingPointError naming the step index and time as soon
+        as a step produces a value that is not finite.
+        """
         u = u0
         for i in range(n_steps):
             u = self.step(t0 + i * self.dt, u)
-            if callback is not None and callback(i + 1, t0 + (i + 1) * self.dt, u):
+            t = t0 + (i + 1) * self.dt
+            if not np.isfinite(u).all():
+                raise FloatingPointError(f"step {i + 1} (t={t:.6g}): field is not finite")
+            if callback is not None and callback(i + 1, t, u):
                 break
         return u

@@ -1,9 +1,13 @@
 """Config handling, output formats and the small command flows."""
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpstep.cli import (
     RESULT_COLUMNS,
@@ -15,6 +19,7 @@ from hpstep.cli import (
     load_config,
     main,
 )
+from hpstep.problems import PROBLEMS
 
 
 def heat_config(tmp_path, **extra):
@@ -57,6 +62,12 @@ def test_config_round_trip_lossless(tmp_path):
         ({"dt": 0.1, "dt_rule": "resolution"}, "dt"),
         ({"threads": 0}, "threads"),
         ({"bogus": 1}, "bogus"),
+        ({"threads": True}, "threads"),
+        ({"dt": float("nan")}, "dt"),
+        ({"dt": float("inf")}, "dt"),
+        ({"t_end": float("nan")}, "t_end"),
+        ({"t_end": float("-inf")}, "t_end"),
+        ({"output_dir": 3}, "output_dir"),
     ],
 )
 def test_config_errors_name_the_field(tmp_path, patch, field):
@@ -74,6 +85,91 @@ def test_overrides_reach_nested_fields(tmp_path):
     cfg = load_config(str(heat_config(tmp_path)), ["mesh.p=8", "q_rk=4"])
     assert cfg.mesh["p"] == 8
     assert cfg.q_rk == 4
+
+
+def test_resolution_rule_follows_t_end_override(tmp_path):
+    # dt tracks h**(p/q) = 0.5**(8/3) ~ 0.157 on this mesh, so t_end = 0.5
+    # takes 4 steps, not the 40 of the case's own horizon of 2*pi
+    path = heat_config(
+        tmp_path,
+        experiment="schrodinger-harmonic",
+        mesh={"n1": 32, "n2": 32, "p": 8},
+        dt=None,
+        dt_rule="resolution",
+        t_end=0.5,
+    )
+    cfg = load_config(str(path))
+    assert cfg.resolve_steps(cfg.build_case()) == 4
+
+
+def _parsed(text):
+    """An override value as the command line reads it."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def _text_except(*valid):
+    return st.text(max_size=10).filter(
+        lambda t: _parsed(t) is not None
+        and not (isinstance(_parsed(t), str) and _parsed(t) in valid)
+    )
+
+
+# `--set KEY=VALUE` overrides that must be rejected before anything runs,
+# with the field the message has to name; values are raw override text
+_BAD_NUMBER = ["nan", "NaN", "Infinity", "-Infinity", "1e400", "0", "-2.5", "true",
+               "false", "[]", "{}", '"x"', "x", "1" + "0" * 5000]
+_BAD_OVERRIDES = st.one_of(
+    st.tuples(st.sampled_from(["dt", "t_end"]), st.sampled_from(_BAD_NUMBER)),
+    st.tuples(st.just("threads"),
+              st.sampled_from(["0", "-1", "true", "1.5", "nan", "null", '"2"', "[]"])),
+    st.tuples(st.just("q_rk"), st.sampled_from(["2", "6", "true", "3.0", '"3"', "nan"])),
+    st.tuples(st.just("formulation"), _text_except("slopes", "stages")),
+    st.tuples(st.just("experiment"), _text_except(*PROBLEMS)),
+    st.tuples(st.just("dt_rule"), _text_except("resolution")),
+    st.tuples(st.just("output_dir"), st.sampled_from(["1", "true", "null", '""', "[]"])),
+    st.tuples(st.sampled_from(["mesh.n1", "mesh.n2", "mesh.p"]),
+              st.sampled_from(["-1", "true", "1.5", "nan", '"4"', "null", "[]"])),
+    st.tuples(st.sampled_from(["mesh.q", "bogus", "experiment.x", "dt.y", "threads.z"]),
+              st.sampled_from(["1", "nan", "x"])),
+)
+
+
+@pytest.fixture(scope="module")
+def shared_config(tmp_path_factory):
+    return str(heat_config(tmp_path_factory.mktemp("cfg")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(override=_BAD_OVERRIDES)
+def test_bad_overrides_exit_2_naming_the_field(shared_config, override):
+    key, value = override
+    head, _, tail = key.partition(".")
+    field = head if head in ("experiment", "dt", "threads") else key
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", shared_config, "--set", f"{key}={value}"])
+    text = err.getvalue()
+    assert code == 2, text
+    assert text.startswith(f"error: {field}"), text
+    assert "Traceback" not in text
+
+
+def test_run_reports_non_finite_step(tmp_path, monkeypatch, capsys):
+    make = PROBLEMS["heat1d-bc"]
+
+    def poisoned(**kw):
+        case = make(**kw)
+        case.evolution.forcing = lambda t, x, y: np.full_like(x, np.nan)
+        return case
+
+    monkeypatch.setitem(PROBLEMS, "heat1d-bc", poisoned)
+    code = main(["run", str(heat_config(tmp_path))])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == ["error: step 1 (t=0.4): field is not finite"]
 
 
 def test_run_outputs(tmp_path):

@@ -9,7 +9,6 @@ from hpstep.mesh import (
     INTERIOR,
     Mesh,
     build_mesh,
-    classify_nodes,
     expected_node_count,
 )
 
@@ -18,9 +17,9 @@ def test_counts_worked_example():
     m = build_mesh(((0.0, 3.0), (0.0, 2.0)), 3, 2, p=7)
     assert m.n_nodes == 235
     assert m.n_nodes == expected_node_count(3, 2, 7)
-    cls = classify_nodes(m)
-    assert cls.interior.size == 6 * 25  # (p-2)^2 per leaf
-    assert cls.interior.size + cls.interface.size + cls.boundary.size == 235
+    n_interior = m.ids_of(INTERIOR).size
+    assert n_interior == 6 * 25  # (p-2)^2 per leaf
+    assert n_interior + m.ids_of(INTERFACE).size + m.ids_of(BOUNDARY).size == 235
 
 
 @pytest.mark.parametrize("n1,n2,p", [(1, 1, 5), (2, 1, 5), (2, 2, 7), (4, 3, 6)])
@@ -33,10 +32,9 @@ def test_counts_closed_form(n1, n2, p):
 def test_counts_1d(n1, p):
     m = build_mesh((0.0, 2.0), n1, p=p)
     assert m.n_nodes == expected_node_count(n1, None, p)
-    cls = classify_nodes(m)
-    assert cls.boundary.size == 2
-    assert cls.interface.size == n1 - 1
-    assert cls.interior.size == n1 * (p - 2)
+    assert m.ids_of(BOUNDARY).size == 2
+    assert m.ids_of(INTERFACE).size == n1 - 1
+    assert m.ids_of(INTERIOR).size == n1 * (p - 2)
 
 
 def test_corner_slots_never_allocated():
@@ -70,14 +68,14 @@ def test_shared_edge_nodes_coincide():
 
 def test_node_classes_2x2():
     m = build_mesh(((-1.0, 1.0), (-1.0, 1.0)), 2, 2, p=5)
-    cls = classify_nodes(m)
+    boundary = m.ids_of(BOUNDARY)
     # interface nodes: two interior edge lines of 2 leaves each, minus crossings
-    assert cls.interface.size == (5 - 2) * 2 * 2
-    assert cls.boundary.size == (5 - 2) * 2 * 4
+    assert m.ids_of(INTERFACE).size == (5 - 2) * 2 * 2
+    assert boundary.size == (5 - 2) * 2 * 4
     on_gamma = (
         np.isclose(np.abs(m.x), 1.0) | np.isclose(np.abs(m.y), 1.0)
     )
-    np.testing.assert_array_equal(np.nonzero(on_gamma)[0], np.sort(cls.boundary))
+    np.testing.assert_array_equal(np.nonzero(on_gamma)[0], np.sort(boundary))
 
 
 def test_interface_owner_count():
@@ -102,7 +100,7 @@ def test_local_index_sets_order():
 
 def test_single_leaf_has_no_interface():
     m = build_mesh(((0.0, 1.0), (0.0, 1.0)), 1, 1, p=6)
-    assert classify_nodes(m).interface.size == 0
+    assert m.ids_of(INTERFACE).size == 0
     assert m.n_nodes == 6 * 6 - 4
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hpstep.mesh import BOUNDARY, INTERFACE, INTERIOR, build_mesh, classify_nodes
+from hpstep.mesh import BOUNDARY, INTERFACE, INTERIOR, build_mesh
 from hpstep.operators import EllipticOperator, laplace_operator
 from hpstep.oracle import MAX_DENSE_NODES, assemble_global, oracle_solve
 
@@ -17,7 +17,7 @@ def poisson_setup(mesh, u_exact, lap_u, sigma=1.0):
     else:
         u = u_exact(mesh.x, mesh.y)
         f = sigma * u - lap_u(mesh.x, mesh.y)
-    gamma = classify_nodes(mesh).boundary
+    gamma = mesh.ids_of(BOUNDARY)
     return op, u, f, u[gamma]
 
 
@@ -61,18 +61,16 @@ def test_row_classes_act_as_documented():
     u = np.sin(m.x + 0.3) * np.cos(m.y)
     lap = -2 * np.sin(m.x + 0.3) * np.cos(m.y)
     act = A @ u
-    cls = classify_nodes(m)
-    np.testing.assert_allclose(
-        act[cls.interior], (-lap + 0.5 * u)[cls.interior], atol=1e-6
-    )
+    interior, boundary = m.ids_of(INTERIOR), m.ids_of(BOUNDARY)
+    np.testing.assert_allclose(act[interior], (-lap + 0.5 * u)[interior], atol=1e-6)
     # interface rows: one-sided derivative jump of a smooth field ~ 0
-    assert np.abs(act[cls.interface]).max() < 1e-6
+    assert np.abs(act[m.ids_of(INTERFACE)]).max() < 1e-6
     # boundary rows: outward normal derivative
-    gx, gy = m.x[cls.boundary], m.y[cls.boundary]
+    gx, gy = m.x[boundary], m.y[boundary]
     nx = np.where(np.isclose(gx, 1.0), 1.0, np.where(np.isclose(gx, -1.0), -1.0, 0.0))
     ny = np.where(np.isclose(gy, 1.0), 1.0, np.where(np.isclose(gy, -1.0), -1.0, 0.0))
     dn = nx * np.cos(gx + 0.3) * np.cos(gy) + ny * -np.sin(gx + 0.3) * np.sin(gy)
-    np.testing.assert_allclose(act[cls.boundary], dn, atol=1e-6)
+    np.testing.assert_allclose(act[boundary], dn, atol=1e-6)
 
 
 def test_neumann_solve_round_trip():
@@ -81,8 +79,8 @@ def test_neumann_solve_round_trip():
     op, u, f, _ = poisson_setup(
         m, lambda x, y: np.cos(x) * np.cosh(y), lambda x, y: 0 * x
     )
-    cls = classify_nodes(m)
-    gx, gy = m.x[cls.boundary], m.y[cls.boundary]
+    boundary = m.ids_of(BOUNDARY)
+    gx, gy = m.x[boundary], m.y[boundary]
     nx = np.where(np.isclose(gx, 1.0), 1.0, np.where(np.isclose(gx, 0.0), -1.0, 0.0))
     ny = np.where(np.isclose(gy, 1.0), 1.0, np.where(np.isclose(gy, 0.0), -1.0, 0.0))
     dn = nx * -np.sin(gx) * np.cosh(gy) + ny * np.cos(gx) * np.sinh(gy)
@@ -95,7 +93,7 @@ def test_complex_operator():
     op = laplace_operator().shifted(sigma=1.0, scale=0.1j)
     u = np.exp(m.x) * np.sin(m.y)
     f = u + 0.1j * (-0.0) * u  # laplacian of e^x sin y is zero
-    g = u[classify_nodes(m).boundary]
+    g = u[m.ids_of(BOUNDARY)]
     sol = oracle_solve(assemble_global(m, op), f.astype(complex), dirichlet=g)
     assert sol.dtype == complex
     np.testing.assert_allclose(sol, u, atol=1e-8)

@@ -11,6 +11,7 @@ from hpstep.problems import (
     heat_cosine,
     heat_kink,
     make_stepper,
+    resolution_step_count,
     schrodinger_asymmetric,
     schrodinger_harmonic,
 )
@@ -92,10 +93,10 @@ def test_harmonic_step_count_rule():
     # dt tracks h**(p/order): h = 1 gives one unit step, h = 1/2 with
     # p = 8, order = 3 gives 2**(8/3) steps per unit time
     case16 = schrodinger_harmonic(n=16, p=8)
-    assert case16.step_count(3) == 7
+    assert resolution_step_count(case16, 3) == 7
     case32 = schrodinger_harmonic(n=32, p=8)
-    assert case32.step_count(3) == 40
-    assert case32.step_count(8) == 13
+    assert resolution_step_count(case32, 3) == 40
+    assert resolution_step_count(case32, 8) == 13
 
 
 def test_harmonic_short_run_accuracy():

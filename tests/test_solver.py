@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hpstep.mesh import INTERFACE, build_mesh, classify_nodes
+from hpstep.mesh import BOUNDARY, INTERFACE, build_mesh
 from hpstep.operators import (
     EllipticOperator,
     LeafOperatorSet,
@@ -12,7 +12,7 @@ from hpstep.operators import (
     laplace_operator,
 )
 from hpstep.oracle import assemble_global, oracle_solve
-from hpstep.solver import build_factorization, map_neumann_to_dirichlet
+from hpstep.solver import build_factorization
 
 
 def shifted_laplace():
@@ -21,7 +21,7 @@ def shifted_laplace():
 
 def random_data(mesh, rng, dtype=float):
     f = rng.standard_normal(mesh.n_nodes)
-    g = rng.standard_normal(classify_nodes(mesh).boundary.size)
+    g = rng.standard_normal(mesh.ids_of(BOUNDARY).size)
     if dtype is complex:
         f = f + 1j * rng.standard_normal(mesh.n_nodes)
         g = g + 1j * rng.standard_normal(g.size)
@@ -168,7 +168,7 @@ def test_penalized_interface_condition():
     leaf_ops = build_leaf_operators(mesh, op)
     jump_sol = leaf_flux_jumps(mesh, leaf_ops, sol)
     jump_pen = leaf_flux_jumps(mesh, leaf_ops, kink)
-    mid = classify_nodes(mesh).interface
+    mid = mesh.ids_of(INTERFACE)
     np.testing.assert_allclose(jump_sol[mid], -jump_pen[mid] / dt, rtol=1e-10)
     # and a smooth penalty field leaves the solve essentially unchanged
     smooth = np.sin(np.pi * mesh.x / 2)
@@ -182,26 +182,6 @@ def test_penalty_requires_dt():
     fact = build_factorization(mesh, shifted_laplace())
     with pytest.raises(ValueError, match="dt"):
         fact.solve(np.zeros(mesh.n_nodes), np.zeros(2), penalty_field=np.zeros(mesh.n_nodes))
-
-
-def test_neumann_map_matches_oracle():
-    mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), 2, 2, p=8)
-    op = shifted_laplace()
-    fact = build_factorization(mesh, op)
-    u = np.cos(mesh.x) * np.cosh(mesh.y) + 0.2 * mesh.x
-    f = u - 0.0  # harmonic part cancels: lap(cos cosh) = 0, lap(x) = 0
-    cls = classify_nodes(mesh)
-    gx, gy = mesh.x[cls.boundary], mesh.y[cls.boundary]
-    nx = np.where(np.isclose(gx, 1.0), 1.0, np.where(np.isclose(gx, 0.0), -1.0, 0.0))
-    ny = np.where(np.isclose(gy, 1.0), 1.0, np.where(np.isclose(gy, 0.0), -1.0, 0.0))
-    dn_sorted = nx * (-np.sin(gx) * np.cosh(gy) + 0.2) + ny * (np.cos(gx) * np.sinh(gy))
-    order = np.argsort(fact.gamma_ids)
-    dn_tree = np.empty_like(dn_sorted)
-    dn_tree[order] = dn_sorted
-    g = map_neumann_to_dirichlet(fact, dn_tree, load=f)
-    np.testing.assert_allclose(g, u[fact.gamma_ids], atol=1e-7)
-    sol = fact.solve(f, g)
-    np.testing.assert_allclose(sol, u, atol=1e-7)
 
 
 def test_identity_operator_tree_is_solvable():

@@ -9,7 +9,6 @@ import pytest
 
 from hpstep.analysis import max_error
 from hpstep.studies import (
-    Series,
     averaged_instability,
     asymmetric_self_convergence,
     complexity_study,
@@ -19,14 +18,6 @@ from hpstep.studies import (
     order_study,
     richardson_study,
 )
-
-
-def test_series_rows():
-    s = Series(label="demo", axis="steps", values=[2, 4], errors=[0.5, 0.125])
-    assert s.rows() == [
-        {"series": "demo", "steps": 2, "error": 0.5},
-        {"series": "demo", "steps": 4, "error": 0.125},
-    ]
 
 
 def test_order_study_third_order_small():
