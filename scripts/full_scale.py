@@ -30,7 +30,6 @@ def asymmetric_table() -> None:
         order=5,
         n_steps=100,
         t_end=4.0,
-        threads=8,
     )
     print("panels  error        pair rate")
     rates = [""] + [f"{r:.2f}" for r in series.extra["pair_rates"]]
@@ -40,9 +39,7 @@ def asymmetric_table() -> None:
 
 def richardson_table() -> None:
     """Extrapolation table for the oscillator on the full box."""
-    out = richardson_study(
-        order=3, levels=5, base_steps=40, n=16, p=12, half=8.0, threads=8
-    )
+    out = richardson_study(order=3, levels=5, base_steps=40, n=16, p=12, half=8.0)
     print("steps   raw error    best extrapolated")
     for i, count in enumerate(out["step_counts"]):
         print(f"{count:6d}  {out['raw'][i]:.3e}  {out['errors'][i][i]:.3e}")

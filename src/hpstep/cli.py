@@ -61,7 +61,8 @@ class RunConfig:
 
     `dt` and `dt_rule` are mutually exclusive; with neither, the
     experiment's default step is used. `dt_rule` currently knows
-    "resolution", the step that tracks h**(p/q_rk).
+    "resolution", the step that tracks h**(p/q_rk). `threads` is
+    validated and accepted for existing configs but has no effect.
     """
 
     experiment: str
@@ -240,9 +241,7 @@ def _run_once(
     order = cfg.resolve_order(case)
     formulation = cfg.formulation or case.defaults.get("formulation", "slopes")
     t0 = time.perf_counter()
-    stepper = make_stepper(
-        case, dt, order=order, formulation=formulation, threads=cfg.threads
-    )
+    stepper = make_stepper(case, dt, order=order, formulation=formulation)
     t1 = time.perf_counter()
     u = stepper.run(0.0, case.u0, steps)
     t2 = time.perf_counter()

@@ -223,10 +223,3 @@ def _build_2d(
         interior_local=interior_local,
         edge_local=edge_local,
     )
-
-
-def expected_node_count(n1: int, n2: int | None, p: int) -> int:
-    """Closed-form active node count used as a construction cross-check."""
-    if n2 is None:
-        return n1 * (p - 1) + 1
-    return (p - 2) * (p * n1 * n2 + n1 + n2)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .chebyshev import (
     LeafStencil,
@@ -195,70 +194,54 @@ def flux_matrix(mesh: Mesh) -> np.ndarray:
 
 
 @dataclass
-class LeafOperators:
-    """Factorized solve and flux maps of one leaf.
-
-    With interior values u_I and edge values g, the leaf solve is
-    u_I = lu_solve(f_I) - G @ g, the edge flux of the homogeneous part is
-    T @ g, and the flux of the particular part is Fi @ lu_solve(f_I).
-    """
-
-    lu: tuple = field(repr=False)
-    G: np.ndarray = field(repr=False)
-    Fi: np.ndarray = field(repr=False)
-    Fb: np.ndarray = field(repr=False)
-    T: np.ndarray = field(repr=False)
-
-
-@dataclass
 class LeafOperatorSet:
-    """Leaf operators for a whole mesh; a single shared instance when the
-    coefficients are position-independent."""
+    """Interior solve and edge flux maps of every leaf, stacked.
+
+    `inv`, `G` and `T` have a leading axis over the leaves, of length one
+    when the coefficients are position-independent: the leaves are then
+    congruent and a single copy broadcasts over all of them. With
+    interior load f_I and edge values g, a leaf's interior solution is
+    u_I = inv @ f_I - G @ g, the edge flux of the homogeneous part is
+    T @ g, and the flux of a field with interior values v_I and edge
+    values v_B is Fi @ v_I + Fb @ v_B; `Fi` and `Fb` are shared by all
+    leaves.
+    """
 
     mesh: Mesh
     op: EllipticOperator
-    shared: bool
-    _items: list[LeafOperators]
+    inv: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_int)
+    G: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_edge)
+    T: np.ndarray = field(repr=False)  # (nl or 1, n_edge, n_edge)
+    Fi: np.ndarray = field(repr=False)  # (n_edge, n_int)
+    Fb: np.ndarray = field(repr=False)  # (n_edge, n_edge)
 
-    def for_leaf(self, l: int) -> LeafOperators:
-        return self._items[0] if self.shared else self._items[l]
-
-
-def _build_single(op: EllipticOperator, mesh: Mesh, l: int, F: np.ndarray) -> LeafOperators:
-    M = collocate_leaf(op, mesh, l)
-    ii = mesh.interior_local
-    bb = mesh.edge_local
-    M_II = M[np.ix_(ii, ii)]
-    M_IB = M[np.ix_(ii, bb)]
-    Fi = F[:, ii]
-    Fb = F[:, bb]
-    try:
-        lu = lu_factor(M_II)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise ValueError(f"singular interior block on leaf {l}") from exc
-    G = lu_solve(lu, M_IB)
-    return LeafOperators(lu=lu, G=G, Fi=Fi, Fb=Fb, T=Fb - Fi @ G)
+    @property
+    def shared(self) -> bool:
+        return len(self.inv) == 1
 
 
-def build_leaf_operators(
-    mesh: Mesh, op: EllipticOperator, threads: int = 1
-) -> LeafOperatorSet:
+def build_leaf_operators(mesh: Mesh, op: EllipticOperator) -> LeafOperatorSet:
     """Factorize every leaf of the mesh for the given operator."""
     F = flux_matrix(mesh)
-    if op.is_constant:
-        # identical geometry and coefficients: one factorization serves all
-        items = [_build_single(op, mesh, 0, F)]
-        return LeafOperatorSet(mesh=mesh, op=op, shared=True, _items=items)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            items = list(
-                pool.map(lambda l: _build_single(op, mesh, l, F), range(mesh.n_leaves))
-            )
-    else:
-        items = [_build_single(op, mesh, l, F) for l in range(mesh.n_leaves)]
-    return LeafOperatorSet(mesh=mesh, op=op, shared=False, _items=items)
+    ii = mesh.interior_local
+    bb = mesh.edge_local
+    Fi = F[:, ii]
+    Fb = F[:, bb]
+    # identical geometry and coefficients: one factorization serves all
+    count = 1 if op.is_constant else mesh.n_leaves
+    for l in range(count):
+        M = collocate_leaf(op, mesh, l)
+        if l == 0:
+            inv = np.empty((count, ii.size, ii.size), dtype=M.dtype)
+            G = np.empty((count, ii.size, bb.size), dtype=M.dtype)
+            T = np.empty((count, bb.size, bb.size), dtype=M.dtype)
+        try:
+            inv[l] = np.linalg.inv(M[np.ix_(ii, ii)])
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise ValueError(f"singular interior block on leaf {l}") from exc
+        G[l] = inv[l] @ M[np.ix_(ii, bb)]
+        T[l] = Fb - Fi @ G[l]
+    return LeafOperatorSet(mesh=mesh, op=op, inv=inv, G=G, T=T, Fi=Fi, Fb=Fb)
 
 
 def gather_leaf_fields(mesh: Mesh, u: np.ndarray) -> np.ndarray:

@@ -80,10 +80,7 @@ def assemble_global(mesh: Mesh, op: EllipticOperator) -> GlobalSystem:
 
 
 def oracle_solve(
-    system: GlobalSystem,
-    load: np.ndarray,
-    dirichlet: np.ndarray | None = None,
-    neumann: np.ndarray | None = None,
+    system: GlobalSystem, load: np.ndarray, dirichlet: np.ndarray
 ) -> np.ndarray:
     """Solve the assembled system for one load and one set of boundary data.
 
@@ -91,33 +88,20 @@ def oracle_solve(
         load: values at all nodes; only interior entries are read.
         dirichlet: boundary values ordered by ascending boundary node id;
             imposed by replacing the boundary rows with identity rows.
-        neumann: outward normal derivative data, same ordering, used with
-            the assembled rows as-is. Exactly one of the two must be given.
     """
-    if (dirichlet is None) == (neumann is None):
-        raise ValueError("provide exactly one of dirichlet or neumann data")
     mesh = system.mesh
     cls = mesh.node_class
     gamma = np.nonzero(cls == BOUNDARY)[0]
-    dtype = np.result_type(system.matrix.dtype, np.asarray(load).dtype)
+    data = np.asarray(dirichlet)
+    if data.shape != gamma.shape:
+        raise ValueError(f"expected {gamma.size} boundary values")
+    dtype = np.result_type(system.matrix.dtype, np.asarray(load).dtype, data.dtype)
+    A = system.matrix.astype(dtype, copy=True)
+    A[gamma, :] = 0.0
+    A[gamma, gamma] = 1.0
     rhs = np.zeros(mesh.n_nodes, dtype=dtype)
     rhs[cls == INTERIOR] = np.asarray(load)[cls == INTERIOR]
-    A = system.matrix
-    if dirichlet is not None:
-        data = np.asarray(dirichlet)
-        if data.shape != gamma.shape:
-            raise ValueError(f"expected {gamma.size} boundary values")
-        A = A.astype(np.result_type(dtype, data.dtype), copy=True)
-        A[gamma, :] = 0.0
-        A[gamma, gamma] = 1.0
-        rhs = rhs.astype(A.dtype)
-        rhs[gamma] = data
-    else:
-        data = np.asarray(neumann)
-        if data.shape != gamma.shape:
-            raise ValueError(f"expected {gamma.size} boundary values")
-        rhs = rhs.astype(np.result_type(dtype, data.dtype))
-        rhs[gamma] = data
+    rhs[gamma] = data
     return scipy.linalg.solve(A, rhs)
 
 

@@ -42,7 +42,6 @@ def make_stepper(
     formulation: str | None = None,
     corrected: bool | None = None,
     interface_method="tridiagonal",
-    threads: int = 1,
 ) -> ImexStepper:
     """Stepper for a case, falling back to its defaults where unset."""
     d = case.defaults
@@ -55,7 +54,6 @@ def make_stepper(
         else d.get("formulation", "slopes"),
         corrected=corrected if corrected is not None else d.get("corrected", True),
         interface_method=interface_method,
-        threads=threads,
     )
 
 

@@ -8,15 +8,22 @@ the two children, which yields a dense interface operator
 
     X = T_left[33] - T_right[33]
 
-whose LU factors are retained. Because edge-normal derivatives are stored
+whose inverse is stored. Because edge-normal derivatives are stored
 without an outward sign flip, values from both sides are directly
 comparable and interface rows/columns can be ordered by global node id,
 making the merge orientation-free.
 
-A solve is one upward sweep (particular solutions and their edge fluxes)
-and one downward sweep (interface data from the factored operators, then
-leaf interiors). Factorizations are immutable; each solve allocates its
-own workspace, so concurrent solves against one factorization are safe.
+Blocks of one shape are congruent on a uniform mesh: they share their
+local index maps and the shapes of their two children. All merges of one
+block shape therefore form a level whose operators are stacked along a
+leading axis, and levels are ordered by block area, children first. With
+position-independent coefficients every merge of a level is identical,
+so a level stores one copy that broadcasts over its blocks. A solve is
+one pass up the levels (particular edge fluxes and interface
+corrections) and one pass down (interface values, then leaf interiors),
+each a few batched products per level. Factorizations are immutable;
+each solve allocates its own workspace, so concurrent solves against one
+factorization are safe.
 
 The corrected interface condition used while time stepping replaces
 flux continuity of the unknown with
@@ -30,45 +37,38 @@ derivative jump the evolving field has picked up; passing
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .mesh import BOUNDARY, Mesh
 from .operators import EllipticOperator, LeafOperatorSet, build_leaf_operators
 
-
-@dataclass
-class _LeafNode:
-    leaf: int
-    slot: int
-    boundary_ids: np.ndarray = field(repr=False)
-    interior_ids: np.ndarray = field(repr=False)
+_LEAF = (1, 1)  # block shape of a single leaf, in leaves along x and y
 
 
 @dataclass
-class _MergeNode:
-    left: Union["_LeafNode", "_MergeNode"]
-    right: Union["_LeafNode", "_MergeNode"]
-    slot: int
+class _Level:
+    """All merges of one block shape, operators stacked over the merges.
+
+    The operator stacks have length one when the leaf operators are
+    shared; index maps are local to a block and common to the level.
+    """
+
+    shape: tuple[int, int]
+    left: tuple[int, int]  # block shape of the left children
+    right: tuple[int, int]
+    left_pos: np.ndarray = field(repr=False)  # positions in the child levels
+    right_pos: np.ndarray = field(repr=False)
     ia: np.ndarray = field(repr=False)  # interface positions in left boundary
     ib: np.ndarray = field(repr=False)  # same interface in right boundary
     idx1: np.ndarray = field(repr=False)  # left-exclusive positions
     idx2: np.ndarray = field(repr=False)  # right-exclusive positions
-    lu_X: tuple = field(repr=False)
+    boundary_ids: np.ndarray = field(repr=False)  # (m, n_outer)
+    interface_ids: np.ndarray = field(repr=False)  # (m, n_interface)
+    inv_X: np.ndarray = field(repr=False)
     S: np.ndarray = field(repr=False)  # interface response to outer data
     C1: np.ndarray = field(repr=False)  # T_left[1,3]
     C2: np.ndarray = field(repr=False)  # T_right[2,3]
-    boundary_ids: np.ndarray = field(repr=False)
-
-
-def _factor_interface(X: np.ndarray, where: str) -> tuple:
-    lu = lu_factor(X)
-    d = np.abs(np.diag(lu[0]))
-    if d.size and (d.min() == 0.0 or d.min() < 1e-14 * d.max()):
-        raise ValueError(f"singular interface operator at merge {where}")
-    return lu
 
 
 @dataclass
@@ -78,13 +78,14 @@ class HpsFactorization:
     mesh: Mesh
     op: EllipticOperator
     leaf_ops: LeafOperatorSet = field(repr=False)
-    nodes: list = field(repr=False)  # post-order, leaves and merges mixed
-    root: Union[_LeafNode, _MergeNode] = field(repr=False)
+    levels: list[_Level] = field(repr=False)  # by block area, children first
+    leaf_interior_ids: np.ndarray = field(repr=False)  # (nl, n_int)
+    leaf_boundary_ids: np.ndarray = field(repr=False)  # (nl, n_edge)
     gamma_ids: np.ndarray = field(repr=False)
 
     @property
     def dtype(self):
-        return self.leaf_ops.for_leaf(0).T.dtype
+        return self.leaf_ops.T.dtype
 
     def solve(
         self,
@@ -128,198 +129,167 @@ class HpsFactorization:
             if arr is not None:
                 dtype = np.result_type(dtype, arr.dtype)
 
-        # upward sweep: per-slot particular flux h, penalty flux hu, and
-        # per-leaf particular interior solutions
-        h_store: list = [None] * len(self.nodes)
-        hu_store: list = [None] * len(self.nodes)
-        z_store: dict[int, np.ndarray] = {}
-        w_store: dict[int, np.ndarray] = {}
-
-        self._leaf_upward(load_c, pen_c, k, dtype, h_store, hu_store, z_store)
-
-        inv_dt = None if dt is None else 1.0 / dt
-        for node in self.nodes:
-            if isinstance(node, _LeafNode):
-                continue
-            hl, hr = h_store[node.left.slot], h_store[node.right.slot]
-            delta = hr[node.ib] - hl[node.ia]
-            if pen_c is not None:
-                hul = hu_store[node.left.slot]
-                hur = hu_store[node.right.slot]
-                delta = delta - inv_dt * (hul[node.ia] - hur[node.ib])
-                hu_store[node.slot] = np.concatenate(
-                    [hul[node.idx1], hur[node.idx2]], axis=0
-                )
-            w = lu_solve(node.lu_X, delta, check_finite=False)
-            w_store[node.slot] = w
-            h_store[node.slot] = np.concatenate(
-                [hl[node.idx1] + node.C1 @ w, hr[node.idx2] + node.C2 @ w], axis=0
+        # upward pass: particular interior solutions z, then per level the
+        # particular edge flux h of every block, its penalty flux hu and
+        # the interface correction w
+        lf = self.leaf_ops
+        f = np.zeros((n, k), dtype=dtype) if load_c is None else load_c
+        z = lf.inv @ f[self.leaf_interior_ids]
+        h = {_LEAF: lf.Fi @ z}
+        hu = {}
+        if pen_c is not None:
+            inv_dt = 1.0 / dt
+            hu[_LEAF] = (
+                lf.Fi @ pen_c[self.leaf_interior_ids] + lf.Fb @ pen_c[self.leaf_boundary_ids]
             )
-            h_store[node.left.slot] = None
-            h_store[node.right.slot] = None
+        w = []
+        for lv in self.levels:
+            hl = h[lv.left][lv.left_pos]
+            hr = h[lv.right][lv.right_pos]
+            delta = hr[:, lv.ib] - hl[:, lv.ia]
+            if pen_c is not None:
+                ul = hu[lv.left][lv.left_pos]
+                ur = hu[lv.right][lv.right_pos]
+                delta = delta - inv_dt * (ul[:, lv.ia] - ur[:, lv.ib])
+                hu[lv.shape] = np.concatenate([ul[:, lv.idx1], ur[:, lv.idx2]], axis=1)
+            w_lv = lv.inv_X @ delta
+            w.append(w_lv)
+            h[lv.shape] = np.concatenate(
+                [hl[:, lv.idx1] + lv.C1 @ w_lv, hr[:, lv.idx2] + lv.C2 @ w_lv], axis=1
+            )
 
-        # downward sweep
+        # downward pass: every block's outer values are known once its
+        # ancestors are done, which gives its interface values
         out = np.zeros((n, k), dtype=dtype)
-        g_root = (
-            np.zeros((self.gamma_ids.size, k), dtype=dtype)
-            if diri_c is None
-            else np.broadcast_to(diri_c, (self.gamma_ids.size, k))
-        )
-        stack = [(self.root, np.asarray(g_root, dtype=dtype))]
-        while stack:
-            node, g = stack.pop()
-            if isinstance(node, _LeafNode):
-                lf = self.leaf_ops.for_leaf(node.leaf)
-                out[node.interior_ids] = z_store[node.slot] - lf.G @ g
-                out[node.boundary_ids] = g
-                continue
-            n1 = node.idx1.size
-            g3 = w_store[node.slot] + node.S @ g
-            gl = np.empty((node.left.boundary_ids.size, k), dtype=dtype)
-            gl[node.idx1] = g[:n1]
-            gl[node.ia] = g3
-            gr = np.empty((node.right.boundary_ids.size, k), dtype=dtype)
-            gr[node.idx2] = g[n1:]
-            gr[node.ib] = g3
-            stack.append((node.left, gl))
-            stack.append((node.right, gr))
-
+        if diri_c is not None:
+            out[self.gamma_ids] = diri_c
+        for lv, w_lv in zip(reversed(self.levels), reversed(w)):
+            out[lv.interface_ids] = w_lv + lv.S @ out[lv.boundary_ids]
+        out[self.leaf_interior_ids] = z - lf.G @ out[self.leaf_boundary_ids]
         return _from_cols(out, lead)
 
-    def _leaf_upward(self, load_c, pen_c, k, dtype, h_store, hu_store, z_store):
-        leaves = [nd for nd in self.nodes if isinstance(nd, _LeafNode)]
-        shared = self.leaf_ops.shared
-        if shared and len(leaves) > 1:
-            lf = self.leaf_ops.for_leaf(0)
-            n_int = leaves[0].interior_ids.size
-            if load_c is None:
-                z_all = np.zeros((len(leaves), n_int, k), dtype=dtype)
-            else:
-                f = np.stack([load_c[nd.interior_ids] for nd in leaves])
-                z_all = (
-                    lu_solve(
-                        lf.lu, f.transpose(1, 0, 2).reshape(n_int, -1), check_finite=False
-                    )
-                    .reshape(n_int, len(leaves), k)
-                    .transpose(1, 0, 2)
-                )
-            h_all = np.einsum("ij,ljk->lik", lf.Fi, z_all)
-            for i, nd in enumerate(leaves):
-                z_store[nd.slot] = z_all[i]
-                h_store[nd.slot] = h_all[i]
-        else:
-            for nd in leaves:
-                lf = self.leaf_ops.for_leaf(nd.leaf)
-                if load_c is None:
-                    z = np.zeros((nd.interior_ids.size, k), dtype=dtype)
-                    h = np.zeros((lf.Fi.shape[0], k), dtype=dtype)
-                else:
-                    z = lu_solve(lf.lu, load_c[nd.interior_ids], check_finite=False)
-                    h = lf.Fi @ z
-                z_store[nd.slot] = z
-                h_store[nd.slot] = h
-        if pen_c is not None:
-            for nd in leaves:
-                lf = self.leaf_ops.for_leaf(nd.leaf)
-                hu_store[nd.slot] = (
-                    lf.Fi @ pen_c[nd.interior_ids] + lf.Fb @ pen_c[nd.boundary_ids]
-                )
+
+def _rows(stack: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The entries of a stacked operator at `pos`; a single shared copy
+    stays a single copy."""
+    return stack if len(stack) == 1 else stack[pos]
 
 
-def build_factorization(
-    mesh: Mesh, op: EllipticOperator, threads: int = 1
-) -> HpsFactorization:
-    """Factorize the operator on the mesh for repeated solves."""
-    leaf_ops = build_leaf_operators(mesh, op, threads)
-    nodes: list = []
+def _blocks(mesh: Mesh) -> dict:
+    """Children of every merge, grouped by block shape.
 
-    grid = mesh.leaf_grid
-    nl1 = mesh.n1
-    flat = grid.reshape(grid.shape[0], -1)
-    bnd_ids = flat[:, mesh.edge_local]
-    int_ids = flat[:, mesh.interior_local]
+    Maps a block shape to a list of (left, right) pairs, each child given
+    as (shape, position in its own shape's list); a leaf's position is
+    its leaf index.
+    """
+    kids: dict = {}
 
-    def leaf_index(lx: int, ly: int) -> int:
-        return ly * nl1 + lx if mesh.dim == 2 else lx
-
-    def build(lx0, lx1, ly0, ly1):
-        if lx1 - lx0 == 1 and ly1 - ly0 == 1:
-            l = leaf_index(lx0, ly0)
-            node = _LeafNode(
-                leaf=l,
-                slot=len(nodes),
-                boundary_ids=bnd_ids[l],
-                interior_ids=int_ids[l],
-            )
-            nodes.append(node)
-            return node, leaf_ops.for_leaf(l).T
-        if lx1 - lx0 >= ly1 - ly0:
+    def visit(lx0, lx1, ly0, ly1):
+        shape = (lx1 - lx0, ly1 - ly0)
+        if shape == _LEAF:
+            return shape, ly0 * mesh.n1 + lx0
+        if shape[0] >= shape[1]:
             mid = (lx0 + lx1) // 2
-            left, Tl = build(lx0, mid, ly0, ly1)
-            right, Tr = build(mid, lx1, ly0, ly1)
+            pair = visit(lx0, mid, ly0, ly1), visit(mid, lx1, ly0, ly1)
         else:
             mid = (ly0 + ly1) // 2
-            left, Tl = build(lx0, lx1, ly0, mid)
-            right, Tr = build(lx0, lx1, mid, ly1)
+            pair = visit(lx0, lx1, ly0, mid), visit(lx0, lx1, mid, ly1)
+        kids.setdefault(shape, []).append(pair)
+        return shape, len(kids[shape]) - 1
 
-        ids_l, ids_r = left.boundary_ids, right.boundary_ids
-        shared, ia, ib = np.intersect1d(ids_l, ids_r, return_indices=True)
-        if shared.size == 0:
+    visit(0, mesh.n1, 0, mesh.n2 if mesh.dim == 2 else 1)
+    return kids
+
+
+def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
+    """Factorize the operator on the mesh for repeated solves."""
+    leaf_ops = build_leaf_operators(mesh, op)
+    flat = mesh.leaf_grid.reshape(mesh.n_leaves, -1)
+    ids = {_LEAF: flat[:, mesh.edge_local]}  # outer boundary ids per block
+    T = {_LEAF: leaf_ops.T}  # edge-to-flux maps, dropped after the last parent
+    kids = _blocks(mesh)
+    order = sorted(kids, key=lambda s: s[0] * s[1])
+    last_parent = {c: s for s in order for c, _ in kids[s][0]}
+
+    levels = []
+    for shape in order:
+        (left, _), (right, _) = kids[shape][0]
+        left_pos = np.array([a[1] for a, _ in kids[shape]])
+        right_pos = np.array([b[1] for _, b in kids[shape]])
+        ids_l, ids_r = ids[left][left_pos], ids[right][right_pos]
+        common, ia, ib = np.intersect1d(ids_l[0], ids_r[0], return_indices=True)
+        if common.size == 0:
             raise ValueError("children share no interface nodes")
-        mask_l = np.ones(ids_l.size, dtype=bool)
-        mask_l[ia] = False
-        idx1 = np.nonzero(mask_l)[0]
-        mask_r = np.ones(ids_r.size, dtype=bool)
-        mask_r[ib] = False
-        idx2 = np.nonzero(mask_r)[0]
+        if not np.array_equal(ids_l[:, ia], ids_r[:, ib]):
+            raise AssertionError(f"{shape[0]}x{shape[1]} blocks are not congruent")
+        idx1 = np.setdiff1d(np.arange(ids_l.shape[1]), ia)
+        idx2 = np.setdiff1d(np.arange(ids_r.shape[1]), ib)
+        ids[shape] = np.concatenate([ids_l[:, idx1], ids_r[:, idx2]], axis=1)
 
-        X = Tl[np.ix_(ia, ia)] - Tr[np.ix_(ib, ib)]
-        lu_X = _factor_interface(X, f"block x[{lx0}:{lx1}] y[{ly0}:{ly1}]")
-        B = np.concatenate(
-            [-Tl[np.ix_(ia, idx1)], Tr[np.ix_(ib, idx2)]], axis=1
+        Tl, Tr = _rows(T[left], left_pos), _rows(T[right], right_pos)
+        X = Tl[:, ia][:, :, ia] - Tr[:, ib][:, :, ib]
+        inv_X = _inverse_interface(X, shape)
+        B = np.concatenate([-Tl[:, ia][:, :, idx1], Tr[:, ib][:, :, idx2]], axis=2)
+        S = inv_X @ B
+        C1 = Tl[:, idx1][:, :, ia]
+        C2 = Tr[:, idx2][:, :, ib]
+
+        n1 = idx1.size
+        Tp = np.concatenate([C1, C2], axis=1) @ S
+        Tp[:, :n1, :n1] += Tl[:, idx1][:, :, idx1]
+        Tp[:, n1:, n1:] += Tr[:, idx2][:, :, idx2]
+        T[shape] = Tp
+        for child in (left, right):
+            if last_parent[child] == shape:
+                T.pop(child, None)
+
+        levels.append(
+            _Level(
+                shape=shape,
+                left=left,
+                right=right,
+                left_pos=left_pos,
+                right_pos=right_pos,
+                ia=ia,
+                ib=ib,
+                idx1=idx1,
+                idx2=idx2,
+                boundary_ids=ids[shape],
+                interface_ids=ids_l[:, ia],
+                inv_X=inv_X,
+                S=S,
+                C1=C1,
+                C2=C2,
+            )
         )
-        S = lu_solve(lu_X, B)
-        C1 = Tl[np.ix_(idx1, ia)]
-        C2 = Tr[np.ix_(idx2, ib)]
 
-        n1, n2 = idx1.size, idx2.size
-        Tp = np.zeros((n1 + n2, n1 + n2), dtype=np.result_type(Tl, Tr))
-        Tp[:n1, :n1] = Tl[np.ix_(idx1, idx1)]
-        Tp[n1:, n1:] = Tr[np.ix_(idx2, idx2)]
-        Tp += np.concatenate([C1, C2], axis=0) @ S
-
-        node = _MergeNode(
-            left=left,
-            right=right,
-            slot=len(nodes),
-            ia=ia,
-            ib=ib,
-            idx1=idx1,
-            idx2=idx2,
-            lu_X=lu_X,
-            S=S,
-            C1=C1,
-            C2=C2,
-            boundary_ids=np.concatenate([ids_l[idx1], ids_r[idx2]]),
-        )
-        nodes.append(node)
-        return node, Tp
-
-    ny = mesh.n2 if mesh.dim == 2 else 1
-    root, _ = build(0, mesh.n1, 0, ny)
-    fact = HpsFactorization(
+    gamma_ids = ids[order[-1] if order else _LEAF][0]
+    if not np.array_equal(np.sort(gamma_ids), mesh.ids_of(BOUNDARY)):
+        raise AssertionError("tree boundary does not match mesh boundary nodes")
+    return HpsFactorization(
         mesh=mesh,
         op=op,
         leaf_ops=leaf_ops,
-        nodes=nodes,
-        root=root,
-        gamma_ids=root.boundary_ids,
+        levels=levels,
+        leaf_interior_ids=flat[:, mesh.interior_local],
+        leaf_boundary_ids=ids[_LEAF],
+        gamma_ids=gamma_ids,
     )
-    if not np.array_equal(
-        np.sort(root.boundary_ids), np.nonzero(mesh.node_class == BOUNDARY)[0]
-    ):
-        raise AssertionError("tree boundary does not match mesh boundary nodes")
-    return fact
+
+
+def _inverse_interface(X: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Batched inverse of the interface operators of one level; raises when
+    any of them is numerically singular."""
+    where = f"singular interface operator in the {shape[0]}x{shape[1]} blocks"
+    try:
+        inv = np.linalg.inv(X)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(where) from exc
+    # 1-norm condition numbers; NaN fails the test as well
+    cond = np.abs(X).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
+    if not np.all(cond < 1e14):
+        raise ValueError(where)
+    return inv
 
 
 def _as_cols(arr, n_expected: int, default_dtype):

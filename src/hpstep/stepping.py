@@ -180,7 +180,6 @@ class ImexStepper:
         formulation: str = "slopes",
         corrected: bool = True,
         interface_method: Union[str, InterfaceCompleter] = "tridiagonal",
-        threads: int = 1,
     ):
         if formulation not in ("slopes", "stages"):
             raise ValueError(f"unknown formulation {formulation!r}")
@@ -192,7 +191,7 @@ class ImexStepper:
         self.formulation = formulation
         self.corrected = bool(corrected)
         shifted = evo.operator.shifted(1.0, -self.dt * tableau.gamma * evo.lam)
-        self.fact = build_factorization(evo.mesh, shifted, threads)
+        self.fact = build_factorization(evo.mesh, shifted)
         self.applier = OperatorApplier(evo.mesh, evo.operator)
         self._gids = self.fact.gamma_ids
         mesh = evo.mesh

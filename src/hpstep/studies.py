@@ -104,7 +104,6 @@ def richardson_study(
     n: int = 10,
     p: int = 12,
     half: float = 6.0,
-    threads: int = 1,
 ) -> dict:
     """Step-doubling extrapolation of the oscillator run in time.
 
@@ -116,10 +115,7 @@ def richardson_study(
     counts = [base_steps * 2**i for i in range(levels)]
     finals = []
     for count in counts:
-        st = make_stepper(
-            case, case.t_end / count, order=order, formulation="slopes",
-            threads=threads,
-        )
+        st = make_stepper(case, case.t_end / count, order=order, formulation="slopes")
         finals.append(st.run(0.0, case.u0, count))
     table = richardson(finals, order)
     exact = case.exact(case.t_end, case.mesh.x, case.mesh.y)
@@ -141,7 +137,6 @@ def harmonic_resolution_sweep(
     panel_counts=(16, 24, 32),
     order: int = 3,
     formulations=("stages", "slopes"),
-    threads: int = 1,
 ) -> dict:
     """Error at one revolution of the oscillator phase versus panel count.
 
@@ -155,10 +150,7 @@ def harmonic_resolution_sweep(
         for n_panels in panel_counts:
             case = schrodinger_harmonic(n=n_panels, p=p)
             count = resolution_step_count(case, order)
-            st = make_stepper(
-                case, case.t_end / count, order=order, formulation=form,
-                threads=threads,
-            )
+            st = make_stepper(case, case.t_end / count, order=order, formulation=form)
             u = st.run(0.0, case.u0, count)
             errors.append(max_error(u, case.mesh, exact=case.exact, t=case.t_end))
         per_form[form] = Series(
@@ -190,7 +182,6 @@ def asymmetric_self_convergence(
     order: int = 5,
     n_steps: int = 25,
     t_end: float | None = None,
-    threads: int = 1,
 ) -> Series:
     """Cross-mesh convergence for the tilted-well oscillator.
 
@@ -201,12 +192,12 @@ def asymmetric_self_convergence(
     """
     ref_case = schrodinger_asymmetric(n=reference[0], p=reference[1])
     dt = (t_end if t_end is not None else ref_case.t_end) / n_steps
-    ref_st = make_stepper(ref_case, dt, order=order, threads=threads)
+    ref_st = make_stepper(ref_case, dt, order=order)
     u_ref = ref_st.run(0.0, ref_case.u0, n_steps)
     errors = []
     for n_panels in panel_counts:
         case = schrodinger_asymmetric(n=n_panels, p=p)
-        st = make_stepper(case, dt, order=order, threads=threads)
+        st = make_stepper(case, dt, order=order)
         u = st.run(0.0, case.u0, n_steps)
         errors.append(max_error(u, case.mesh, reference=(ref_case.mesh, u_ref)))
     pair_rates = [
@@ -317,12 +308,10 @@ def averaged_instability(
 # -- viscous advection ---------------------------------------------------
 
 
-def burgers_stability(
-    n: int = 8, p: int = 12, n_steps: int = 80, threads: int = 1
-) -> dict:
+def burgers_stability(n: int = 8, p: int = 12, n_steps: int = 80) -> dict:
     """Sup-norm history of the rotating-swirl run over one time unit."""
     case = burgers_rotating(n=n, p=p)
-    st = make_stepper(case, case.t_end / n_steps, threads=threads)
+    st = make_stepper(case, case.t_end / n_steps)
     peak = float(np.abs(case.u0).max())
     history = [peak]
 
@@ -346,7 +335,6 @@ def burgers_self_convergence(
     p: int = 12,
     step_counts=(80, 160),
     ref_steps: int = 320,
-    threads: int = 1,
 ) -> Series:
     """Step-size convergence of the rotating-swirl run on a fixed mesh.
 
@@ -355,12 +343,10 @@ def burgers_self_convergence(
     steps and refines from there.
     """
     case = burgers_rotating(n=n, p=p)
-    ref = make_stepper(case, case.t_end / ref_steps, threads=threads).run(
-        0.0, case.u0, ref_steps
-    )
+    ref = make_stepper(case, case.t_end / ref_steps).run(0.0, case.u0, ref_steps)
     errors = []
     for count in step_counts:
-        st = make_stepper(case, case.t_end / count, threads=threads)
+        st = make_stepper(case, case.t_end / count)
         u = st.run(0.0, case.u0, count)
         errors.append(float(np.abs(u - ref).max()))
     return Series(

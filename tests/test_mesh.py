@@ -9,8 +9,18 @@ from hpstep.mesh import (
     INTERIOR,
     Mesh,
     build_mesh,
-    expected_node_count,
 )
+
+
+def expected_node_count(n1: int, n2: int | None, p: int) -> int:
+    """Closed-form active node count, the reference for the mesh builder.
+
+    In 2D: (p - 2)**2 interior nodes per leaf plus p - 2 on each of the
+    (n1 + 1) * n2 + (n2 + 1) * n1 leaf edges; corners are never allocated.
+    """
+    if n2 is None:
+        return n1 * (p - 1) + 1
+    return (p - 2) * (p * n1 * n2 + n1 + n2)
 
 
 def test_counts_worked_example():

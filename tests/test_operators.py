@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_solve
 
 from hpstep.mesh import build_mesh
 from hpstep.operators import (
@@ -107,10 +106,9 @@ def test_leaf_solve_reproduces_polynomial():
     op = EllipticOperator(c11=1.0, c22=1.0, sigma=1.0)
     f = (collocate_leaf(op, m, 0) @ u.ravel()).reshape(10, 10)
     ops = build_leaf_operators(m, op)
-    lf = ops.for_leaf(0)
     ii, bb = m.interior_local, m.edge_local
     g = u.ravel()[bb]
-    u_int = lu_solve(lf.lu, f.ravel()[ii]) - lf.G @ g
+    u_int = ops.inv[0] @ f.ravel()[ii] - ops.G[0] @ g
     np.testing.assert_allclose(u_int, u.ravel()[ii], atol=1e-10)
 
 
@@ -121,11 +119,10 @@ def test_dtn_of_harmonic_polynomial():
     X, Y = leaf_points(m, 0)
     u = X**2 - Y**2
     ops = build_leaf_operators(m, laplace_operator())
-    lf = ops.for_leaf(0)
     g = u.ravel()[m.edge_local]
     F = flux_matrix(m)
     want = (F @ u.ravel())  # directional derivative rows of the exact field
-    np.testing.assert_allclose(lf.T @ g, want, atol=1e-9)
+    np.testing.assert_allclose(ops.T[0] @ g, want, atol=1e-9)
 
 
 def test_complex_shift_round_trip():
@@ -137,9 +134,8 @@ def test_complex_shift_round_trip():
     assert M.dtype == complex
     f = M @ u.ravel()
     ops = build_leaf_operators(m, op)
-    lf = ops.for_leaf(0)
     ii, bb = m.interior_local, m.edge_local
-    got = lu_solve(lf.lu, f[ii]) - lf.G @ u.ravel()[bb]
+    got = ops.inv[0] @ f[ii] - ops.G[0] @ u.ravel()[bb]
     np.testing.assert_allclose(got, u.ravel()[ii], atol=1e-11)
 
 
@@ -147,9 +143,10 @@ def test_shared_factorization_detection():
     m = mesh2d(2, 2, p=5)
     assert build_leaf_operators(m, laplace_operator()).shared
     varying = EllipticOperator(c11=1.0, c22=1.0, c0=lambda x, y: x)
-    ops = build_leaf_operators(m, varying, threads=2)
+    ops = build_leaf_operators(m, varying)
     assert not ops.shared
-    assert ops.for_leaf(0) is not ops.for_leaf(3)
+    assert len(ops.inv) == len(ops.G) == len(ops.T) == m.n_leaves
+    assert not np.array_equal(ops.T[0], ops.T[3])
 
 
 def test_applier_matches_collocation_rows():

@@ -73,21 +73,6 @@ def test_row_classes_act_as_documented():
     np.testing.assert_allclose(act[boundary], dn, atol=1e-6)
 
 
-def test_neumann_solve_round_trip():
-    # impose the exact outward normal derivative and recover the field
-    m = build_mesh(((0.0, 1.0), (0.0, 1.0)), 2, 2, p=9)
-    op, u, f, _ = poisson_setup(
-        m, lambda x, y: np.cos(x) * np.cosh(y), lambda x, y: 0 * x
-    )
-    boundary = m.ids_of(BOUNDARY)
-    gx, gy = m.x[boundary], m.y[boundary]
-    nx = np.where(np.isclose(gx, 1.0), 1.0, np.where(np.isclose(gx, 0.0), -1.0, 0.0))
-    ny = np.where(np.isclose(gy, 1.0), 1.0, np.where(np.isclose(gy, 0.0), -1.0, 0.0))
-    dn = nx * -np.sin(gx) * np.cosh(gy) + ny * np.cos(gx) * np.sinh(gy)
-    sol = oracle_solve(assemble_global(m, op), f, neumann=dn)
-    np.testing.assert_allclose(sol, u, atol=1e-8)
-
-
 def test_complex_operator():
     m = build_mesh(((0.0, 1.0), (0.0, 1.0)), 2, 1, p=9)
     op = laplace_operator().shifted(sigma=1.0, scale=0.1j)
@@ -97,17 +82,6 @@ def test_complex_operator():
     sol = oracle_solve(assemble_global(m, op), f.astype(complex), dirichlet=g)
     assert sol.dtype == complex
     np.testing.assert_allclose(sol, u, atol=1e-8)
-
-
-def test_requires_exactly_one_bc_kind():
-    m = build_mesh((0.0, 1.0), 2, p=5)
-    sysm = assemble_global(m, laplace_operator().shifted(1.0, 1.0))
-    with pytest.raises(ValueError):
-        oracle_solve(sysm, np.zeros(m.n_nodes))
-    with pytest.raises(ValueError):
-        oracle_solve(
-            sysm, np.zeros(m.n_nodes), dirichlet=np.zeros(2), neumann=np.zeros(2)
-        )
 
 
 def test_size_guard():

@@ -28,7 +28,7 @@ def random_data(mesh, rng, dtype=float):
     return f, g
 
 
-MESHES_2D = [(1, 1), (2, 1), (2, 2), (3, 2)]
+MESHES_2D = [(1, 1), (2, 1), (2, 2), (3, 2), (6, 6), (5, 3)]
 
 
 @pytest.mark.parametrize("n1,n2", MESHES_2D)
@@ -65,8 +65,9 @@ def test_matches_oracle_complex_shift(n1, n2):
     assert np.abs(got - want).max() / np.abs(want).max() < 1e-9
 
 
-def test_matches_oracle_variable_reaction():
-    mesh = build_mesh(((-1.0, 1.0), (0.0, 1.0)), 3, 2, p=7)
+@pytest.mark.parametrize("n1,n2", [(3, 2), (6, 6)])
+def test_matches_oracle_variable_reaction(n1, n2):
+    mesh = build_mesh(((-1.0, 1.0), (0.0, 1.0)), n1, n2, p=7)
     rng = np.random.default_rng(11)
     f, g_sorted = random_data(mesh, rng)
     op = EllipticOperator(c11=1.0, c22=1.0, c0=lambda x, y: 1 + x * x + y * y)
@@ -140,10 +141,9 @@ def leaf_flux_jumps(mesh, leaf_ops: LeafOperatorSet, field):
     jump = np.zeros(mesh.n_nodes)
     seen = np.zeros(mesh.n_nodes, dtype=bool)
     for l in range(mesh.n_leaves):
-        lf = leaf_ops.for_leaf(l)
         ii = flat[l, mesh.interior_local]
         bb = flat[l, mesh.edge_local]
-        flux = lf.Fi @ field[ii] + lf.Fb @ field[bb]
+        flux = leaf_ops.Fi @ field[ii] + leaf_ops.Fb @ field[bb]
         sel = mesh.node_class[bb] == INTERFACE
         ids = bb[sel]
         vals = flux[sel]
@@ -153,17 +153,25 @@ def leaf_flux_jumps(mesh, leaf_ops: LeafOperatorSet, field):
     return jump
 
 
-def test_penalized_interface_condition():
+@pytest.mark.parametrize("dim", [1, 2])
+def test_penalized_interface_condition(dim):
     # the corrected solve must carry -(1/dt) * [[flux(penalty)]] as its
     # own interface flux jump: stage sums with unit weight then cancel
     # the penalty field's kink
-    mesh = build_mesh((0.0, 2.0), 2, p=12)
+    if dim == 1:
+        mesh = build_mesh((0.0, 2.0), 2, p=12)
+        kink = 1.0 - np.abs(mesh.x - 1.0)
+        smooth = np.sin(np.pi * mesh.x / 2)
+    else:
+        # kinks along every interface line x = 1, x = 2 and y = 1
+        mesh = build_mesh(((0.0, 3.0), (0.0, 2.0)), 3, 2, p=12)
+        kink = np.abs(np.sin(np.pi * mesh.x)) + np.abs(np.sin(np.pi * mesh.y))
+        smooth = np.sin(mesh.x) * np.cos(mesh.y)
     dt = 0.05
     op = laplace_operator().shifted(sigma=1.0, scale=dt)
     fact = build_factorization(mesh, op)
-    kink = 1.0 - np.abs(mesh.x - 1.0)
     f = np.zeros(mesh.n_nodes)
-    g = np.zeros(2)
+    g = np.zeros(fact.gamma_ids.size)
     sol = fact.solve(f, g, penalty_field=kink, dt=dt)
     leaf_ops = build_leaf_operators(mesh, op)
     jump_sol = leaf_flux_jumps(mesh, leaf_ops, sol)
@@ -171,7 +179,6 @@ def test_penalized_interface_condition():
     mid = mesh.ids_of(INTERFACE)
     np.testing.assert_allclose(jump_sol[mid], -jump_pen[mid] / dt, rtol=1e-10)
     # and a smooth penalty field leaves the solve essentially unchanged
-    smooth = np.sin(np.pi * mesh.x / 2)
     plain = fact.solve(f, g)
     pen = fact.solve(f, g, penalty_field=smooth, dt=dt)
     assert np.abs(plain - pen).max() < 1e-8
