@@ -1,13 +1,14 @@
 """Chebyshev collocation primitives shared by every discretization layer.
 
 Provides 1D extreme-point grids, spectral differentiation matrices built
-from barycentric weights, and the tensor-product stencil used on 2D leaf
+from barycentric weights, and the leaf stencil used on 1D and 2D leaf
 boxes. Node ordering is ascending in each coordinate; 2D flattening is
 row-major with y outer and x inner.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -85,78 +86,48 @@ def interp_matrix(x_src: np.ndarray, x_tgt: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ChebGrid1D:
-    """Collocation grid on a physical interval [a, b].
-
-    Attributes:
-        a, b: interval endpoints.
-        p: number of nodes.
-        nodes: physical node coordinates, ascending.
-        D: first-derivative matrix scaled to the interval.
-        D2: second-derivative matrix, D @ D.
-    """
-
-    a: float
-    b: float
-    p: int
-    nodes: np.ndarray = field(repr=False)
-    D: np.ndarray = field(repr=False)
-    D2: np.ndarray = field(repr=False)
-
-
-def cheb_grid(a: float, b: float, p: int) -> ChebGrid1D:
-    if not b > a:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    ref = cheb_nodes(p)
-    scale = 2.0 / (b - a)
-    D = cheb_diff_matrix(p) * scale
-    nodes = a + (ref + 1.0) / scale
-    return ChebGrid1D(a=a, b=b, p=p, nodes=nodes, D=D, D2=D @ D)
-
-
-@dataclass(frozen=True)
 class LeafStencil:
-    """Tensor-product collocation matrices for one 2D leaf box.
+    """Collocation matrices for one leaf box.
 
-    Fields Dx1/Dy1 act along a single coordinate of a (p, p) nodal array;
+    In 2D, Dx1/Dy1 act along a single coordinate of a (p, p) nodal array;
     the kron-assembled Dx, Dy, Dxx, Dyy act on the row-major flattening
-    (y outer, x inner). Second derivatives are matrix products of first
+    (y outer, x inner). In 1D, Dx1 and Dx are the same p-by-p matrix and
+    every y field is None. Second derivatives are matrix products of first
     derivatives, so they inherit the same null space.
     """
 
-    p: int
-    hx: float
-    hy: float
     xi: np.ndarray = field(repr=False)  # reference nodes on [-1, 1]
     Dx1: np.ndarray = field(repr=False)
-    Dy1: np.ndarray = field(repr=False)
+    Dy1: np.ndarray | None = field(repr=False)
     Dx: np.ndarray = field(repr=False)
-    Dy: np.ndarray = field(repr=False)
+    Dy: np.ndarray | None = field(repr=False)
     Dxx: np.ndarray = field(repr=False)
-    Dyy: np.ndarray = field(repr=False)
+    Dyy: np.ndarray | None = field(repr=False)
 
 
-def leaf_stencil(p: int, hx: float, hy: float) -> LeafStencil:
-    """Build the differentiation stencil for an hx-by-hy leaf."""
-    if hx <= 0 or hy <= 0:
+@cache
+def leaf_stencil(p: int, hx: float, hy: float | None) -> LeafStencil:
+    """The differentiation stencil for an hx-by-hy leaf, or for a 1D leaf
+    of width hx when hy is None; built once per argument triple."""
+    if hx <= 0 or (hy is not None and hy <= 0):
         raise ValueError(f"leaf size must be positive, got {hx}x{hy}")
     D = cheb_diff_matrix(p)
     Dx1 = D * (2.0 / hx)
-    Dy1 = D * (2.0 / hy)
-    eye = np.eye(p)
-    Dx = np.kron(eye, Dx1)
-    Dy = np.kron(Dy1, eye)
+    Dx, Dy1, Dy, Dyy = Dx1, None, None, None
+    if hy is not None:
+        Dy1 = D * (2.0 / hy)
+        eye = np.eye(p)
+        Dx = np.kron(eye, Dx1)
+        Dy = np.kron(Dy1, eye)
+        Dyy = Dy @ Dy
     return LeafStencil(
-        p=p,
-        hx=hx,
-        hy=hy,
         xi=cheb_nodes(p),
         Dx1=Dx1,
         Dy1=Dy1,
         Dx=Dx,
         Dy=Dy,
         Dxx=Dx @ Dx,
-        Dyy=Dy @ Dy,
+        Dyy=Dyy,
     )
 
 
@@ -167,7 +138,7 @@ def diff_apply_x(Dx1: np.ndarray, fields: np.ndarray) -> np.ndarray:
 
 def diff_apply_y(Dy1: np.ndarray, fields: np.ndarray) -> np.ndarray:
     """Differentiate batched (..., p, p) nodal arrays along y (second-to-last)."""
-    return np.einsum("ij,...jk->...ik", Dy1, fields)
+    return Dy1 @ fields
 
 
 def corner_fill_weights(p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Elliptic operator descriptors and per-leaf collocation operators.
+"""Elliptic operator descriptors and batched leaf collocation operators.
 
 The operator applied at interior collocation nodes is
 
@@ -10,6 +10,10 @@ with coefficients given as scalars or callables of the node coordinates
 minus signs so that positive c11/c22 mean a coercive principal part;
 `sigma` and `scale` carry identity shifts and time-step prefactors, which
 may be complex.
+
+Only the interior rows of a leaf are collocated; its edge rows are the
+flux rows of `flux_matrix`. The rows of all leaves are built at once,
+as one stack, from one checked sample of the coefficients.
 
 Leaf corners hold no unknowns. For every term except the mixed one the
 collocation rows used by the solver have exactly zero weight on corner
@@ -25,7 +29,6 @@ import numpy as np
 
 from .chebyshev import (
     LeafStencil,
-    cheb_grid,
     cheb_nodes,
     diff_apply_x,
     diff_apply_y,
@@ -77,18 +80,7 @@ def _sample(coef: Coef, x: np.ndarray, y: np.ndarray | None):
     return coef
 
 
-def leaf_points(mesh: Mesh, l: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Physical coordinates of all p**2 (or p) nodes of one leaf."""
-    xi01 = (cheb_nodes(mesh.p) + 1.0) / 2.0
-    if mesh.dim == 1:
-        a, b = mesh.leaf_boxes[l]
-        return a + xi01 * (b - a), None
-    x0, x1, y0, y1 = mesh.leaf_boxes[l]
-    X, Y = np.meshgrid(x0 + xi01 * (x1 - x0), y0 + xi01 * (y1 - y0))
-    return X, Y
-
-
-def all_leaf_points(mesh: Mesh) -> tuple[np.ndarray, np.ndarray | None]:
+def leaf_coordinates(mesh: Mesh) -> tuple[np.ndarray, np.ndarray | None]:
     """Batched leaf node coordinates, shape (nl, p, p) or (nl, p)."""
     xi01 = (cheb_nodes(mesh.p) + 1.0) / 2.0
     if mesh.dim == 1:
@@ -103,71 +95,95 @@ def all_leaf_points(mesh: Mesh) -> tuple[np.ndarray, np.ndarray | None]:
     return X, Y
 
 
-def _check_coefficients(op: EllipticOperator, x, y) -> None:
-    c12 = _sample(op.c12, x, y)
-    if np.max(np.abs(c12)) > 0:
+def _check_coefficients(coefs: dict) -> None:
+    if np.max(np.abs(coefs["c12"])) > 0:
         raise ValueError(
             "mixed-derivative coefficient c12 is not supported: its "
             "collocation rows couple to the dropped corner nodes"
         )
     for name in ("c11", "c22"):
-        cv = np.real(_sample(getattr(op, name), x, y))
-        if np.min(cv) < 0:
+        if np.min(np.real(coefs[name])) < 0:
             raise ValueError(f"negative principal coefficient {name} sampled on a leaf")
 
 
-def _result_dtype(op: EllipticOperator, *samples) -> type:
-    vals = [op.sigma, op.scale, *[np.asarray(s).ravel()[:1] for s in samples]]
-    return complex if any(np.iscomplexobj(np.asarray(v)) for v in vals) else float
+def _sample_leaves(op: EllipticOperator, mesh: Mesh) -> dict:
+    """Checked coefficients at the nodes of every leaf, by name.
+
+    Constant coefficients stay scalars, and with only constant ones no
+    node is visited; sampled ones have the shape of `leaf_coordinates`.
+    1D meshes have no c22/c2, and terms whose scalar coefficient is zero
+    are left out.
+    """
+    x, y = (None, None) if op.is_constant else leaf_coordinates(mesh)
+    names = ("c11", "c22", "c12", "c1", "c2", "c0")
+    coefs = {name: _sample(getattr(op, name), x, y) for name in names}
+    _check_coefficients(coefs)
+    keep = ("c11", "c1", "c0") if mesh.dim == 1 else ("c11", "c22", "c1", "c2", "c0")
+    return {name: coefs[name] for name in keep if np.ndim(coefs[name]) or coefs[name] != 0}
 
 
-def collocate_leaf(op: EllipticOperator, mesh: Mesh, l: int) -> np.ndarray:
-    """Full collocation matrix of one leaf, (p**2, p**2) or (p, p)."""
-    p = mesh.p
-    if mesh.dim == 1:
-        x, _ = leaf_points(mesh, l)
-        _check_coefficients(op, x, None)
-        g = cheb_grid(*mesh.leaf_boxes[l], p)
-        c11 = _sample(op.c11, x, None)
-        c1 = _sample(op.c1, x, None)
-        c0 = _sample(op.c0, x, None)
-        dtype = _result_dtype(op, c11, c1, c0)
-        A = np.zeros((p, p), dtype=dtype)
-        A -= np.multiply(np.reshape(c11, (-1, 1)) if np.ndim(c11) else c11, g.D2)
-        A += np.multiply(np.reshape(c1, (-1, 1)) if np.ndim(c1) else c1, g.D)
-        A[np.diag_indices(p)] += c0
-        return op.sigma * np.eye(p, dtype=dtype) + op.scale * A
-
-    X, Y = leaf_points(mesh, l)
-    _check_coefficients(op, X, Y)
-    st = _stencil_for(mesh)
-    n = p * p
-
-    def col(c):
-        v = _sample(c, X, Y)
-        return np.reshape(v, (-1, 1)) if np.ndim(v) else v
-
-    c11, c22, c1, c2, c0 = map(col, (op.c11, op.c22, op.c1, op.c2, op.c0))
-    dtype = _result_dtype(op, c11, c22, c1, c2, c0)
-    A = np.zeros((n, n), dtype=dtype)
-    A -= c11 * st.Dxx
-    A -= c22 * st.Dyy
-    A += c1 * st.Dx
-    A += c2 * st.Dy
-    idx = np.diag_indices(n)
-    A[idx] += np.ravel(c0) if np.ndim(c0) else c0
-    return op.sigma * np.eye(n, dtype=dtype) + op.scale * A
+# coefficient, sign and matrix (a stencil field or the identity "I") of
+# every term of A, in the order the terms are summed
+_TERMS = (
+    ("c11", -1.0, "Dxx"),
+    ("c22", -1.0, "Dyy"),
+    ("c1", 1.0, "Dx"),
+    ("c2", 1.0, "Dy"),
+    ("c0", 1.0, "I"),
+)
 
 
-_STENCILS: dict[tuple, LeafStencil] = {}
+def collocate_interior(
+    op: EllipticOperator, mesh: Mesh, cols: np.ndarray, coefs: dict | None = None
+) -> np.ndarray:
+    """Interior collocation rows of every leaf, restricted to local columns.
+
+    Args:
+        cols: flat local node indices of the columns to keep.
+        coefs: a coefficient sample of `op` on `mesh` to reuse.
+
+    Returns:
+        Shape (nl, n_int, cols.size), or (1, n_int, cols.size) standing
+        for every leaf when the coefficients are position-independent.
+    """
+    coefs = _sample_leaves(op, mesh) if coefs is None else coefs
+    st = mesh_stencil(mesh)
+    ii = mesh.interior_local
+    count = 1 if op.is_constant else mesh.n_leaves
+    eye = np.equal.outer(ii, cols)  # rows of the identity
+    dtype = np.result_type(op.sigma, op.scale, *coefs.values())
+    A = np.zeros((count, ii.size, cols.size), dtype=dtype)
+    for name, sign, key in _TERMS:
+        if name in coefs:
+            c = coefs[name]
+            c = np.reshape(c, (count, -1, 1))[:, ii] if np.ndim(c) else c
+            D = eye if key == "I" else getattr(st, key)[np.ix_(ii, cols)]
+            A += c * (sign * D)
+    A *= op.scale
+    A += op.sigma * eye
+    return A
 
 
-def _stencil_for(mesh: Mesh) -> LeafStencil:
-    key = (mesh.p, mesh.hx, mesh.hy)
-    st = _STENCILS.get(key)
-    if st is None:
-        st = _STENCILS[key] = leaf_stencil(mesh.p, mesh.hx, mesh.hy)
-    return st
+def mesh_stencil(mesh: Mesh) -> LeafStencil:
+    """The leaf stencil shared by every leaf of a mesh."""
+    return leaf_stencil(mesh.p, mesh.hx, mesh.hy if mesh.dim == 2 else None)
+
+
+def guarded_inverse(X: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of a stack of square blocks.
+
+    Raises ValueError("singular <what>") when any block has a 1-norm
+    condition number of 1e14 or more, or one that is not finite.
+    """
+    try:
+        inv = np.linalg.inv(X)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"singular {what}") from exc
+    # NaN fails the test as well
+    cond = np.abs(X).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
+    if not np.all(cond < 1e14):
+        raise ValueError(f"singular {what}")
+    return inv
 
 
 def flux_matrix(mesh: Mesh) -> np.ndarray:
@@ -179,18 +195,12 @@ def flux_matrix(mesh: Mesh) -> np.ndarray:
     comparable. Columns span all p**2 (or p) local nodes; the corner
     columns of these rows are identically zero.
     """
-    p = mesh.p
+    st = mesh_stencil(mesh)
+    edge = mesh.edge_local
     if mesh.dim == 1:
-        g = cheb_grid(0.0, mesh.hx, p)
-        return g.D[[0, p - 1], :]
-    st = _stencil_for(mesh)
-    rows = []
-    rng = np.arange(1, p - 1)
-    rows.append(st.Dy[rng, :])                     # south
-    rows.append(st.Dx[rng * p + (p - 1), :])       # east
-    rows.append(st.Dy[(p - 1) * p + rng, :])       # north
-    rows.append(st.Dx[rng * p, :])                 # west
-    return np.concatenate(rows, axis=0)
+        return st.Dx[edge]
+    horizontal = np.repeat([True, False, True, False], mesh.p - 2)  # S, E, N, W
+    return np.where(horizontal[:, None], st.Dy[edge], st.Dx[edge])
 
 
 @dataclass
@@ -221,26 +231,16 @@ class LeafOperatorSet:
 
 
 def build_leaf_operators(mesh: Mesh, op: EllipticOperator) -> LeafOperatorSet:
-    """Factorize every leaf of the mesh for the given operator."""
+    """Factorize every leaf of the mesh for the given operator, as stacks."""
     F = flux_matrix(mesh)
     ii = mesh.interior_local
     bb = mesh.edge_local
     Fi = F[:, ii]
     Fb = F[:, bb]
-    # identical geometry and coefficients: one factorization serves all
-    count = 1 if op.is_constant else mesh.n_leaves
-    for l in range(count):
-        M = collocate_leaf(op, mesh, l)
-        if l == 0:
-            inv = np.empty((count, ii.size, ii.size), dtype=M.dtype)
-            G = np.empty((count, ii.size, bb.size), dtype=M.dtype)
-            T = np.empty((count, bb.size, bb.size), dtype=M.dtype)
-        try:
-            inv[l] = np.linalg.inv(M[np.ix_(ii, ii)])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise ValueError(f"singular interior block on leaf {l}") from exc
-        G[l] = inv[l] @ M[np.ix_(ii, bb)]
-        T[l] = Fb - Fi @ G[l]
+    coefs = _sample_leaves(op, mesh)
+    inv = guarded_inverse(collocate_interior(op, mesh, ii, coefs), "leaf interior block")
+    G = inv @ collocate_interior(op, mesh, bb, coefs)
+    T = Fb - Fi @ G
     return LeafOperatorSet(mesh=mesh, op=op, inv=inv, G=G, T=T, Fi=Fi, Fb=Fb)
 
 
@@ -290,17 +290,8 @@ class OperatorApplier:
     def __init__(self, mesh: Mesh, op: EllipticOperator):
         self.mesh = mesh
         self.op = op
-        x, y = all_leaf_points(mesh)
-        _check_coefficients(op, x, y)
-        self.c11 = _sample(op.c11, x, y)
-        self.c22 = _sample(op.c22, x, y) if mesh.dim == 2 else 0.0
-        self.c1 = _sample(op.c1, x, y)
-        self.c2 = _sample(op.c2, x, y) if mesh.dim == 2 else 0.0
-        self.c0 = _sample(op.c0, x, y)
-        if mesh.dim == 2:
-            self.st = _stencil_for(mesh)
-        else:
-            self.g1d = cheb_grid(0.0, mesh.hx, mesh.p)
+        self.coefs = _sample_leaves(op, mesh)
+        self.st = mesh_stencil(mesh)
         # interior ids per leaf, matching the leaf's flattened interior slots
         self._interior_ids = mesh.leaf_grid.reshape(mesh.n_leaves, -1)[
             :, mesh.interior_local
@@ -313,26 +304,19 @@ class OperatorApplier:
         first, which makes the edge slots usable as one-sided operator
         values at extrapolation accuracy.
         """
+        st = self.st
         U = gather_leaf_fields(self.mesh, u)
         if fill and self.mesh.dim == 2:
             U = fill_corners(U)
-        if self.mesh.dim == 1:
-            D, D2 = self.g1d.D, self.g1d.D2
-            ux = U @ D.T
-            uxx = U @ D2.T
-            A = -self.c11 * uxx + self.c1 * ux + self.c0 * U
-        else:
-            ux = diff_apply_x(self.st.Dx1, U)
-            uy = diff_apply_y(self.st.Dy1, U)
-            uxx = diff_apply_x(self.st.Dx1, ux)
-            uyy = diff_apply_y(self.st.Dy1, uy)
-            A = (
-                -self.c11 * uxx
-                - self.c22 * uyy
-                + self.c1 * ux
-                + self.c2 * uy
-                + self.c0 * U
-            )
+        ux = diff_apply_x(st.Dx1, U)
+        parts = {"I": U, "Dx": ux, "Dxx": diff_apply_x(st.Dx1, ux)}
+        if self.mesh.dim == 2:
+            uy = diff_apply_y(st.Dy1, U)
+            parts.update(Dy=uy, Dyy=diff_apply_y(st.Dy1, uy))
+        A = 0.0
+        for name, sign, key in _TERMS:
+            if name in self.coefs:
+                A = A + sign * self.coefs[name] * parts[key]
         return self.op.sigma * U + self.op.scale * A
 
     def interior_apply(self, u: np.ndarray) -> np.ndarray:
@@ -354,10 +338,9 @@ def averaged_gradient(mesh: Mesh, u: np.ndarray) -> tuple[np.ndarray, ...]:
     edge extrapolation first.
     """
     U = gather_leaf_fields(mesh, u)
+    st = mesh_stencil(mesh)
     if mesh.dim == 1:
-        D = cheb_grid(0.0, mesh.hx, mesh.p).D
-        return (scatter_mean(mesh, U @ D.T),)
-    st = _stencil_for(mesh)
+        return (scatter_mean(mesh, diff_apply_x(st.Dx1, U)),)
     U = fill_corners(U)
     ux = diff_apply_x(st.Dx1, U)
     uy = diff_apply_y(st.Dy1, U)

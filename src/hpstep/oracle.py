@@ -8,9 +8,9 @@ boundary rows take the outward normal derivative from the owning leaf.
 Dirichlet data is imposed by swapping boundary rows for identity rows at
 solve time, so the assembled matrix itself stays purely structural.
 
-This path shares only the differentiation stencils with the fast solver;
-assembly and solution are otherwise disjoint, which is what makes it
-usable as a cross-check.
+This path shares the differentiation stencils and the interior
+collocation rows with the fast solver; assembly and solution are
+otherwise disjoint, which is what makes it usable as a cross-check.
 
 The oracle also supplies the reference interface completion: with the
 identity operator the interior rows pin the given values and the
@@ -25,7 +25,12 @@ import numpy as np
 import scipy.linalg
 
 from .mesh import BOUNDARY, INTERFACE, INTERIOR, Mesh
-from .operators import EllipticOperator, collocate_leaf, flux_matrix, identity_operator
+from .operators import (
+    EllipticOperator,
+    collocate_interior,
+    flux_matrix,
+    identity_operator,
+)
 
 MAX_DENSE_NODES = 6000
 
@@ -58,15 +63,14 @@ def assemble_global(mesh: Mesh, op: EllipticOperator) -> GlobalSystem:
             f"dense assembly capped at {MAX_DENSE_NODES} nodes, mesh has {n}"
         )
     F = flux_matrix(mesh)
-    probe = collocate_leaf(op, mesh, 0)
-    A = np.zeros((n, n), dtype=probe.dtype)
+    # every leaf drops the same local corner slots
+    active = mesh.leaf_grid[0].ravel() >= 0
+    rows = collocate_interior(op, mesh, np.nonzero(active)[0])
+    A = np.zeros((n, n), dtype=rows.dtype)
     for l in range(mesh.n_leaves):
-        M = probe if op.is_constant else collocate_leaf(op, mesh, l)
         ids = mesh.leaf_grid[l].ravel()
-        active = ids >= 0
         cols = ids[active]
-        for li in mesh.interior_local:
-            A[ids[li], cols] = M[li, active]
+        A[np.ix_(ids[mesh.interior_local], cols)] = rows[0 if op.is_constant else l]
         for q, le in enumerate(mesh.edge_local):
             r = ids[le]
             if mesh.node_class[r] == BOUNDARY:

@@ -29,9 +29,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .chebyshev import cheb_grid
 from .mesh import BOUNDARY, INTERFACE, Mesh
-from .operators import EllipticOperator, OperatorApplier, scatter_mean
+from .operators import EllipticOperator, OperatorApplier, mesh_stencil, scatter_mean
 from .solver import build_factorization
 from .tableaus import ImexTableau
 
@@ -88,10 +87,11 @@ class InterfaceCompleter:
         self.boundary_ids = np.nonzero(mesh.node_class == BOUNDARY)[0]
         self._iface_ids = np.nonzero(mesh.node_class == INTERFACE)[0]
         p = mesh.p
-        self._dx = cheb_grid(0.0, mesh.hx, p).D
+        st = mesh_stencil(mesh)
+        self._dx = st.Dx1
         self._ab_x = self._banded(self._dx, mesh.n1 - 1)
         if mesh.dim == 2:
-            self._dy = cheb_grid(0.0, mesh.hy, p).D
+            self._dy = st.Dy1
             self._ab_y = self._banded(self._dy, mesh.n2 - 1)
             lg = mesh.leaf_grid.reshape(mesh.n2, mesh.n1, p, p)
             self._ids_v = lg[:, : mesh.n1 - 1, 1 : p - 1, p - 1]
@@ -145,8 +145,8 @@ class InterfaceCompleter:
             vals = self._chain_solve(self._ab_x, rhs, -2)
             out[..., self._ids_v] = vals
         if mesh.n2 > 1:
-            a = np.einsum("m,...mk->...k", self._dy[-1], U[..., 1 : p - 1])
-            b = np.einsum("m,...mk->...k", self._dy[0], U[..., 1 : p - 1])
+            a = self._dy[-1] @ U[..., 1 : p - 1]
+            b = self._dy[0] @ U[..., 1 : p - 1]
             rhs = b[..., 1:, :, :] - a[..., : mesh.n2 - 1, :, :]
             vals = self._chain_solve(self._ab_y, rhs, -3)
             out[..., self._ids_h] = vals

@@ -5,7 +5,6 @@ import pytest
 
 from hpstep.chebyshev import (
     cheb_diff_matrix,
-    cheb_grid,
     cheb_nodes,
     diff_apply_x,
     diff_apply_y,
@@ -55,20 +54,21 @@ def test_diff_matrix_kills_constants():
 
 
 def test_diff_matrix_spectral_accuracy():
-    g = cheb_grid(-1.0, 1.0, 16)
-    err = np.abs(g.D @ np.exp(g.nodes) - np.exp(g.nodes)).max()
+    st = leaf_stencil(16, 2.0, None)  # the interval [-1, 1]
+    err = np.abs(st.Dx1 @ np.exp(st.xi) - np.exp(st.xi)).max()
     assert err < 1e-12
 
 
 def test_grid_scaling():
     # halving the interval doubles every derivative entry
-    g1 = cheb_grid(0.0, 2.0, 9)
-    g2 = cheb_grid(0.0, 1.0, 9)
-    np.testing.assert_allclose(g2.D, 2.0 * g1.D, rtol=1e-15)
-    g = cheb_grid(0.0, 2.0, 18)
-    f = np.sin(g.nodes)
-    np.testing.assert_allclose(g.D @ f, np.cos(g.nodes), atol=1e-12)
-    np.testing.assert_allclose(g.D2 @ f, -np.sin(g.nodes), atol=1e-10)
+    g1 = leaf_stencil(9, 2.0, None)
+    g2 = leaf_stencil(9, 1.0, None)
+    np.testing.assert_allclose(g2.Dx1, 2.0 * g1.Dx1, rtol=1e-15)
+    g = leaf_stencil(18, 2.0, None)
+    nodes = g.xi + 1.0  # the interval [0, 2]
+    f = np.sin(nodes)
+    np.testing.assert_allclose(g.Dx @ f, np.cos(nodes), atol=1e-12)
+    np.testing.assert_allclose(g.Dxx @ f, -np.sin(nodes), atol=1e-10)
 
 
 def test_stencil_tensor_layout():

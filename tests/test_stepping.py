@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from hpstep.chebyshev import cheb_grid
+from hpstep.chebyshev import leaf_stencil
 from hpstep.mesh import BOUNDARY, INTERFACE, build_mesh
 from hpstep.operators import EllipticOperator, laplace_operator
 from hpstep.oracle import OracleCompleter
@@ -16,7 +16,7 @@ def zero_bc(t, x, y):
 
 def flux_jumps_1d(mesh, u):
     """One-sided derivative differences (left minus right) per interface."""
-    D = cheb_grid(0.0, mesh.hx, mesh.p).D
+    D = leaf_stencil(mesh.p, mesh.hx, None).Dx1
     U = u[mesh.leaf_grid]
     return U[:-1] @ D[-1] - U[1:] @ D[0]
 
