@@ -141,6 +141,7 @@ def diff_apply_y(Dy1: np.ndarray, fields: np.ndarray) -> np.ndarray:
     return Dy1 @ fields
 
 
+@cache
 def corner_fill_weights(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Extrapolation weights from an edge's interior nodes to its endpoints.
 
@@ -151,10 +152,11 @@ def corner_fill_weights(p: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns:
         (w_lo, w_hi): weight vectors of length p-2 evaluating the interior
-        interpolant at -1 and at +1.
+        interpolant at -1 and at +1; built once per p, read-only.
     """
     inner = cheb_nodes(p)[1:-1]
     P = interp_matrix(inner, np.array([-1.0, 1.0]))
+    P.setflags(write=False)
     return P[0], P[1]
 
 

@@ -3,7 +3,8 @@
 Configs are JSON files; see `RunConfig` for the accepted fields. Every
 invocation that writes output also writes a `manifest.json` carrying
 the full normalized config and the code and library versions, so any
-CSV can be traced back to what produced it.
+CSV can be traced back to what produced it; `run` adds the worst 1-norm
+condition number of the factorization's inverted blocks.
 """
 from __future__ import annotations
 
@@ -186,7 +187,9 @@ def load_config(path: str, overrides=()) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def write_manifest(out: Path, cfg: RunConfig, command: str, files: list[str]) -> None:
+def write_manifest(
+    out: Path, cfg: RunConfig, command: str, files: list[str], condition: float | None = None
+) -> None:
     import scipy
 
     manifest = {
@@ -200,6 +203,8 @@ def write_manifest(out: Path, cfg: RunConfig, command: str, files: list[str]) ->
         },
         "files": files,
     }
+    if condition is not None:
+        manifest["condition"] = condition
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -258,6 +263,7 @@ def _run_once(
         "final_error": None,
         "build_seconds": t1 - t0,
         "step_seconds": t2 - t1,
+        "condition": max(stepper.fact.condition.values()),  # manifest only
     }
     if case.exact is not None:
         row["final_error"] = max_error(u, case.mesh, exact=case.exact, t=case.t_end)
@@ -280,6 +286,7 @@ def cmd_run(cfg: RunConfig) -> Path:
         cfg,
         "run",
         ["results.csv", "snapshot_initial.npz", "snapshot_final.npz"],
+        condition=row["condition"],
     )
     err = row["final_error"]
     print(f"{cfg.experiment}: {steps} steps of {row['dt']:.6g} done", end="")

@@ -15,6 +15,7 @@ tensor line indices, which makes every construction deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,9 @@ class Mesh:
         node_class: per-node class, one of INTERIOR/INTERFACE/BOUNDARY.
         leaf_grid: (nl, p, p) or (nl, p) global ids, -1 at dropped corners.
         leaf_boxes: physical extents per leaf, (nl, 4) or (nl, 2).
-        owner_count: number of leaves touching each node (1 or 2).
+        owner_slots: (2, N) flat positions in the leaf arrays of the
+            leaves touching each node (a node on one leaf has it twice);
+            computed on first use.
         interior_local / edge_local: flat local indices shared by all
             leaves; edges are ordered S, E, N, W, ascending along each edge.
     """
@@ -55,7 +58,6 @@ class Mesh:
     node_class: np.ndarray = field(repr=False)
     leaf_grid: np.ndarray = field(repr=False)
     leaf_boxes: np.ndarray = field(repr=False)
-    owner_count: np.ndarray = field(repr=False)
     interior_local: np.ndarray = field(repr=False)
     edge_local: np.ndarray = field(repr=False)
 
@@ -69,6 +71,13 @@ class Mesh:
 
     def ids_of(self, node_class: int) -> np.ndarray:
         return np.nonzero(self.node_class == node_class)[0]
+
+    @cached_property
+    def owner_slots(self) -> np.ndarray:
+        flat = self.leaf_grid.ravel()
+        _, first = np.unique(flat, return_index=True)
+        _, last = np.unique(flat[::-1], return_index=True)
+        return np.stack([first, flat.size - 1 - last])[:, int(flat.min() < 0) :]  # no -1
 
 
 def _local_index_sets(p: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,9 +135,6 @@ def _build_1d(a: float, b: float, n1: int, p: int) -> Mesh:
         leaf_grid[l] = l * (p - 1) + np.arange(p)
     leaf_boxes = np.stack([edges[:-1], edges[1:]], axis=1)
 
-    owner = np.ones(n_line, dtype=np.int8)
-    owner[(cls == INTERFACE)] = 2
-
     interior_local, edge_local = _local_index_sets(p, 1)
     return Mesh(
         dim=1,
@@ -143,7 +149,6 @@ def _build_1d(a: float, b: float, n1: int, p: int) -> Mesh:
         node_class=cls,
         leaf_grid=leaf_grid,
         leaf_boxes=leaf_boxes,
-        owner_count=owner,
         interior_local=interior_local,
         edge_local=edge_local,
     )
@@ -191,9 +196,6 @@ def _build_2d(
     cls[on_edge] = INTERFACE
     cls[on_edge & on_gamma] = BOUNDARY
 
-    owner = np.ones(x.size, dtype=np.int8)
-    owner[cls == INTERFACE] = 2
-
     nl = n1 * n2
     leaf_grid = np.empty((nl, p, p), dtype=np.int64)
     leaf_boxes = np.empty((nl, 4))
@@ -219,7 +221,6 @@ def _build_2d(
         node_class=cls,
         leaf_grid=leaf_grid,
         leaf_boxes=leaf_boxes,
-        owner_count=owner,
         interior_local=interior_local,
         edge_local=edge_local,
     )

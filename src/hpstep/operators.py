@@ -169,11 +169,12 @@ def mesh_stencil(mesh: Mesh) -> LeafStencil:
     return leaf_stencil(mesh.p, mesh.hx, mesh.hy if mesh.dim == 2 else None)
 
 
-def guarded_inverse(X: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of a stack of square blocks.
+def guarded_inverse(X: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """Inverse of a stack of square blocks, and the worst 1-norm
+    condition number among them.
 
-    Raises ValueError("singular <what>") when any block has a 1-norm
-    condition number of 1e14 or more, or one that is not finite.
+    Raises ValueError("singular <what>") when any block has a condition
+    number of 1e14 or more, or one that is not finite.
     """
     try:
         inv = np.linalg.inv(X)
@@ -183,7 +184,7 @@ def guarded_inverse(X: np.ndarray, what: str) -> np.ndarray:
     cond = np.abs(X).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
     if not np.all(cond < 1e14):
         raise ValueError(f"singular {what}")
-    return inv
+    return inv, float(cond.max())
 
 
 def flux_matrix(mesh: Mesh) -> np.ndarray:
@@ -224,6 +225,7 @@ class LeafOperatorSet:
     T: np.ndarray = field(repr=False)  # (nl or 1, n_edge, n_edge)
     Fi: np.ndarray = field(repr=False)  # (n_edge, n_int)
     Fb: np.ndarray = field(repr=False)  # (n_edge, n_edge)
+    condition: float  # worst 1-norm condition number of the blocks inverted
 
     @property
     def shared(self) -> bool:
@@ -238,10 +240,10 @@ def build_leaf_operators(mesh: Mesh, op: EllipticOperator) -> LeafOperatorSet:
     Fi = F[:, ii]
     Fb = F[:, bb]
     coefs = _sample_leaves(op, mesh)
-    inv = guarded_inverse(collocate_interior(op, mesh, ii, coefs), "leaf interior block")
+    inv, cond = guarded_inverse(collocate_interior(op, mesh, ii, coefs), "leaf interior block")
     G = inv @ collocate_interior(op, mesh, bb, coefs)
     T = Fb - Fi @ G
-    return LeafOperatorSet(mesh=mesh, op=op, inv=inv, G=G, T=T, Fi=Fi, Fb=Fb)
+    return LeafOperatorSet(mesh=mesh, op=op, inv=inv, G=G, T=T, Fi=Fi, Fb=Fb, condition=cond)
 
 
 def gather_leaf_fields(mesh: Mesh, u: np.ndarray) -> np.ndarray:
@@ -251,11 +253,9 @@ def gather_leaf_fields(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     analogues. Corner zeros are fine for every consumer that only reads
     interior rows or edge-normal derivative rows.
     """
-    grid = np.maximum(mesh.leaf_grid, 0)
-    vals = u[..., grid]
-    mask = mesh.leaf_grid < 0
-    if mask.any():
-        vals = np.where(mask, 0.0, vals)
+    vals = u[..., np.maximum(mesh.leaf_grid, 0)]
+    if mesh.dim == 2:
+        vals[..., :: mesh.p - 1, :: mesh.p - 1] = 0.0  # the four corners
     return vals
 
 
@@ -265,17 +265,9 @@ def scatter_mean(mesh: Mesh, leaf_vals: np.ndarray) -> np.ndarray:
     Interface nodes receive the mean of their two one-sided values;
     corner slots are ignored.
     """
-    lead = leaf_vals.shape[: -mesh.leaf_grid.ndim]
-    out = np.zeros(lead + (mesh.n_nodes,), dtype=leaf_vals.dtype)
-    keep = mesh.leaf_grid >= 0
-    ids = mesh.leaf_grid[keep]
-    flat = leaf_vals[..., keep]
-    if lead:
-        for i in np.ndindex(lead):
-            np.add.at(out[i], ids, flat[i])
-    else:
-        np.add.at(out, ids, flat)
-    return out / mesh.owner_count
+    flat = leaf_vals.reshape(leaf_vals.shape[: -mesh.leaf_grid.ndim] + (-1,))
+    a, b = mesh.owner_slots
+    return 0.5 * (flat[..., a] + flat[..., b])
 
 
 class OperatorApplier:

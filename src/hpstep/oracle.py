@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .mesh import BOUNDARY, INTERFACE, INTERIOR, Mesh
+from .mesh import BOUNDARY, INTERIOR, Mesh
 from .operators import (
     EllipticOperator,
     collocate_interior,

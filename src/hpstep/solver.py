@@ -17,12 +17,20 @@ Blocks of one shape are congruent on a uniform mesh: they share their
 local index maps and the shapes of their two children. All merges of one
 block shape therefore form a level whose operators are stacked along a
 leading axis, and levels are ordered by block area, children first. With
-position-independent coefficients every merge of a level is identical,
-so a level stores one copy that broadcasts over its blocks. A solve is
-one pass up the levels (particular edge fluxes and interface
-corrections) and one pass down (interface values, then leaf interiors),
-each a few batched products per level. Factorizations are immutable;
-each solve allocates its own workspace, so concurrent solves against one
+position-independent coefficients a level stores one copy, and a
+product with it is one GEMM over the rows of all its blocks; a full
+stack is one batched product.
+
+A solve takes and returns fields as rows, (N,) or (k, N). The upward
+pass writes the particular outer edge fluxes of every block, leaves
+first, into one flat buffer, at slots the build has worked out: a level
+is two gathers (its interface fluxes), a product with the inverse, one
+gather (the children's other outer fluxes), a product with the stacked
+flux correction and one slice store. A penalty field's jump is read
+from its leaf fluxes at the same interface slots among the leaves. The
+downward pass sets interface values from each block's outer values,
+root first, then leaf interiors. Factorizations are immutable; each
+solve allocates its own buffer, so concurrent solves against one
 factorization are safe.
 
 The corrected interface condition used while time stepping replaces
@@ -53,27 +61,21 @@ _LEAF = (1, 1)  # block shape of a single leaf, in leaves along x and y
 
 @dataclass
 class _Level:
-    """All merges of one block shape, operators stacked over the merges.
+    """All merges of one block shape: operators stacked over the merges
+    (one copy when the leaf operators are shared), buffer slots and node
+    ids with one row per block."""
 
-    The operator stacks have length one when the leaf operators are
-    shared; index maps are local to a block and common to the level.
-    """
-
-    shape: tuple[int, int]
-    left: tuple[int, int]  # block shape of the left children
-    right: tuple[int, int]
-    left_pos: np.ndarray = field(repr=False)  # positions in the child levels
-    right_pos: np.ndarray = field(repr=False)
-    ia: np.ndarray = field(repr=False)  # interface positions in left boundary
-    ib: np.ndarray = field(repr=False)  # same interface in right boundary
-    idx1: np.ndarray = field(repr=False)  # left-exclusive positions
-    idx2: np.ndarray = field(repr=False)  # right-exclusive positions
+    start: int  # first buffer slot of this level's outer fluxes
+    ia: np.ndarray = field(repr=False)  # buffer slots of the interface, left child
+    ib: np.ndarray = field(repr=False)  # same interface, right child
+    ext: np.ndarray = field(repr=False)  # children's other outer fluxes, parent order
+    pa: np.ndarray = field(repr=False)  # leaf-flux slots of the interface, left side
+    pb: np.ndarray = field(repr=False)  # same interface, right side
     boundary_ids: np.ndarray = field(repr=False)  # (m, n_outer)
     interface_ids: np.ndarray = field(repr=False)  # (m, n_interface)
     inv_X: np.ndarray = field(repr=False)
     S: np.ndarray = field(repr=False)  # interface response to outer data
-    C1: np.ndarray = field(repr=False)  # T_left[1,3]
-    C2: np.ndarray = field(repr=False)  # T_right[2,3]
+    C: np.ndarray = field(repr=False)  # [T_left[1,3]; T_right[2,3]]
 
 
 @dataclass
@@ -87,6 +89,8 @@ class HpsFactorization:
     leaf_interior_ids: np.ndarray = field(repr=False)  # (nl, n_int)
     leaf_boundary_ids: np.ndarray = field(repr=False)  # (nl, n_edge)
     gamma_ids: np.ndarray = field(repr=False)
+    n_flux: int  # length of the flux buffer
+    condition: dict  # worst 1-norm condition number per block shape
 
     @property
     def dtype(self):
@@ -103,9 +107,9 @@ class HpsFactorization:
         """Solve for one or several right-hand sides.
 
         Args:
-            load: interior data, shape (N,) or (m, N); zero when omitted.
+            load: interior data, shape (N,) or (k, N); zero when omitted.
             dirichlet: boundary values ordered like `gamma_ids`, shape
-                (n_gamma,) or (m, n_gamma); zero when omitted.
+                (n_gamma,) or (k, n_gamma); zero when omitted.
             penalty_field: current solution field whose derivative jumps
                 are penalized in the interface conditions; requires dt.
 
@@ -113,71 +117,71 @@ class HpsFactorization:
             Field over all active nodes, same leading shape as the input.
             NaN or inf in the data is not screened and reaches the result.
         """
-        mesh = self.mesh
-        n = mesh.n_nodes
+        n = self.mesh.n_nodes
         if penalty_field is not None and dt is None:
             raise ValueError("penalty_field requires dt")
+        f = _as_rows(load, n, "load")
+        g = _as_rows(dirichlet, self.gamma_ids.size, "dirichlet")
+        pen = _as_rows(penalty_field, n, "penalty_field")
+        lead = load if load is not None else dirichlet
+        k = len(f) if f is not None else len(g) if g is not None else 1
+        for name, arr in (("dirichlet", g), ("penalty_field", pen)):
+            if arr is not None and len(arr) != k:
+                raise ValueError(f"{name} has {len(arr)} rows, expected {k}")
+        dtype = np.result_type(self.dtype, *(a.dtype for a in (f, g, pen) if a is not None))
 
-        load_c, lead = _as_cols(load, n, self.dtype)
-        k = load_c.shape[1] if load_c is not None else None
-        diri_c, lead_d = _as_cols(dirichlet, self.gamma_ids.size, self.dtype)
-        if lead is None:
-            lead = lead_d
-        if k is None:
-            k = diri_c.shape[1] if diri_c is not None else 1
-        pen_c, _ = _as_cols(penalty_field, n, self.dtype)
-        if pen_c is not None and pen_c.shape[1] != k:
-            raise ValueError("penalty field and load shapes disagree")
-
-        dtype = self.dtype
-        for arr in (load_c, diri_c, pen_c):
-            if arr is not None:
-                dtype = np.result_type(dtype, arr.dtype)
-
-        # upward pass: particular interior solutions z, then per level the
-        # particular edge flux h of every block, its penalty flux hu and
-        # the interface correction w
+        # upward pass: particular interior solutions z, the particular
+        # outer fluxes of every block into the buffer, and per level the
+        # interface correction w
         lf = self.leaf_ops
-        f = np.zeros((n, k), dtype=dtype) if load_c is None else load_c
-        z = lf.inv @ f[self.leaf_interior_ids]
-        h = {_LEAF: lf.Fi @ z}
-        hu = {}
-        if pen_c is not None:
+        f = np.zeros((k, n), dtype=dtype) if f is None else f
+        z = _apply(lf.inv, f[:, self.leaf_interior_ids])
+        buf = np.empty((k, self.n_flux), dtype=dtype)
+        n_leaf = self.leaf_boundary_ids.size
+        buf[:, :n_leaf] = (z @ lf.Fi.T).reshape(k, n_leaf)
+        if pen is not None:
             inv_dt = 1.0 / dt
-            hu[_LEAF] = (
-                lf.Fi @ pen_c[self.leaf_interior_ids] + lf.Fb @ pen_c[self.leaf_boundary_ids]
-            )
+            hu = pen[:, self.leaf_interior_ids] @ lf.Fi.T + pen[:, self.leaf_boundary_ids] @ lf.Fb.T
+            hu = hu.reshape(k, n_leaf)
         w = []
         for lv in self.levels:
-            hl = h[lv.left][lv.left_pos]
-            hr = h[lv.right][lv.right_pos]
-            delta = hr[:, lv.ib] - hl[:, lv.ia]
-            if pen_c is not None:
-                ul = hu[lv.left][lv.left_pos]
-                ur = hu[lv.right][lv.right_pos]
-                delta = delta - inv_dt * (ul[:, lv.ia] - ur[:, lv.ib])
-                hu[lv.shape] = np.concatenate([ul[:, lv.idx1], ur[:, lv.idx2]], axis=1)
-            w_lv = lv.inv_X @ delta
-            w.append(w_lv)
-            h[lv.shape] = np.concatenate(
-                [hl[:, lv.idx1] + lv.C1 @ w_lv, hr[:, lv.idx2] + lv.C2 @ w_lv], axis=1
-            )
+            delta = buf[:, lv.ib] - buf[:, lv.ia]
+            if pen is not None:
+                delta -= inv_dt * (hu[:, lv.pa] - hu[:, lv.pb])
+            w.append(_apply(lv.inv_X, delta))
+            h = buf[:, lv.ext] + _apply(lv.C, w[-1])
+            buf[:, lv.start : lv.start + lv.ext.size] = h.reshape(k, -1)
 
         # downward pass: every block's outer values are known once its
         # ancestors are done, which gives its interface values
-        out = np.zeros((n, k), dtype=dtype)
-        if diri_c is not None:
-            out[self.gamma_ids] = diri_c
+        out = np.zeros((k, n), dtype=dtype)
+        if g is not None:
+            out[:, self.gamma_ids] = g
         for lv, w_lv in zip(reversed(self.levels), reversed(w)):
-            out[lv.interface_ids] = w_lv + lv.S @ out[lv.boundary_ids]
-        out[self.leaf_interior_ids] = z - lf.G @ out[self.leaf_boundary_ids]
-        return _from_cols(out, lead)
+            out[:, lv.interface_ids] = w_lv + _apply(lv.S, out[:, lv.boundary_ids])
+        out[:, self.leaf_interior_ids] = z - _apply(lf.G, out[:, self.leaf_boundary_ids])
+        return out if lead is not None and np.ndim(lead) == 2 else out[0]
 
 
-def _rows(stack: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """The entries of a stacked operator at `pos`; a single shared copy
-    stays a single copy."""
-    return stack if len(stack) == 1 else stack[pos]
+def _as_rows(arr, n: int, name: str) -> np.ndarray | None:
+    """(n,) or (k, n) data as (k, n) rows, without a copy."""
+    if arr is None:
+        return None
+    a = np.asarray(arr)
+    if a.ndim not in (1, 2) or a.shape[-1] != n:
+        raise ValueError(f"{name}: expected shape ({n},) or (k, {n}), got {a.shape}")
+    return a.reshape(-1, n)
+
+
+def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each block's operator applied to its rows: (k, m, n) -> (k, m, r).
+
+    A shared stack (length one) multiplies the rows of every block in one
+    GEMM; a full stack (m, r, n) is one batched product.
+    """
+    if len(A) == 1:
+        return x @ A[0].T
+    return (A @ x.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
 def _blocks(mesh: Mesh) -> dict:
@@ -210,8 +214,15 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
     """Factorize the operator on the mesh for repeated solves."""
     leaf_ops = build_leaf_operators(mesh, op)
     flat = mesh.leaf_grid.reshape(mesh.n_leaves, -1)
-    ids = {_LEAF: flat[:, mesh.edge_local]}  # outer boundary ids per block
+    # per block shape, one row per block over its outer boundary: global ids
+    # and leaf-flux slots; then the first buffer slot of its outer fluxes
+    leaf_flux = np.arange(mesh.n_leaves * mesh.edge_local.size).reshape(mesh.n_leaves, -1)
+    ids = {_LEAF: flat[:, mesh.edge_local]}
+    lslots = {_LEAF: leaf_flux}
+    first = {_LEAF: 0}
     T = {_LEAF: leaf_ops.T}  # edge-to-flux maps, dropped after the last parent
+    condition = {_LEAF: leaf_ops.condition}
+    start = leaf_flux.size
     kids = _blocks(mesh)
     order = sorted(kids, key=lambda s: s[0] * s[1])
     last_parent = {c: s for s in order for c, _ in kids[s][0]}
@@ -229,46 +240,52 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
             raise AssertionError(f"{shape[0]}x{shape[1]} blocks are not congruent")
         idx1 = np.setdiff1d(np.arange(ids_l.shape[1]), ia)
         idx2 = np.setdiff1d(np.arange(ids_r.shape[1]), ib)
-        ids[shape] = np.concatenate([ids_l[:, idx1], ids_r[:, idx2]], axis=1)
 
-        Tl, Tr = _rows(T[left], left_pos), _rows(T[right], right_pos)
+        ids[shape] = np.concatenate([ids_l[:, idx1], ids_r[:, idx2]], axis=1)
+        ls_l, ls_r = lslots[left][left_pos], lslots[right][right_pos]
+        lslots[shape] = np.concatenate([ls_l[:, idx1], ls_r[:, idx2]], axis=1)
+        # buffer slot of each child block's first outer flux
+        sl = first[left] + left_pos[:, None] * ids_l.shape[1]
+        sr = first[right] + right_pos[:, None] * ids_r.shape[1]
+        ext = np.concatenate([sl + idx1, sr + idx2], axis=1)
+        first[shape] = start
+
+        # a single shared copy stays a single copy
+        Tl = T[left] if len(T[left]) == 1 else T[left][left_pos]
+        Tr = T[right] if len(T[right]) == 1 else T[right][right_pos]
         X = Tl[:, ia][:, :, ia] - Tr[:, ib][:, :, ib]
-        inv_X = guarded_inverse(
-            X, f"interface operator in the {shape[0]}x{shape[1]} blocks"
-        )
+        what = f"interface operator in the {shape[0]}x{shape[1]} blocks"
+        inv_X, condition[shape] = guarded_inverse(X, what)
         B = np.concatenate([-Tl[:, ia][:, :, idx1], Tr[:, ib][:, :, idx2]], axis=2)
         S = inv_X @ B
-        C1 = Tl[:, idx1][:, :, ia]
-        C2 = Tr[:, idx2][:, :, ib]
+        C = np.concatenate([Tl[:, idx1][:, :, ia], Tr[:, idx2][:, :, ib]], axis=1)
 
         n1 = idx1.size
-        Tp = np.concatenate([C1, C2], axis=1) @ S
+        Tp = C @ S
         Tp[:, :n1, :n1] += Tl[:, idx1][:, :, idx1]
         Tp[:, n1:, n1:] += Tr[:, idx2][:, :, idx2]
         T[shape] = Tp
-        for child in (left, right):
-            if last_parent[child] == shape:
-                T.pop(child, None)
 
         levels.append(
             _Level(
-                shape=shape,
-                left=left,
-                right=right,
-                left_pos=left_pos,
-                right_pos=right_pos,
-                ia=ia,
-                ib=ib,
-                idx1=idx1,
-                idx2=idx2,
+                start=start,
+                ia=sl + ia,
+                ib=sr + ib,
+                ext=ext,
+                pa=ls_l[:, ia],
+                pb=ls_r[:, ib],
                 boundary_ids=ids[shape],
                 interface_ids=ids_l[:, ia],
                 inv_X=inv_X,
                 S=S,
-                C1=C1,
-                C2=C2,
+                C=C,
             )
         )
+        start += ext.size
+        for child in (left, right):
+            if last_parent[child] == shape:
+                for table in (T, lslots):
+                    table.pop(child, None)
 
     gamma_ids = ids[order[-1] if order else _LEAF][0]
     if not np.array_equal(np.sort(gamma_ids), mesh.ids_of(BOUNDARY)):
@@ -281,26 +298,6 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
         leaf_interior_ids=flat[:, mesh.interior_local],
         leaf_boundary_ids=ids[_LEAF],
         gamma_ids=gamma_ids,
+        n_flux=start,
+        condition=condition,
     )
-
-
-def _as_cols(arr, n_expected: int, default_dtype):
-    """Normalize (n,), (m, n) or None to column-matrix form (n, m)."""
-    if arr is None:
-        return None, None
-    a = np.asarray(arr)
-    if a.ndim == 1:
-        if a.size != n_expected:
-            raise ValueError(f"expected length {n_expected}, got {a.size}")
-        return a[:, None], "vec"
-    if a.ndim == 2:
-        if a.shape[1] != n_expected:
-            raise ValueError(f"expected trailing dimension {n_expected}")
-        return a.T.copy(), a.shape[0]
-    raise ValueError("fields must be 1- or 2-dimensional")
-
-
-def _from_cols(cols: np.ndarray, lead):
-    if lead == "vec" or lead is None:
-        return cols[:, 0]
-    return cols.T

@@ -6,6 +6,7 @@ import pytest
 from hpstep.chebyshev import (
     cheb_diff_matrix,
     cheb_nodes,
+    corner_fill_weights,
     diff_apply_x,
     diff_apply_y,
     fill_corners,
@@ -124,3 +125,10 @@ def test_fill_corners_recovers_smooth_field():
             assert abs(fixed[iy, ix] - u[iy, ix]) < 1e-7
     # untouched away from corners
     np.testing.assert_array_equal(fixed[1:-1, :], u[1:-1, :])
+
+
+def test_corner_fill_weights_shared_and_read_only():
+    w_lo, w_hi = corner_fill_weights(9)
+    assert corner_fill_weights(9)[0] is w_lo
+    with pytest.raises(ValueError):
+        w_hi[0] = 0.0

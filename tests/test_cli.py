@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +194,13 @@ def test_run_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"] == cfg.to_dict()
     assert set(manifest["versions"]) == {"artifact", "python", "numpy", "scipy"}
+
+
+def test_run_manifest_reports_condition(tmp_path):
+    config = Path(__file__).resolve().parent.parent / "configs" / "burgers-rotating-desk.json"
+    cfg = load_config(str(config), ["t_end=0.05", "output_dir=" + str(tmp_path / "out")])
+    manifest = json.loads((cmd_run(cfg) / "manifest.json").read_text())
+    assert np.isfinite(manifest["condition"]) and manifest["condition"] >= 1
 
 
 def test_run_deterministic_outside_timing_columns(tmp_path):

@@ -90,13 +90,28 @@ def test_node_classes_2x2():
 
 def test_interface_owner_count():
     m = build_mesh(((0.0, 1.0), (0.0, 1.0)), 3, 2, p=5)
-    assert set(m.owner_count[m.node_class == INTERFACE]) == {2}
-    assert set(m.owner_count[m.node_class != INTERFACE]) == {1}
+    owner_count = 1 + (m.owner_slots[0] != m.owner_slots[1])
+    assert set(owner_count[m.node_class == INTERFACE]) == {2}
+    assert set(owner_count[m.node_class != INTERFACE]) == {1}
     # cross-check against leaf_grid multiplicity
     counts = np.zeros(m.n_nodes, dtype=int)
     ids, mult = np.unique(m.leaf_grid[m.leaf_grid >= 0], return_counts=True)
     counts[ids] = mult
-    np.testing.assert_array_equal(counts, m.owner_count)
+    np.testing.assert_array_equal(counts, owner_count)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_owner_slots_point_at_owners(dim):
+    if dim == 1:
+        m = build_mesh((0.0, 1.0), 3, p=5)
+    else:
+        m = build_mesh(((0.0, 1.0), (0.0, 1.0)), 3, 2, p=5)
+    flat = m.leaf_grid.ravel()
+    ids = np.arange(m.n_nodes)
+    np.testing.assert_array_equal(flat[m.owner_slots[0]], ids)
+    np.testing.assert_array_equal(flat[m.owner_slots[1]], ids)
+    distinct = m.owner_slots[0] != m.owner_slots[1]
+    np.testing.assert_array_equal(distinct, m.node_class == INTERFACE)
 
 
 def test_local_index_sets_order():

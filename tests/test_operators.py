@@ -232,6 +232,19 @@ def test_gather_scatter_round_trip():
     np.testing.assert_allclose(scatter_mean(m, U), u, atol=1e-14)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_scatter_mean_matches_accumulating_loop(dim):
+    m = build_mesh((0.0, 1.0), 4, p=6) if dim == 1 else mesh2d(3, 2, p=5)
+    rng = np.random.default_rng(1)
+    vals = rng.standard_normal((2,) + m.leaf_grid.shape)
+    keep = m.leaf_grid >= 0
+    want = np.zeros((2, m.n_nodes))
+    for i in range(2):
+        np.add.at(want[i], m.leaf_grid[keep], vals[i][keep])
+    count = np.bincount(m.leaf_grid[keep], minlength=m.n_nodes)
+    np.testing.assert_array_equal(scatter_mean(m, vals), want / count)
+
+
 def test_averaged_gradient_smooth_field():
     m = mesh2d(3, 3, p=12, box=((-1.0, 1.0), (-1.0, 1.0)))
     u = np.sin(2 * m.x) * np.cos(m.y)

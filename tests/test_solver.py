@@ -110,16 +110,56 @@ def test_factorization_reuse_many_solves():
         assert np.abs(got - want).max() < 1e-9 * max(1, np.abs(want).max())
 
 
-def test_multi_rhs_matches_stacked_single():
-    mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), 2, 2, p=6)
-    fact = build_factorization(mesh, shifted_laplace())
+MULTI_RHS_MESHES = {
+    "2x2": lambda: build_mesh(((0.0, 1.0), (0.0, 1.0)), 2, 2, p=6),
+    "1d": lambda: build_mesh((0.0, 2.0), 2, p=9),
+    # leaves at different depths: a level's children differ in shape
+    "5x3": lambda: build_mesh(((0.0, 5.0), (0.0, 3.0)), 5, 3, p=7),
+}
+
+
+@pytest.mark.parametrize("mesh_name", list(MULTI_RHS_MESHES))
+@pytest.mark.parametrize("variable", [False, True], ids=["shared", "stacked"])
+@pytest.mark.parametrize("penalized", [False, True], ids=["plain", "penalty"])
+def test_multi_rhs_matches_stacked_single(mesh_name, variable, penalized):
+    mesh = MULTI_RHS_MESHES[mesh_name]()
+    if variable:
+        op = EllipticOperator(c11=1.0, c22=1.0, c0=lambda x, y=0.0: 1 + x * x + y * y)
+    else:
+        op = shifted_laplace()
+    fact = build_factorization(mesh, op)
+    assert len(fact.leaf_ops.inv) == (mesh.n_leaves if variable else 1)
     rng = np.random.default_rng(4)
     F = rng.standard_normal((3, mesh.n_nodes))
     G = rng.standard_normal((3, fact.gamma_ids.size))
-    got = fact.solve(F, G)
+    P = rng.standard_normal((3, mesh.n_nodes)) if penalized else None
+    got = fact.solve(F, G, penalty_field=P, dt=0.1)
     assert got.shape == (3, mesh.n_nodes)
+    scale = np.abs(got).max() if penalized else 1.0  # penalty jumps carry 1/dt
     for i in range(3):
-        np.testing.assert_allclose(got[i], fact.solve(F[i], G[i]), atol=1e-12)
+        want = fact.solve(F[i], G[i], penalty_field=None if P is None else P[i], dt=0.1)
+        np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12 * scale)
+
+
+def test_solve_rejects_mismatched_rows():
+    mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), 2, 2, p=6)
+    fact = build_factorization(mesh, shifted_laplace())
+    F = np.zeros((3, mesh.n_nodes))
+    with pytest.raises(ValueError, match="dirichlet has 2 rows, expected 3"):
+        fact.solve(F, np.zeros((2, fact.gamma_ids.size)))
+    with pytest.raises(ValueError, match="penalty_field has 1 rows, expected 3"):
+        fact.solve(F, penalty_field=np.zeros(mesh.n_nodes), dt=0.1)
+    with pytest.raises(ValueError, match="load: expected shape"):
+        fact.solve(np.zeros(mesh.n_nodes + 1))
+    with pytest.raises(ValueError, match="dirichlet: expected shape"):
+        fact.solve(F, np.zeros((3, 1, fact.gamma_ids.size)))
+
+
+def test_condition_per_block_shape():
+    mesh = build_mesh(((0.0, 5.0), (0.0, 3.0)), 5, 3, p=7)
+    fact = build_factorization(mesh, shifted_laplace())
+    assert (1, 1) in fact.condition and len(fact.condition) == len(fact.levels) + 1
+    assert all(1.0 <= c < 1e14 for c in fact.condition.values())
 
 
 def test_solution_interpolates_smooth_data():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from hpstep.chebyshev import leaf_stencil
-from hpstep.mesh import BOUNDARY, INTERFACE, build_mesh
+from hpstep.mesh import INTERFACE, build_mesh
 from hpstep.operators import EllipticOperator, laplace_operator
 from hpstep.oracle import OracleCompleter
 from hpstep.stepping import Evolution, ImexStepper, InterfaceCompleter
