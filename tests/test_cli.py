@@ -20,7 +20,8 @@ from hpstep.cli import (
     load_config,
     main,
 )
-from hpstep.problems import PROBLEMS
+from hpstep.analysis import max_error
+from hpstep.problems import PROBLEMS, make_stepper
 
 
 def heat_config(tmp_path, **extra):
@@ -235,16 +236,50 @@ def test_leaf_sweep_single_point_leaves_rate_absent(tmp_path):
     assert rows[-1][4] == ""
 
 
-def test_extrapolation_axis_needs_exact_solution(tmp_path):
-    path = heat_config(
+def asymmetric_config(tmp_path):
+    """A small case with no closed-form solution: sweeps fall back to
+    self-computed references."""
+    return heat_config(
         tmp_path,
         experiment="schrodinger-asymmetric",
         mesh={"n1": 2, "n2": 2, "p": 6},
         dt=0.25,
         t_end=1.0,
     )
+
+
+def _asymmetric_final(n, steps):
+    case = PROBLEMS["schrodinger-asymmetric"](n=n, p=6)
+    case.t_end = 1.0
+    st = make_stepper(case, case.t_end / steps, order=3, formulation="slopes")
+    return case, st.run(0.0, case.u0, steps)
+
+
+def test_dt_sweep_without_exact_solution_uses_one_extra_halving(tmp_path):
+    out = cmd_sweep(load_config(str(asymmetric_config(tmp_path))), "dt", 3)
+    rows = read_csv(out / "sweep_dt.csv")[1:-1]
+    _, ref = _asymmetric_final(2, 32)
+    want = [float(np.abs(_asymmetric_final(2, c)[1] - ref).max()) for c in (4, 8, 16)]
+    assert [float(r[2]) for r in rows] == [0.25, 0.125, 0.0625]
+    assert [float(r[3]) for r in rows] == want
+
+
+def test_leaf_sweep_without_exact_solution_uses_the_finest_mesh(tmp_path):
+    out = cmd_sweep(load_config(str(asymmetric_config(tmp_path))), "leaf-size", 3)
+    rows = read_csv(out / "sweep_leaf-size.csv")[1:-1]
+    fine, u_fine = _asymmetric_final(8, 4)
+    want = []
+    for n in (2, 4):
+        case, u = _asymmetric_final(n, 4)
+        want.append(max_error(u, case.mesh, reference=(fine.mesh, u_fine)))
+    assert [int(r[2]) for r in rows] == [2, 4, 8]
+    assert [float(r[3]) for r in rows[:2]] == want
+    assert rows[2][3] == ""
+
+
+def test_extrapolation_axis_needs_exact_solution(tmp_path):
     with pytest.raises(ConfigError, match="axis"):
-        cmd_sweep(load_config(str(path)), "extrapolation-level", 2)
+        cmd_sweep(load_config(str(asymmetric_config(tmp_path))), "extrapolation-level", 2)
 
 
 def test_extrapolation_axis_emits_table(tmp_path):
