@@ -1,6 +1,8 @@
 """Command line front end: run experiments, sweep an axis, verify.
 
-Configs are JSON files; see `RunConfig` for the accepted fields. Every
+Configs are JSON files; see `RunConfig` for the accepted fields. A sweep
+is one `studies.resolution_series` call (one `studies.extrapolation_table`
+for the extrapolation axis) whose `Series` is written out unchanged. Every
 invocation that writes output also writes a `manifest.json` carrying
 the full normalized config and the code and library versions, so any
 CSV can be traced back to what produced it; `run` adds the worst 1-norm
@@ -13,14 +15,15 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analysis import fit_rate, max_error, richardson, richardson_errors
+from .analysis import max_error
 from .problems import PROBLEMS, TransientCase, make_stepper, resolution_step_count
+from .studies import Series, advance, extrapolation_table, fit_series, resolution_series
 from .verification import oracle_equivalence_report, tableau_report
 
 FORMULATIONS = ("slopes", "stages")
@@ -238,46 +241,34 @@ def _write_csv(path: Path, columns, rows) -> None:
             writer.writerow([_fmt(row.get(c)) for c in columns])
 
 
-def _run_once(
-    cfg: RunConfig, case: TransientCase, steps: int
-) -> tuple[dict, np.ndarray]:
+def cmd_run(cfg: RunConfig) -> Path:
     """One timed run; errors only where the case knows its solution."""
+    case = cfg.build_case()
+    steps = cfg.resolve_steps(case)
     dt = case.t_end / steps
-    order = cfg.resolve_order(case)
-    formulation = cfg.formulation or case.defaults.get("formulation", "slopes")
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    stepper = make_stepper(case, dt, order=order, formulation=formulation)
+    stepper = make_stepper(case, dt, order=cfg.q_rk, formulation=cfg.formulation)
     t1 = time.perf_counter()
     u = stepper.run(0.0, case.u0, steps)
     t2 = time.perf_counter()
     row = {
         "experiment": cfg.experiment,
-        "q_rk": order,
-        "formulation": formulation,
+        "q_rk": cfg.resolve_order(case),
+        "formulation": stepper.formulation,
         "n1": case.mesh.n1,
         "n2": case.mesh.n2,
         "p": case.mesh.p,
         "dt": dt,
         "steps": steps,
-        "step_error": None,
-        "final_error": None,
         "build_seconds": t1 - t0,
         "step_seconds": t2 - t1,
-        "condition": max(stepper.fact.condition.values()),  # manifest only
     }
     if case.exact is not None:
         row["final_error"] = max_error(u, case.mesh, exact=case.exact, t=case.t_end)
         u1 = stepper.step(0.0, case.u0)
         row["step_error"] = max_error(u1, case.mesh, exact=case.exact, t=dt)
-    return row, u
-
-
-def cmd_run(cfg: RunConfig) -> Path:
-    case = cfg.build_case()
-    steps = cfg.resolve_steps(case)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    row, u = _run_once(cfg, case, steps)
     _write_csv(out / "results.csv", RESULT_COLUMNS, [row])
     write_snapshot(out / "snapshot_initial.npz", case.mesh, case.u0, 0.0)
     write_snapshot(out / "snapshot_final.npz", case.mesh, u, case.t_end)
@@ -286,126 +277,94 @@ def cmd_run(cfg: RunConfig) -> Path:
         cfg,
         "run",
         ["results.csv", "snapshot_initial.npz", "snapshot_final.npz"],
-        condition=row["condition"],
+        condition=max(stepper.fact.condition.values()),
     )
-    err = row["final_error"]
-    print(f"{cfg.experiment}: {steps} steps of {row['dt']:.6g} done", end="")
+    err = row.get("final_error")
+    print(f"{cfg.experiment}: {steps} steps of {dt:.6g} done", end="")
     print(f", final error {err:.3e}" if err is not None else "")
     return out
 
 
-def _series_rows(label: str, axis: str, values, errors, fit_values=None) -> list[dict]:
-    """Data rows plus one summary row; the rate cell stays empty when
-    fewer than two points carry an error. `fit_values` must grow with
-    refinement (step counts for a dt axis, where the dt values shrink)."""
+def _series_rows(series: Series, values=None) -> list[dict]:
+    """Data rows plus one summary row holding the series' fitted rate,
+    empty when it has no fit. `values` replaces the value cells (a dt
+    series runs on step counts but writes step sizes)."""
+    label, axis = series.label, series.axis
     rows = [
         {"series": label, "axis": axis, "value": v, "error": e}
-        for v, e in zip(values, errors)
+        for v, e in zip(values or series.values, series.errors)
     ]
-    fv = fit_values if fit_values is not None else values
-    usable = [(f, e) for f, e in zip(fv, errors) if e is not None]
-    rate = None
-    if len(usable) >= 2:
-        ns = np.array([f for f, _ in usable], dtype=float)
-        es = np.array([e for _, e in usable], dtype=float)
-        rate = fit_rate(ns, es).rate
-    rows.append({"series": label, "axis": axis, "rate": rate})
-    return rows
+    rate = series.fit.rate if series.fit is not None else None
+    return rows + [{"series": label, "axis": axis, "rate": rate}]
+
+
+def _advance(cfg: RunConfig, case: TransientCase, steps: int):
+    """`studies.advance` with the config's order and formulation."""
+    return advance(case, steps, order=cfg.q_rk, formulation=cfg.formulation)
 
 
 def _sweep_dt(cfg: RunConfig, points: int) -> list[dict]:
+    """Halve the step; without a known solution, measure against one
+    extra halving."""
     case = cfg.build_case()
-    base = cfg.resolve_steps(case)
-    counts = [base * 2**i for i in range(points)]
-    errors, fields = [], []
-    for count in counts:
-        row, u = _run_once(cfg, case, count)
-        errors.append(row["final_error"])
-        fields.append(u)
-    if case.exact is None:
-        # no closed form: difference each run against one extra halving
-        row, ref = _run_once(cfg, case, counts[-1] * 2)
-        errors = [float(np.abs(f - ref).max()) for f in fields]
-    values = [case.t_end / c for c in counts]
-    return _series_rows(
-        f"{cfg.experiment}-dt", "dt", values, errors, fit_values=counts
+    counts = [cfg.resolve_steps(case) * 2**i for i in range(points)]
+    series = resolution_series(
+        f"{cfg.experiment}-dt", "dt", counts, lambda count: _advance(cfg, case, count),
+        "exact" if case.exact is not None else "halving", strict=False,
     )
+    return _series_rows(series, [case.t_end / c for c in counts])
 
 
 def _sweep_leaf_size(cfg: RunConfig, points: int) -> list[dict]:
-    base = cfg.mesh["n1"]
-    panel_counts = [base * 2**i for i in range(points)]
-    runs = []
-    for n_panels in panel_counts:
-        sub = RunConfig.from_dict(
-            {
-                **cfg.to_dict(),
-                "mesh": {"n1": n_panels, "n2": 0 if cfg.mesh["n2"] == 0 else n_panels,
-                         "p": cfg.mesh["p"]},
-            }
-        )
+    """Double the panel count per direction; without a known solution,
+    measure against the finest mesh."""
+
+    def run(n_panels):
+        n2 = n_panels if cfg.mesh["n2"] else 0
+        sub = replace(cfg, mesh={**cfg.mesh, "n1": n_panels, "n2": n2})
         case = sub.build_case()
-        row, u = _run_once(sub, case, sub.resolve_steps(case))
-        runs.append((n_panels, case, u, row["final_error"]))
-    if runs[0][1].exact is not None:
-        errors = [err for _, _, _, err in runs]
-    else:
-        # difference coarser meshes against the finest one
-        ref_case, ref_u = runs[-1][1], runs[-1][2]
-        errors = [
-            max_error(u, case.mesh, reference=(ref_case.mesh, ref_u))
-            for _, case, u, _ in runs[:-1]
-        ] + [None]
-    return _series_rows(
-        f"{cfg.experiment}-leaves", "leaf-size", panel_counts, errors
-    )
+        return _advance(sub, case, sub.resolve_steps(case))
+
+    panel_counts = [cfg.mesh["n1"] * 2**i for i in range(points)]
+    reference = "exact" if cfg.build_case().exact is not None else "finest"
+    return _series_rows(resolution_series(
+        f"{cfg.experiment}-leaves", "leaf-size", panel_counts, run, reference,
+        strict=False,
+    ))
 
 
-def _sweep_extrapolation(cfg: RunConfig, points: int) -> tuple[list[dict], list[dict]]:
+def _sweep_extrapolation(cfg: RunConfig, points: int, out: Path) -> list[dict]:
+    """Halve the step and write the step-doubling extrapolation table."""
     case = cfg.build_case()
     if case.exact is None:
         raise ConfigError(
             "axis: extrapolation-level needs an experiment with a known "
             "solution (heat1d-bc or schrodinger-harmonic)"
         )
-    order = cfg.resolve_order(case)
-    base = cfg.resolve_steps(case)
-    counts = [base * 2**i for i in range(points)]
-    finals = []
-    for count in counts:
-        _, u = _run_once(cfg, case, count)
-        finals.append(u)
-    table = richardson(finals, order)
-    exact = case.exact(case.t_end, case.mesh.x, case.mesh.y)
-    errs = richardson_errors(table, exact)
-    raw = [row[0] for row in errs]
-    rows = _series_rows(f"{cfg.experiment}-extrapolation", "level", counts, raw)
+    counts = [cfg.resolve_steps(case) * 2**i for i in range(points)]
+    errs = extrapolation_table(case, counts, cfg.resolve_order(case), cfg.formulation)
     columns = ["level", "steps"] + [f"extrap_{k}" for k in range(points)]
-    table_rows = []
-    for i, row in enumerate(errs):
-        rec = {"level": i, "steps": counts[i]}
-        for k, e in enumerate(row):
-            rec[f"extrap_{k}"] = e
-        table_rows.append(rec)
-    return rows, (columns, table_rows)
+    table = [dict(zip(columns, [i, c, *row])) for i, (c, row) in enumerate(zip(counts, errs))]
+    _write_csv(out / "extrapolation_table.csv", columns, table)
+    return _series_rows(fit_series(
+        f"{cfg.experiment}-extrapolation", "level", counts,
+        [row[0] for row in errs], strict=False,
+    ))
 
 
 def cmd_sweep(cfg: RunConfig, axis: str, points: int) -> Path:
+    """Refine one axis `points` times; write the series and its rate."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = [f"sweep_{axis}.csv"]
-    extrap = None
     if axis == "dt":
         rows = _sweep_dt(cfg, points)
     elif axis == "leaf-size":
         rows = _sweep_leaf_size(cfg, points)
     else:
-        rows, extrap = _sweep_extrapolation(cfg, points)
-    _write_csv(out / f"sweep_{axis}.csv", SWEEP_COLUMNS, rows)
-    if extrap is not None:
-        columns, table_rows = extrap
-        _write_csv(out / "extrapolation_table.csv", columns, table_rows)
+        rows = _sweep_extrapolation(cfg, points, out)
         files.append("extrapolation_table.csv")
+    _write_csv(out / files[0], SWEEP_COLUMNS, rows)
     write_manifest(out, cfg, f"sweep --axis {axis}", files)
     rate = rows[-1].get("rate")
     tail = f"fitted rate {rate:.2f}" if rate is not None else "rate absent"

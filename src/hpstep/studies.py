@@ -2,13 +2,17 @@
 
 Each study builds its own cases, runs them and returns plain data
 (series of errors with fitted rates, tables, timings); serialization is
-left to the caller.
+left to the caller. Every convergence study, and every `hpstep sweep`,
+is one call to `resolution_series`, which runs a refinement ladder and
+measures it against the exact solution, the finest mesh or one extra
+halving of the step; `extrapolation_table` serves both step-doubling
+extrapolations.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,8 +46,83 @@ class Series:
     extra: dict = field(default_factory=dict)
 
 
-def _fit(values, errors) -> RateFit:
-    return fit_rate(np.asarray(values, dtype=float), np.asarray(errors, dtype=float))
+def fit_series(label, axis, values, errors, *, strict=True, extra=None) -> Series:
+    """A `Series` whose rate is fitted over the points that carry an error.
+
+    A series that cannot be fitted (fewer than two such points, or fewer
+    than two above the rounding floor) raises, unless `strict` is false:
+    then it keeps `fit=None`.
+    """
+    kept = [(v, e) for v, e in zip(values, errors) if e is not None]
+    try:
+        fit = fit_rate(*np.array(kept, dtype=float).reshape(-1, 2).T)
+    except ValueError:
+        if strict:
+            raise
+        fit = None
+    return Series(label, axis, list(values), list(errors), fit, extra or {})
+
+
+def advance(case: TransientCase, count: int, **stepper_kw):
+    """`case` and its field after `count` equal steps to `case.t_end`."""
+    st = make_stepper(case, case.t_end / count, **stepper_kw)
+    return case, st.run(0.0, case.u0, count)
+
+
+def resolution_series(
+    label, axis, values, run, reference="exact", *,
+    reference_run=None, strict=True, extra=None,
+) -> Series:
+    """Run `run(value)` for every value of a refinement ladder and measure
+    each final field against one reference; see `fit_series` for the fit.
+
+    `run` returns `(case, u)`, the case it built and its field at
+    `case.t_end`, as `advance` does. `reference` is one of
+    - "exact": the case's known solution at `case.t_end`;
+    - "finest": a finer run on another mesh, through
+      `max_error(reference=...)`. It is the last value's own run, which
+      then carries no error, unless `reference_run` gives one from outside
+      the ladder;
+    - "halving": a run on the same mesh with a smaller step, subtracted
+      directly. It is `run(2 * values[-1])`, one extra halving, unless
+      `reference_run` gives another.
+    """
+    if reference not in ("exact", "finest", "halving"):
+        raise ValueError(f"unknown reference kind {reference!r}")
+    values = measured = list(values)
+    if reference == "finest" and reference_run is None:
+        *measured, finest = values
+        reference_run = run(finest)
+    elif reference == "halving" and reference_run is None:
+        reference_run = run(2 * values[-1])
+    errors = [_error(*run(v), reference, reference_run) for v in measured]
+    errors += [None] * (len(values) - len(measured))
+    return fit_series(label, axis, values, errors, strict=strict, extra=extra)
+
+
+def _error(case, u, reference, reference_run) -> float:
+    """Max-norm error of one run's field against the series' reference."""
+    if reference == "exact":
+        return max_error(u, case.mesh, exact=case.exact, t=case.t_end)
+    ref_case, ref_u = reference_run
+    if reference == "finest":
+        return max_error(u, case.mesh, reference=(ref_case.mesh, ref_u))
+    return float(np.abs(u - ref_u).max())
+
+
+def extrapolation_table(
+    case: TransientCase, counts, order: int, formulation: str | None = None
+) -> list[list[float]]:
+    """Errors of the step-doubling extrapolation table against the exact
+    solution at `case.t_end`.
+
+    `counts` must double from one entry to the next. Row i holds the errors
+    of R[i][0..i]: column 0 is the raw run with `counts[i]` steps, and each
+    further column cancels one more term of the time-error expansion.
+    """
+    finals = [advance(case, c, order=order, formulation=formulation)[1] for c in counts]
+    exact = case.exact(case.t_end, case.mesh.x, case.mesh.y)
+    return richardson_errors(richardson(finals, order), exact)
 
 
 # -- time-order studies on the space-uniform diffusion case --------------
@@ -65,35 +144,22 @@ def order_study(
     local accuracy.
     """
     case = heat_cosine(n=n, p=p)
-    completer = InterfaceCompleter(case.mesh)
-    out = []
-    for q in orders:
-        errors = []
-        for count in step_counts:
-            dt = case.t_end / count
-            st = make_stepper(
-                case, dt, order=q, formulation=formulation,
-                interface_method=completer,
-            )
-            if single_step:
-                u = st.step(0.0, case.u0)
-                t_at = dt
-            else:
-                u = st.run(0.0, case.u0, count)
-                t_at = case.t_end
-            errors.append(max_error(u, case.mesh, exact=case.exact, t=t_at))
-        kind = "step" if single_step else "global"
-        out.append(
-            Series(
-                label=f"{formulation}-q{q}-{kind}",
-                axis="steps",
-                values=list(step_counts),
-                errors=errors,
-                fit=_fit(step_counts, errors),
-                extra={"order": q, "formulation": formulation, "kind": kind},
-            )
+    kw = {"formulation": formulation, "interface_method": InterfaceCompleter(case.mesh)}
+    kind = "step" if single_step else "global"
+
+    def run(count, q):
+        if single_step:  # one step of size t_end / count
+            return advance(replace(case, t_end=case.t_end / count), 1, order=q, **kw)
+        return advance(case, count, order=q, **kw)
+
+    return [
+        resolution_series(
+            f"{formulation}-q{q}-{kind}", "steps", step_counts,
+            lambda count, q=q: run(count, q),
+            extra={"order": q, "formulation": formulation, "kind": kind},
         )
-    return out
+        for q in orders
+    ]
 
 
 def richardson_study(
@@ -113,19 +179,13 @@ def richardson_study(
     """
     case = schrodinger_harmonic(n=n, p=p, half=half)
     counts = [base_steps * 2**i for i in range(levels)]
-    finals = []
-    for count in counts:
-        st = make_stepper(case, case.t_end / count, order=order, formulation="slopes")
-        finals.append(st.run(0.0, case.u0, count))
-    table = richardson(finals, order)
-    exact = case.exact(case.t_end, case.mesh.x, case.mesh.y)
-    errs = richardson_errors(table, exact)
+    errs = extrapolation_table(case, counts, order, "slopes")
     return {
         "order": order,
         "step_counts": counts,
         "errors": errs,
         "raw": [row[0] for row in errs],
-        "diagonal": [errs[i][i] for i in range(len(errs))],
+        "diagonal": [row[-1] for row in errs],
     }
 
 
@@ -144,34 +204,23 @@ def harmonic_resolution_sweep(
     error shrinks with the spatial one; each mesh runs under every
     requested formulation and `best` takes the smaller error per mesh.
     """
-    per_form: dict[str, Series] = {}
-    for form in formulations:
-        errors = []
-        for n_panels in panel_counts:
-            case = schrodinger_harmonic(n=n_panels, p=p)
-            count = resolution_step_count(case, order)
-            st = make_stepper(case, case.t_end / count, order=order, formulation=form)
-            u = st.run(0.0, case.u0, count)
-            errors.append(max_error(u, case.mesh, exact=case.exact, t=case.t_end))
-        per_form[form] = Series(
-            label=f"p{p}-{form}",
-            axis="panels",
-            values=list(panel_counts),
-            errors=errors,
-            fit=_fit(panel_counts, errors),
+
+    def run(n_panels, form):
+        case = schrodinger_harmonic(n=n_panels, p=p)
+        count = resolution_step_count(case, order)
+        return advance(case, count, order=order, formulation=form)
+
+    per_form = {
+        form: resolution_series(
+            f"p{p}-{form}", "panels", panel_counts,
+            lambda n_panels, form=form: run(n_panels, form),
             extra={"p": p, "order": order, "formulation": form},
         )
-    best_errors = [
-        min(per_form[f].errors[i] for f in per_form) for i in range(len(panel_counts))
-    ]
-    best = Series(
-        label=f"p{p}-best",
-        axis="panels",
-        values=list(panel_counts),
-        errors=best_errors,
-        fit=_fit(panel_counts, best_errors),
-        extra={"p": p, "order": order},
-    )
+        for form in formulations
+    }
+    best_errors = [min(errs) for errs in zip(*(s.errors for s in per_form.values()))]
+    best = fit_series(f"p{p}-best", "panels", panel_counts, best_errors,
+                      extra={"p": p, "order": order})
     return {"per_form": per_form, "best": best}
 
 
@@ -190,29 +239,24 @@ def asymmetric_self_convergence(
     `t_end` overrides the case's final time (the longer canonical run
     lives in the full-scale script).
     """
-    ref_case = schrodinger_asymmetric(n=reference[0], p=reference[1])
-    dt = (t_end if t_end is not None else ref_case.t_end) / n_steps
-    ref_st = make_stepper(ref_case, dt, order=order)
-    u_ref = ref_st.run(0.0, ref_case.u0, n_steps)
-    errors = []
-    for n_panels in panel_counts:
-        case = schrodinger_asymmetric(n=n_panels, p=p)
-        st = make_stepper(case, dt, order=order)
-        u = st.run(0.0, case.u0, n_steps)
-        errors.append(max_error(u, case.mesh, reference=(ref_case.mesh, u_ref)))
-    pair_rates = [
+
+    def run(n_panels, q=p):
+        case = schrodinger_asymmetric(n=n_panels, p=q)
+        if t_end is not None:
+            case.t_end = t_end
+        return advance(case, n_steps, order=order)
+
+    series = resolution_series(
+        f"asymmetric-p{p}", "panels", panel_counts, run, "finest",
+        reference_run=run(*reference), extra={"p": p, "order": order},
+    )
+    errors = series.errors
+    series.extra["pair_rates"] = [
         math.log(errors[i] / errors[i + 1])
         / math.log(panel_counts[i + 1] / panel_counts[i])
         for i in range(len(errors) - 1)
     ]
-    return Series(
-        label=f"asymmetric-p{p}",
-        axis="panels",
-        values=list(panel_counts),
-        errors=errors,
-        fit=_fit(panel_counts, errors),
-        extra={"p": p, "order": order, "pair_rates": pair_rates},
-    )
+    return series
 
 
 # -- kink and interface-treatment studies --------------------------------
@@ -343,18 +387,9 @@ def burgers_self_convergence(
     steps and refines from there.
     """
     case = burgers_rotating(n=n, p=p)
-    ref = make_stepper(case, case.t_end / ref_steps).run(0.0, case.u0, ref_steps)
-    errors = []
-    for count in step_counts:
-        st = make_stepper(case, case.t_end / count)
-        u = st.run(0.0, case.u0, count)
-        errors.append(float(np.abs(u - ref).max()))
-    return Series(
-        label="swirl-steps",
-        axis="steps",
-        values=list(step_counts),
-        errors=errors,
-        fit=_fit(step_counts, errors),
+    return resolution_series(
+        "swirl-steps", "steps", step_counts, lambda count: advance(case, count),
+        "halving", reference_run=advance(case, ref_steps),
         extra={"n": n, "p": p, "ref_steps": ref_steps},
     )
 

@@ -227,6 +227,19 @@ def test_dt_sweep_rate_near_design_order(tmp_path):
     assert summary[2] == "" and summary[3] == ""
 
 
+def test_dt_sweep_at_the_rounding_floor_leaves_rate_absent(tmp_path, capsys):
+    # errors of about 1e-13, 8e-15 and 2e-14: too few above the rounding
+    # floor to fit, which is reported, not raised
+    path = heat_config(tmp_path, q_rk=5, dt=0.02)
+    assert main(["sweep", str(path), "--axis", "dt", "--points", "3"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "rate absent" in captured.out
+    out = tmp_path / "out"
+    assert read_csv(out / "sweep_dt.csv")[-1][4] == ""
+    assert (out / "manifest.json").exists()
+
+
 def test_leaf_sweep_single_point_leaves_rate_absent(tmp_path):
     cfg = load_config(str(heat_config(tmp_path)))
     out = cmd_sweep(cfg, "leaf-size", 1)

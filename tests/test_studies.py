@@ -4,20 +4,92 @@ The heavyweight parameter sets live in the acceptance suite; here each
 driver runs on a small problem so structure and rough behavior stay
 covered by the regular test loop.
 """
+import importlib.util
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hpstep.analysis import max_error
+from hpstep.analysis import fit_rate, max_error
+from hpstep.problems import PROBLEMS, make_stepper
 from hpstep.studies import (
+    advance,
     averaged_instability,
     asymmetric_self_convergence,
     complexity_study,
     decaying_sine_case,
+    fit_series,
     harmonic_resolution_sweep,
     kink_study,
     order_study,
+    resolution_series,
     richardson_study,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _final(case, count):
+    st = make_stepper(case, case.t_end / count, order=3)
+    return st.run(0.0, case.u0, count)
+
+
+def _asymmetric(n):
+    case = PROBLEMS["schrodinger-asymmetric"](n=n, p=6)
+    case.t_end = 1.0
+    return case
+
+
+def _by_exact():
+    case = decaying_sine_case(n=4, p=10)
+    run = lambda count: advance(case, count, order=3)
+    errors = [
+        max_error(_final(case, c), case.mesh, exact=case.exact, t=case.t_end)
+        for c in (4, 8, 16)
+    ]
+    return "exact", (4, 8, 16), run, errors
+
+
+def _by_finest():
+    run = lambda n: advance(_asymmetric(n), 4, order=3)
+    fine = _asymmetric(8)
+    u_fine = _final(fine, 4)
+    errors = []
+    for n in (2, 4):
+        case = _asymmetric(n)
+        errors.append(max_error(_final(case, 4), case.mesh, reference=(fine.mesh, u_fine)))
+    return "finest", (2, 4, 8), run, errors + [None]
+
+
+def _by_halving():
+    case = _asymmetric(2)
+    run = lambda count: advance(case, count, order=3)
+    ref = _final(case, 32)
+    errors = [float(np.abs(_final(case, c) - ref).max()) for c in (4, 8, 16)]
+    return "halving", (4, 8, 16), run, errors
+
+
+@pytest.mark.parametrize(
+    "setup", [_by_exact, _by_finest, _by_halving], ids=["exact", "finest", "halving"]
+)
+def test_resolution_series_matches_a_hand_written_loop(setup):
+    reference, values, run, want = setup()
+    series = resolution_series("s", "steps", values, run, reference)
+    assert series.values == list(values)
+    assert series.errors == want
+    # a point without an error (the finest mesh itself) stays out of the fit
+    kept = [(v, e) for v, e in zip(values, want) if e is not None]
+    rate = fit_rate(np.array([v for v, _ in kept], dtype=float), np.array([e for _, e in kept]))
+    assert series.fit.rate == rate.rate
+    assert series.fit.used == len(kept)
+
+
+def test_fit_series_at_the_rounding_floor_raises_unless_lenient():
+    values, errors = [5, 10, 20], [1.2e-13, 7.5e-15, 1.9e-14]
+    with pytest.raises(ValueError, match="rounding floor"):
+        fit_series("s", "steps", values, errors)
+    assert fit_series("s", "steps", values, errors, strict=False).fit is None
 
 
 def test_order_study_third_order_small():
@@ -101,3 +173,30 @@ def test_complexity_study_reports_positive_exponents():
     assert all(t > 0 for t in out["build_seconds"] + out["solve_seconds"])
     assert out["build_exponent"] > 0
     assert out["solve_exponent"] > 0
+
+
+def test_full_scale_targets_bind_to_the_study_signatures(monkeypatch):
+    # the script runs for hours, so each target stops at its first call
+    spec = importlib.util.spec_from_file_location(
+        "full_scale", ROOT / "scripts" / "full_scale.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    class Bound(Exception):
+        pass
+
+    def binding(name):
+        signature = inspect.signature(getattr(script, name))
+
+        def bind(*args, **kwargs):
+            signature.bind(*args, **kwargs)
+            raise Bound(name)
+
+        return bind
+
+    for name in ("asymmetric_self_convergence", "richardson_study", "cmd_run"):
+        monkeypatch.setattr(script, name, binding(name))
+    for target in script.TARGETS.values():
+        with pytest.raises(Bound):
+            target()
