@@ -131,14 +131,14 @@ def leaf_stencil(p: int, hx: float, hy: float | None) -> LeafStencil:
     )
 
 
-def diff_apply_x(Dx1: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """Differentiate batched (..., p, p) nodal arrays along x (last axis)."""
-    return fields @ Dx1.T
+def diff_apply_x(Dx1: np.ndarray, fields: np.ndarray, out=None) -> np.ndarray:
+    """Differentiate batched (..., p, p) nodal arrays along x (last axis), into `out`."""
+    return np.matmul(fields, Dx1.T, out=out)
 
 
-def diff_apply_y(Dy1: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """Differentiate batched (..., p, p) nodal arrays along y (second-to-last)."""
-    return Dy1 @ fields
+def diff_apply_y(Dy1: np.ndarray, fields: np.ndarray, out=None) -> np.ndarray:
+    """Differentiate batched (..., p, p) nodal arrays along y (second-to-last), into `out`."""
+    return np.matmul(Dy1, fields, out=out)
 
 
 @cache
@@ -163,8 +163,7 @@ def corner_fill_weights(p: int) -> tuple[np.ndarray, np.ndarray]:
 def fill_corners(fields: np.ndarray) -> np.ndarray:
     """Return a copy of batched (..., p, p) leaf arrays with corner values
     rebuilt by edge extrapolation (average of the two adjacent edges)."""
-    p = fields.shape[-1]
-    w_lo, w_hi = corner_fill_weights(p)
+    w_lo, w_hi = corner_fill_weights(fields.shape[-1])
     out = fields.copy()
     s_edge = fields[..., 0, 1:-1]
     n_edge = fields[..., -1, 1:-1]

@@ -250,10 +250,10 @@ def gather_leaf_fields(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Scatter a global field onto batched leaf arrays; corners get zero.
 
     Accepts (N,) or (m, N); returns (nl, p, p), (m, nl, p, p) or the 1D
-    analogues. Corner zeros are fine for every consumer that only reads
-    interior rows or edge-normal derivative rows.
+    analogues, C-contiguous. Corner zeros are fine for every consumer
+    that only reads interior rows or edge-normal derivative rows.
     """
-    vals = u[..., np.maximum(mesh.leaf_grid, 0)]
+    vals = np.take(u, mesh.leaf_grid, axis=-1, mode="clip")  # -1 corners read node 0
     if mesh.dim == 2:
         vals[..., :: mesh.p - 1, :: mesh.p - 1] = 0.0  # the four corners
     return vals
@@ -267,7 +267,16 @@ def scatter_mean(mesh: Mesh, leaf_vals: np.ndarray) -> np.ndarray:
     """
     flat = leaf_vals.reshape(leaf_vals.shape[: -mesh.leaf_grid.ndim] + (-1,))
     a, b = mesh.owner_slots
-    return 0.5 * (flat[..., a] + flat[..., b])
+    out = np.take(flat, a, axis=-1)
+    out += np.take(flat, b, axis=-1)
+    out *= 0.5
+    return out
+
+
+def put_rows(rows: np.ndarray, ids: np.ndarray, vals: np.ndarray) -> None:
+    """rows[:, ids] = vals for (k, N) rows, row by row: a 1-D index stores fast."""
+    for row, v in zip(rows, vals.reshape(len(rows), -1)):
+        row[ids.ravel()] = v
 
 
 class OperatorApplier:
@@ -284,10 +293,8 @@ class OperatorApplier:
         self.op = op
         self.coefs = _sample_leaves(op, mesh)
         self.st = mesh_stencil(mesh)
-        # interior ids per leaf, matching the leaf's flattened interior slots
-        self._interior_ids = mesh.leaf_grid.reshape(mesh.n_leaves, -1)[
-            :, mesh.interior_local
-        ]
+        flat = mesh.leaf_grid.reshape(mesh.n_leaves, -1)
+        self._interior_ids = flat[:, mesh.interior_local].ravel()
 
     def leaf_values(self, u: np.ndarray, fill: bool = False) -> np.ndarray:
         """Batched operator values on leaf arrays (interior slots valid).
@@ -316,14 +323,14 @@ class OperatorApplier:
         mesh = self.mesh
         vals = self.leaf_values(u)
         lead = vals.shape[: vals.ndim - mesh.leaf_grid.ndim]
-        vals = vals.reshape(lead + (mesh.n_leaves, -1))[..., mesh.interior_local]
+        vals = np.take(vals.reshape(lead + (mesh.n_leaves, -1)), mesh.interior_local, axis=-1)
         out = np.zeros(lead + (mesh.n_nodes,), dtype=vals.dtype)
-        out[..., self._interior_ids] = vals
+        put_rows(out.reshape(-1, mesh.n_nodes), self._interior_ids, vals)
         return out
 
 
 def averaged_gradient(mesh: Mesh, u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-leaf spectral gradient averaged at shared nodes.
+    """Per-leaf spectral gradient averaged at shared nodes, in one scatter.
 
     Needed only for explicit advection terms and diagnostics; tangential
     derivatives at edge nodes require corner values, which are rebuilt by
@@ -331,9 +338,9 @@ def averaged_gradient(mesh: Mesh, u: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     U = gather_leaf_fields(mesh, u)
     st = mesh_stencil(mesh)
-    if mesh.dim == 1:
-        return (scatter_mean(mesh, diff_apply_x(st.Dx1, U)),)
-    U = fill_corners(U)
-    ux = diff_apply_x(st.Dx1, U)
-    uy = diff_apply_y(st.Dy1, U)
-    return scatter_mean(mesh, ux), scatter_mean(mesh, uy)
+    U = fill_corners(U) if mesh.dim == 2 else U
+    grad = np.empty((mesh.dim,) + U.shape, dtype=np.result_type(U, st.Dx1))
+    diff_apply_x(st.Dx1, U, out=grad[0])
+    if mesh.dim == 2:
+        diff_apply_y(st.Dy1, U, out=grad[1])
+    return tuple(scatter_mean(mesh, grad))

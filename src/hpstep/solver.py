@@ -23,15 +23,15 @@ stack is one batched product.
 
 A solve takes and returns fields as rows, (N,) or (k, N). The upward
 pass writes the particular outer edge fluxes of every block, leaves
-first, into one flat buffer, at slots the build has worked out: a level
-is two gathers (its interface fluxes), a product with the inverse, one
-gather (the children's other outer fluxes), a product with the stacked
-flux correction and one slice store. A penalty field's jump is read
-from its leaf fluxes at the same interface slots among the leaves. The
-downward pass sets interface values from each block's outer values,
-root first, then leaf interiors. Factorizations are immutable; each
-solve allocates its own buffer, so concurrent solves against one
-factorization are safe.
+first, into one flat buffer, at slots the build has worked out; every
+read is an `np.take` over planned slots. A level is two takes (its
+interface fluxes), a product with the inverse, one take (the children's
+other outer fluxes), a product with the stacked flux correction and one
+slice store. A penalty field's jump is read from its leaf fluxes at the
+same interface slots among the leaves. The downward pass sets interface
+values from each block's outer values, root first, then leaf interiors.
+Factorizations are immutable; each solve allocates its own buffer, so
+concurrent solves against one factorization are safe.
 
 The corrected interface condition used while time stepping replaces
 flux continuity of the unknown with
@@ -49,12 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import BOUNDARY, Mesh
-from .operators import (
-    EllipticOperator,
-    LeafOperatorSet,
-    build_leaf_operators,
-    guarded_inverse,
-)
+from .operators import EllipticOperator, LeafOperatorSet, build_leaf_operators
+from .operators import guarded_inverse, put_rows
 
 _LEAF = (1, 1)  # block shape of a single leaf, in leaves along x and y
 
@@ -135,32 +131,40 @@ class HpsFactorization:
         # interface correction w
         lf = self.leaf_ops
         f = np.zeros((k, n), dtype=dtype) if f is None else f
-        z = _apply(lf.inv, f[:, self.leaf_interior_ids])
+        z = _apply(lf.inv, _take(f, self.leaf_interior_ids))
         buf = np.empty((k, self.n_flux), dtype=dtype)
         n_leaf = self.leaf_boundary_ids.size
         buf[:, :n_leaf] = (z @ lf.Fi.T).reshape(k, n_leaf)
         if pen is not None:
             inv_dt = 1.0 / dt
-            hu = pen[:, self.leaf_interior_ids] @ lf.Fi.T + pen[:, self.leaf_boundary_ids] @ lf.Fb.T
-            hu = hu.reshape(k, n_leaf)
+            hu = _take(pen, self.leaf_interior_ids) @ lf.Fi.T
+            hu = (hu + _take(pen, self.leaf_boundary_ids) @ lf.Fb.T).reshape(k, n_leaf)
         w = []
         for lv in self.levels:
-            delta = buf[:, lv.ib] - buf[:, lv.ia]
+            delta = _take(buf, lv.ib) - _take(buf, lv.ia)
             if pen is not None:
-                delta -= inv_dt * (hu[:, lv.pa] - hu[:, lv.pb])
+                delta -= inv_dt * (_take(hu, lv.pa) - _take(hu, lv.pb))
             w.append(_apply(lv.inv_X, delta))
-            h = buf[:, lv.ext] + _apply(lv.C, w[-1])
+            h = _take(buf, lv.ext) + _apply(lv.C, w[-1])
             buf[:, lv.start : lv.start + lv.ext.size] = h.reshape(k, -1)
 
         # downward pass: every block's outer values are known once its
         # ancestors are done, which gives its interface values
         out = np.zeros((k, n), dtype=dtype)
         if g is not None:
-            out[:, self.gamma_ids] = g
+            put_rows(out, self.gamma_ids, g)
         for lv, w_lv in zip(reversed(self.levels), reversed(w)):
-            out[:, lv.interface_ids] = w_lv + _apply(lv.S, out[:, lv.boundary_ids])
-        out[:, self.leaf_interior_ids] = z - _apply(lf.G, out[:, self.leaf_boundary_ids])
+            put_rows(out, lv.interface_ids, w_lv + _apply(lv.S, _take(out, lv.boundary_ids)))
+        put_rows(out, self.leaf_interior_ids, z - _apply(lf.G, _take(out, self.leaf_boundary_ids)))
         return out if lead is not None and np.ndim(lead) == 2 else out[0]
+
+
+def _take(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """rows[:, slots] by one `np.take` in the slot table's memory order: each row is
+    a C- or F-ordered BLAS operand, and one row rounds in products like rows[:, slots]."""
+    if slots.flags.c_contiguous:
+        return np.take(rows, slots, axis=1)
+    return np.take(rows, slots.T, axis=1).transpose(0, 2, 1)
 
 
 def _as_rows(arr, n: int, name: str) -> np.ndarray | None:

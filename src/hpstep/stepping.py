@@ -30,7 +30,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .mesh import BOUNDARY, INTERFACE, Mesh
-from .operators import EllipticOperator, OperatorApplier, mesh_stencil, scatter_mean
+from .operators import EllipticOperator, OperatorApplier, gather_leaf_fields
+from .operators import mesh_stencil, scatter_mean
 from .solver import build_factorization
 from .tableaus import ImexTableau
 
@@ -125,31 +126,25 @@ class InterfaceCompleter:
         out[..., self._iface_ids] = 0.0
         out[..., self.boundary_ids] = boundary
         p = mesh.p
+        U = gather_leaf_fields(mesh, out)
         if mesh.dim == 1:
             if mesh.n1 > 1:
-                grid = np.maximum(mesh.leaf_grid, 0)
-                U = out[..., grid]
                 a = U @ self._dx[-1]
                 b = U @ self._dx[0]
                 rhs = b[..., 1:] - a[..., :-1]
-                vals = self._chain_solve(self._ab_x, rhs, -1)
-                out[..., self._iface_ids] = vals
+                out[..., self._iface_ids] = self._chain_solve(self._ab_x, rhs, -1)
             return out
-        grid = np.maximum(mesh.leaf_grid, 0)
-        U = np.where(mesh.leaf_grid < 0, 0.0, out[..., grid])
         U = U.reshape(U.shape[: -3] + (mesh.n2, mesh.n1, p, p))
         if mesh.n1 > 1:
             a = U[..., 1 : p - 1, :] @ self._dx[-1]
             b = U[..., 1 : p - 1, :] @ self._dx[0]
             rhs = b[..., 1:, :] - a[..., : mesh.n1 - 1, :]
-            vals = self._chain_solve(self._ab_x, rhs, -2)
-            out[..., self._ids_v] = vals
+            out[..., self._ids_v] = self._chain_solve(self._ab_x, rhs, -2)
         if mesh.n2 > 1:
             a = self._dy[-1] @ U[..., 1 : p - 1]
             b = self._dy[0] @ U[..., 1 : p - 1]
             rhs = b[..., 1:, :, :] - a[..., : mesh.n2 - 1, :, :]
-            vals = self._chain_solve(self._ab_y, rhs, -3)
-            out[..., self._ids_h] = vals
+            out[..., self._ids_h] = self._chain_solve(self._ab_y, rhs, -3)
         return out
 
 
@@ -234,22 +229,17 @@ class ImexStepper:
 
     def _first_slope(self, t: float, u: np.ndarray, f2):
         evo = self.evo
-        if self.completer is None:
-            vals = self.applier.leaf_values(u, fill=True)
-            k1 = evo.lam * scatter_mean(evo.mesh, vals)
-            f = self._forcing_field(t)
-            if f is not None:
-                k1 = k1 + f
-            g = self._sample(evo.bc_rate, t, self._gids)
-            if f2 is not None:
-                g = g - f2[..., self._gids]
-            k1[..., self._gids] = g
-            return k1
-        ids = self.completer.boundary_ids
+        ids = self._gids if self.completer is None else self.completer.boundary_ids
         g = self._sample(evo.bc_rate, t, ids)
         if f2 is not None:
             g = g - f2[..., ids]
-        return self.completer.complete(self._rate_interior(t, u), g)
+        if self.completer is not None:
+            return self.completer.complete(self._rate_interior(t, u), g)
+        k1 = evo.lam * scatter_mean(evo.mesh, self.applier.leaf_values(u, fill=True))
+        f = self._forcing_field(t)
+        k1 = k1 if f is None else k1 + f
+        k1[..., ids] = g
+        return k1
 
     def _step_slopes(self, t: float, u: np.ndarray) -> np.ndarray:
         evo, tab, dt = self.evo, self.tab, self.dt

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hpstep.chebyshev import diff_apply_x, diff_apply_y, fill_corners, leaf_stencil
 from hpstep.mesh import build_mesh
 from hpstep.operators import (
     EllipticOperator,
@@ -257,3 +258,87 @@ def test_gradient_1d():
     m = build_mesh((0.0, np.pi), 4, p=14)
     (ux,) = averaged_gradient(m, np.sin(m.x))
     np.testing.assert_allclose(ux, np.cos(m.x), atol=1e-9)
+
+
+# -- the index plan: every take against a fancy-index reference ------------
+
+INDEX_MESHES = {
+    "1d": lambda: build_mesh((0.0, 2.0), 4, p=7),
+    "2d": lambda: mesh2d(3, 2, p=6, box=((0.0, 2.0), (0.0, 1.0))),
+}
+INDEX_FIELDS = {
+    "row": lambda rng, n: rng.standard_normal(n),
+    "pair": lambda rng, n: rng.standard_normal((2, n)),
+    "complex": lambda rng, n: rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)),
+}
+index_cases = pytest.mark.parametrize(
+    "dim,kind", [(d, k) for d in INDEX_MESHES for k in INDEX_FIELDS]
+)
+
+
+def index_case(dim, kind):
+    m = INDEX_MESHES[dim]()
+    return m, INDEX_FIELDS[kind](np.random.default_rng(7), m.n_nodes)
+
+
+def fancy_gather(m, u):
+    return np.where(m.leaf_grid < 0, 0.0, u[..., np.maximum(m.leaf_grid, 0)])
+
+
+def fancy_scatter(m, vals):
+    flat = vals.reshape(vals.shape[: vals.ndim - m.leaf_grid.ndim] + (-1,))
+    a, b = m.owner_slots
+    return 0.5 * (flat[..., a] + flat[..., b])
+
+
+@index_cases
+def test_gather_matches_fancy_index(dim, kind):
+    m, u = index_case(dim, kind)
+    got = gather_leaf_fields(m, u)
+    np.testing.assert_array_equal(got, fancy_gather(m, u))
+    assert got.dtype == u.dtype and got.flags.c_contiguous
+
+
+@index_cases
+def test_scatter_mean_matches_fancy_index(dim, kind):
+    m, u = index_case(dim, kind)
+    vals = gather_leaf_fields(m, u) * (1.0 + 0.1 * np.arange(m.leaf_grid.shape[-1]))
+    got = scatter_mean(m, vals)
+    np.testing.assert_array_equal(got, fancy_scatter(m, vals))
+    assert got.shape == u.shape and got.flags.c_contiguous
+
+
+@index_cases
+def test_interior_apply_matches_fancy_index(dim, kind):
+    m, u = index_case(dim, kind)
+    c = (lambda x: 1 + x**2) if dim == "1d" else (lambda x, y: 1 + x**2 + y)
+    op = EllipticOperator(c11=c, c1=0.3, c0=2.0, **({"c22": 1.5} if dim == "2d" else {}))
+    applier = OperatorApplier(m, op)
+    vals = applier.leaf_values(u)
+    lead = u.shape[:-1]
+    want = np.zeros(lead + (m.n_nodes,), dtype=vals.dtype)
+    ids = m.leaf_grid.reshape(m.n_leaves, -1)[:, m.interior_local]
+    want[..., ids] = vals.reshape(lead + (m.n_leaves, -1))[..., m.interior_local]
+    got = applier.interior_apply(u)
+    np.testing.assert_array_equal(got, want)
+    assert got.flags.c_contiguous
+
+
+@index_cases
+def test_averaged_gradient_matches_fancy_index(dim, kind):
+    m, u = index_case(dim, kind)
+    st = leaf_stencil(m.p, m.hx, m.hy if dim == "2d" else None)
+    U = np.ascontiguousarray(fancy_gather(m, u))
+    parts = [diff_apply_x(st.Dx1, U)]
+    if dim == "2d":
+        U = fill_corners(U)
+        parts = [diff_apply_x(st.Dx1, U), diff_apply_y(st.Dy1, U)]
+    got = averaged_gradient(m, u)
+    assert len(got) == len(parts)
+    for g, part in zip(got, parts):
+        np.testing.assert_array_equal(g, fancy_scatter(m, part))
+        assert g.shape == u.shape and g.flags.c_contiguous
+    # the stacked pair in one scatter equals one scatter per component
+    stacked = scatter_mean(m, np.stack(parts))
+    for row, part in zip(stacked, parts):
+        np.testing.assert_array_equal(row, scatter_mean(m, part))

@@ -12,7 +12,7 @@ from hpstep.operators import (
     laplace_operator,
 )
 from hpstep.oracle import assemble_global, oracle_solve
-from hpstep.solver import build_factorization
+from hpstep.solver import _take, build_factorization
 
 
 def shifted_laplace():
@@ -241,3 +241,22 @@ def test_identity_operator_tree_is_solvable():
     u = np.sin(mesh.x) * np.cos(mesh.y)
     got = fact.solve(u, u[fact.gamma_ids])
     assert np.abs(got - u).max() < 1e-8
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_solve_takes_match_fancy_index(k):
+    # the solve reads every slot table, C- or F-ordered, by `_take`; one
+    # row comes out laid out like the fancy index, so products round alike
+    mesh = build_mesh(((0.0, 2.0), (0.0, 1.0)), 5, 3, p=6)
+    fact = build_factorization(mesh, shifted_laplace())
+    width = max(mesh.n_nodes, fact.n_flux)
+    rows = np.random.default_rng(0).standard_normal((k, width))
+    tables = [fact.leaf_interior_ids, fact.leaf_boundary_ids]
+    for lv in fact.levels:
+        tables += [lv.ia, lv.ib, lv.ext, lv.pa, lv.pb, lv.boundary_ids, lv.interface_ids]
+    assert {t.flags.c_contiguous for t in tables} == {True, False}
+    for t in tables:
+        got, want = _take(rows, t), rows[:, t]
+        np.testing.assert_array_equal(got, want)
+        if k == 1:
+            assert got.strides[1:] == want.strides[1:]
