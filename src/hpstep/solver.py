@@ -18,8 +18,9 @@ local index maps and the shapes of their two children. All merges of one
 block shape therefore form a level whose operators are stacked along a
 leading axis, and levels are ordered by block area, children first. With
 position-independent coefficients a level stores one copy, and a
-product with it is one GEMM over the rows of all its blocks; a full
-stack is one batched product.
+product with it is one GEMM over the rows of all its blocks. A full
+stack is C-contiguous and is one batched product over a contiguous
+(m, n, k) copy of the rows, so that every block product runs in BLAS.
 
 A solve takes and returns fields as rows, (N,) or (k, N). The upward
 pass writes the particular outer edge fluxes of every block, leaves
@@ -161,7 +162,8 @@ class HpsFactorization:
 
 def _take(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """rows[:, slots] by one `np.take` in the slot table's memory order: each row is
-    a C- or F-ordered BLAS operand, and one row rounds in products like rows[:, slots]."""
+    a C- or F-ordered BLAS operand, and one row rounds in products like rows[:, slots].
+    A shared stack's one GEMM takes them as they are, a full stack a contiguous copy."""
     if slots.flags.c_contiguous:
         return np.take(rows, slots, axis=1)
     return np.take(rows, slots.T, axis=1).transpose(0, 2, 1)
@@ -181,11 +183,12 @@ def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Each block's operator applied to its rows: (k, m, n) -> (k, m, r).
 
     A shared stack (length one) multiplies the rows of every block in one
-    GEMM; a full stack (m, r, n) is one batched product.
+    GEMM; a full stack (m, r, n), C-contiguous, is one batched BLAS product
+    over a contiguous (m, n, k) copy of the rows.
     """
     if len(A) == 1:
         return x @ A[0].T
-    return (A @ x.transpose(1, 2, 0)).transpose(2, 0, 1)
+    return (A @ np.ascontiguousarray(x.transpose(1, 2, 0))).transpose(2, 0, 1)
 
 
 def _blocks(mesh: Mesh) -> dict:
@@ -263,6 +266,7 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
         B = np.concatenate([-Tl[:, ia][:, :, idx1], Tr[:, ib][:, :, idx2]], axis=2)
         S = inv_X @ B
         C = np.concatenate([Tl[:, idx1][:, :, ia], Tr[:, idx2][:, :, ib]], axis=1)
+        C = C if len(C) == 1 else np.ascontiguousarray(C)  # a full stack C-ordered for BLAS
 
         n1 = idx1.size
         Tp = C @ S

@@ -148,6 +148,21 @@ class InterfaceCompleter:
         return out
 
 
+def _combine(base: np.ndarray, dt: float, *sums) -> np.ndarray:
+    """base + dt * (S_1 + S_2 + ...), S_j = sum(w * f for w, f in zip(*sums[j])),
+    in place: each S_j adds its terms to zeros in one buffer, which rounds
+    exactly like that Python expression."""
+    total = None
+    for weights, fields in sums:
+        acc = np.zeros(np.shape(base), np.result_type(base, *fields, base if total is None else total))
+        for w, f in zip(weights, fields):
+            acc += w * f
+        total = acc if total is None else np.add(acc, total, out=acc)  # S_2 + S_1 == S_1 + S_2
+    total *= dt
+    total += base
+    return total
+
+
 class ImexStepper:
     """Fixed-step integrator; all factorizations are built once here.
 
@@ -253,10 +268,8 @@ class ImexStepper:
         pen = u if self.corrected else None
         for i in range(1, s):
             ti = t + tab.c[i] * dt
-            acc = sum(tab.A_im[i, j] * k[j] for j in range(i))
-            if imex:
-                acc = acc + sum(tab.A_ex[i, j] * l[j] for j in range(i))
-            P = u + dt * acc
+            ex = [(tab.A_ex[i, :i], l[:i])] if imex else []
+            P = _combine(u, dt, (tab.A_im[i, :i], k[:i]), *ex)
             g = self._sample(evo.bc_rate, ti, self._gids)
             if imex:
                 f2p = evo.explicit(ti, P)
@@ -266,10 +279,7 @@ class ImexStepper:
             )
             if imex:
                 l[i] = evo.explicit(ti, P + dt * tab.gamma * k[i])
-        du = sum(tab.b[j] * k[j] for j in range(s))
-        if imex:
-            du = du + sum(tab.b[j] * l[j] for j in range(s))
-        return u + dt * du
+        return _combine(u, dt, (tab.b, k), *([(tab.b, l)] if imex else []))
 
     # -- stage formulation -----------------------------------------------
 
@@ -285,9 +295,9 @@ class ImexStepper:
         ui = u
         for i in range(1, s):
             ti = t + tab.c[i] * dt
-            load = u + dt * sum(tab.A_im[i, j] * F1[j] for j in range(i))
+            load = _combine(u, dt, (tab.A_im[i, :i], F1[:i]))
             if imex:
-                load = load + dt * sum(tab.A_ex[i, j] * F2[j] for j in range(i))
+                load = _combine(load, dt, (tab.A_ex[i, :i], F2[:i]))
             f = self._forcing_field(ti)
             if f is not None:
                 load = load + dt * tab.gamma * f
@@ -296,10 +306,7 @@ class ImexStepper:
                 F1[i] = self._rate_interior(ti, ui)
             if imex:
                 F2[i] = evo.explicit(ti, ui)
-        if not imex:
-            return ui
-        w = tab.A_im[-1] - tab.A_ex[-1]
-        return ui + dt * sum(w[j] * F2[j] for j in range(s))
+        return _combine(ui, dt, (tab.A_im[-1] - tab.A_ex[-1], F2)) if imex else ui
 
     # -- driver ----------------------------------------------------------
 

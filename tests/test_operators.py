@@ -342,3 +342,81 @@ def test_averaged_gradient_matches_fancy_index(dim, kind):
     stacked = scatter_mean(m, np.stack(parts))
     for row, part in zip(stacked, parts):
         np.testing.assert_array_equal(row, scatter_mean(m, part))
+
+
+# -- the applier forms only the derivatives its terms need -----------------
+
+APPLIER_COEFS = {
+    "constant": dict(c11=1.2, c22=0.7, c1=0.3, c2=-0.4, c0=2.0),
+    "variable": dict(
+        c11=lambda x, y=0.0: 1 + x**2,
+        c22=lambda x, y: 1 + y,
+        c1=lambda x, y=0.0: np.sin(x),
+        c2=lambda x, y: x * y,
+        c0=lambda x, y=0.0: 1 + x + y,
+    ),
+}
+
+
+def reference_leaf_values(m, op, u, fill):
+    """Every term of the operator from two first-derivative passes."""
+    st = leaf_stencil(m.p, m.hx, m.hy if m.dim == 2 else None)
+    U = fancy_gather(m, u)
+    if fill and m.dim == 2:
+        U = fill_corners(U)
+    x, y = leaf_coordinates(m)
+    coef = lambda c: (c(x) if y is None else c(x, y)) if callable(c) else c
+    ux = diff_apply_x(st.Dx1, U)
+    A = -coef(op.c11) * diff_apply_x(st.Dx1, ux) + coef(op.c1) * ux + coef(op.c0) * U
+    if m.dim == 2:
+        uy = diff_apply_y(st.Dy1, U)
+        A = A - coef(op.c22) * diff_apply_y(st.Dy1, uy) + coef(op.c2) * uy
+    return op.sigma * U + op.scale * A
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+@pytest.mark.parametrize("kind", ["pair", "complex"])
+@pytest.mark.parametrize("coefs", list(APPLIER_COEFS))
+@pytest.mark.parametrize("shift", [(0.0, 1.0), (0.5, 2.0 - 0.5j)], ids=["plain", "shifted"])
+@pytest.mark.parametrize("fill", [False, True], ids=["nofill", "fill"])
+def test_leaf_values_match_two_pass_reference(dim, kind, coefs, shift, fill):
+    m, u = index_case(dim, kind)
+    terms = dict(APPLIER_COEFS[coefs])
+    if dim == "1d":
+        del terms["c22"], terms["c2"]
+    op = EllipticOperator(**terms, sigma=shift[0], scale=shift[1])
+    got = OperatorApplier(m, op).leaf_values(u, fill=fill)
+    want = reference_leaf_values(m, op, u, fill)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    interior = np.zeros(m.leaf_grid.shape[1:], dtype=bool)
+    interior.reshape(-1)[m.interior_local] = True
+    valid = (...,) if fill and dim == "2d" else (..., interior)  # fill makes edges usable
+    assert np.abs(got - want)[valid].max() <= 1e-12 * np.abs(want)[valid].max()
+
+
+@pytest.mark.parametrize(
+    "terms,passes",
+    [
+        (dict(c0=lambda x, y: 1 + x), (0, 0)),
+        (dict(c11=1.0, c22=1.0), (1, 1)),
+        (dict(c11=lambda x, y: 1 + x, c1=0.3, c0=2.0), (2, 0)),
+    ],
+    ids=["c0-only", "laplace", "x-terms"],
+)
+def test_applier_runs_only_needed_passes(monkeypatch, terms, passes):
+    import hpstep.operators as operators
+
+    calls = {"x": 0, "y": 0}
+
+    def counted(axis, diff):
+        def run(*args, **kwargs):
+            calls[axis] += 1
+            return diff(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(operators, "diff_apply_x", counted("x", diff_apply_x))
+    monkeypatch.setattr(operators, "diff_apply_y", counted("y", diff_apply_y))
+    m, u = index_case("2d", "pair")
+    OperatorApplier(m, EllipticOperator(**terms)).interior_apply(u)
+    assert (calls["x"], calls["y"]) == passes

@@ -12,7 +12,7 @@ from hpstep.operators import (
     laplace_operator,
 )
 from hpstep.oracle import assemble_global, oracle_solve
-from hpstep.solver import _take, build_factorization
+from hpstep.solver import _apply, _take, build_factorization
 
 
 def shifted_laplace():
@@ -260,3 +260,47 @@ def test_solve_takes_match_fancy_index(k):
         np.testing.assert_array_equal(got, want)
         if k == 1:
             assert got.strides[1:] == want.strides[1:]
+
+
+def variable_factorization():
+    mesh = build_mesh(((0.0, 4.0), (0.0, 2.0)), 4, 2, p=6)
+    op = EllipticOperator(c11=1.0, c22=1.0, c0=lambda x, y: 1 + x * x + y * y)
+    return build_factorization(mesh, op.shifted(1.0, 0.1 + 0.2j))
+
+
+def test_full_stacks_are_c_contiguous():
+    # every batched product of a full stack goes to BLAS only if the stack
+    # is C-ordered; a length-one (shared) stack is left as the build made it
+    fact = variable_factorization()
+    stacks = [fact.leaf_ops.inv, fact.leaf_ops.G]
+    stacks += [getattr(lv, name) for lv in fact.levels for name in ("inv_X", "S", "C")]
+    full = [A for A in stacks if len(A) > 1]
+    assert len(full) >= 8
+    assert all(A.flags.c_contiguous for A in full)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_apply_full_stack_matches_per_block(k, order):
+    fact = variable_factorization()
+    rng = np.random.default_rng(k)
+    for A in [fact.leaf_ops.inv, fact.leaf_ops.G] + [lv.C for lv in fact.levels if len(lv.C) > 1]:
+        m, _, n = A.shape
+        x = rng.standard_normal((k, m, n)) + 1j * rng.standard_normal((k, m, n))
+        x = np.asarray(x, order=order)  # F order: the block axis moves fastest
+        got = _apply(A, x)
+        want = np.einsum("mij,kmj->kmi", A, x)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_apply_shared_stack_is_one_gemm(k):
+    fact = build_factorization(build_mesh(((0.0, 2.0), (0.0, 2.0)), 2, 2, p=6), shifted_laplace())
+    rng = np.random.default_rng(0)
+    stacks = [fact.leaf_ops.inv, fact.leaf_ops.G]
+    stacks += [getattr(lv, name) for lv in fact.levels for name in ("inv_X", "S", "C")]
+    for A in stacks:
+        assert len(A) == 1
+        x = rng.standard_normal((k, 4, A.shape[2]))
+        np.testing.assert_array_equal(_apply(A, x), x @ A[0].T)

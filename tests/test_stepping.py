@@ -312,3 +312,52 @@ def test_corrected_kink_decays_over_many_steps():
     u = st.run(0.0, u0, 60)
     assert np.abs(u).max() < 1e-3
     assert np.abs(flux_jumps_1d(mesh, u)).max() < 1e-10
+
+
+# -- stage sums ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "base,field", [(float, float), (complex, complex), (float, complex), (complex, float)]
+)
+@pytest.mark.parametrize("n_sums", [1, 2])
+def test_stage_sums_round_like_python_sums(base, field, n_sums):
+    # the in-place sums give the bytes of the expression they replace,
+    # signed zeros included
+    from hpstep.stepping import _combine
+
+    rng = np.random.default_rng(n_sums)
+
+    def make(dtype):
+        x = rng.standard_normal((2, 50)).astype(dtype)
+        x += 1j * rng.standard_normal((2, 50)) if dtype is complex else 0.0
+        x[:, :5] = -0.0
+        return x
+
+    u = make(base)
+    sums = [(np.append(rng.standard_normal(3), 0.0), [make(field) for _ in range(4)])]
+    sums = sums * n_sums if n_sums == 1 else sums + [(rng.standard_normal(2), [make(field)] * 2)]
+    total = sum(w * f for w, f in zip(*sums[0]))
+    for weights, fields in sums[1:]:
+        total = total + sum(w * f for w, f in zip(weights, fields))
+    want = u + 0.3 * total
+    got = _combine(u, 0.3, *sums)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("formulation", ["slopes", "stages"])
+def test_imex_explicit_forcing_enters_every_stage(formulation):
+    # u = cos(t) sin(x): u_t - u_xx = (cos t - sin t) sin x, all of it
+    # carried by the explicit term, so a dropped explicit sum shows
+    mesh = build_mesh((0.0, np.pi), 2, p=12)
+    evo = Evolution(
+        mesh=mesh,
+        operator=EllipticOperator(c11=1.0),
+        lam=-1.0,
+        bc=zero_bc,
+        bc_rate=zero_bc,
+        explicit=lambda t, u: (np.cos(t) - np.sin(t)) * np.sin(mesh.x),
+    )
+    st = ImexStepper(evo, load_tableau(4), 1.0 / 20, formulation=formulation)
+    u = st.run(0.0, np.sin(mesh.x), 20)
+    assert np.abs(u - np.cos(1.0) * np.sin(mesh.x)).max() < 1e-5
