@@ -191,6 +191,15 @@ def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (A @ np.ascontiguousarray(x.transpose(1, 2, 0))).transpose(2, 0, 1)
 
 
+def _cut(T: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """T[:, rows][:, :, cols]: from a full stack C-ordered, in one take without an
+    intermediate stack; from a shared copy in the layout of that fancy index."""
+    if len(T) == 1:
+        return T[:, rows][:, :, cols]
+    flat = (rows[:, None] * T.shape[2] + cols).ravel()
+    return np.take(T.reshape(len(T), -1), flat, axis=1).reshape(len(T), rows.size, cols.size)
+
+
 def _blocks(mesh: Mesh) -> dict:
     """Children of every merge, grouped by block shape.
 
@@ -260,18 +269,17 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
         # a single shared copy stays a single copy
         Tl = T[left] if len(T[left]) == 1 else T[left][left_pos]
         Tr = T[right] if len(T[right]) == 1 else T[right][right_pos]
-        X = Tl[:, ia][:, :, ia] - Tr[:, ib][:, :, ib]
+        X = _cut(Tl, ia, ia) - _cut(Tr, ib, ib)
         what = f"interface operator in the {shape[0]}x{shape[1]} blocks"
         inv_X, condition[shape] = guarded_inverse(X, what)
-        B = np.concatenate([-Tl[:, ia][:, :, idx1], Tr[:, ib][:, :, idx2]], axis=2)
+        B = np.concatenate([-_cut(Tl, ia, idx1), _cut(Tr, ib, idx2)], axis=2)
         S = inv_X @ B
-        C = np.concatenate([Tl[:, idx1][:, :, ia], Tr[:, idx2][:, :, ib]], axis=1)
-        C = C if len(C) == 1 else np.ascontiguousarray(C)  # a full stack C-ordered for BLAS
+        C = np.concatenate([_cut(Tl, idx1, ia), _cut(Tr, idx2, ib)], axis=1)
 
         n1 = idx1.size
         Tp = C @ S
-        Tp[:, :n1, :n1] += Tl[:, idx1][:, :, idx1]
-        Tp[:, n1:, n1:] += Tr[:, idx2][:, :, idx2]
+        Tp[:, :n1, :n1] += _cut(Tl, idx1, idx1)
+        Tp[:, n1:, n1:] += _cut(Tr, idx2, idx2)
         T[shape] = Tp
 
         levels.append(

@@ -152,9 +152,10 @@ def _combine(base: np.ndarray, dt: float, *sums) -> np.ndarray:
     """base + dt * (S_1 + S_2 + ...), S_j = sum(w * f for w, f in zip(*sums[j])),
     in place: each S_j adds its terms to zeros in one buffer, which rounds
     exactly like that Python expression."""
+    dtype = np.result_type(base, *(f for _, fields in sums for f in fields))
     total = None
     for weights, fields in sums:
-        acc = np.zeros(np.shape(base), np.result_type(base, *fields, base if total is None else total))
+        acc = np.zeros(np.shape(base), dtype)
         for w, f in zip(weights, fields):
             acc += w * f
         total = acc if total is None else np.add(acc, total, out=acc)  # S_2 + S_1 == S_1 + S_2
