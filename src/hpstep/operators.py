@@ -295,26 +295,27 @@ class OperatorApplier:
         st = mesh_stencil(mesh)
         flat = mesh.leaf_grid.reshape(mesh.n_leaves, -1)
         self._interior_ids = flat[:, mesh.interior_local].ravel()
-        # present terms in `_TERMS` order: signed coefficient, one 1-D product or None
+        # present terms in `_TERMS` order: sign, coefficient, one 1-D product or None
         diffs = {"Dx": (diff_apply_x, st.Dx1), "Dxx": (diff_apply_x, st.Dx1 @ st.Dx1)}
         if mesh.dim == 2:
             diffs.update(Dy=(diff_apply_y, st.Dy1), Dyy=(diff_apply_y, st.Dy1 @ st.Dy1))
-        self._terms = [(sign * coefs[n], diffs.get(k)) for n, sign, k in _TERMS if n in coefs]
+        self._terms = [(sign, coefs[n], diffs.get(k)) for n, sign, k in _TERMS if n in coefs]
 
     def leaf_values(self, u: np.ndarray, fill: bool = False) -> np.ndarray:
         """Batched operator values on leaf arrays (interior slots valid).
 
         With `fill`, 2D corner slots are rebuilt by edge extrapolation
         first, which makes the edge slots usable as one-sided operator
-        values at extrapolation accuracy. Only derivatives of present terms are formed.
+        values at extrapolation accuracy.
         """
         op = self.op
         U = gather_leaf_fields(self.mesh, u)
         if fill and self.mesh.dim == 2:
             U = fill_corners(U)
         vals = np.zeros(U.shape, np.result_type(U, op.sigma, op.scale, *self.coefs.values()))
-        for coef, diff in self._terms:
-            vals += coef * (U if diff is None else diff[0](diff[1], U))
+        for sign, coef, diff in self._terms:
+            term = coef * (U if diff is None else diff[0](diff[1], U))
+            (np.add if sign > 0 else np.subtract)(vals, term, out=vals)
         if op.scale != 1:
             vals *= op.scale
         if op.sigma != 0:
