@@ -6,7 +6,7 @@ from hpstep.chebyshev import leaf_stencil
 from hpstep.mesh import INTERFACE, build_mesh
 from hpstep.operators import EllipticOperator, laplace_operator
 from hpstep.oracle import OracleCompleter
-from hpstep.stepping import Evolution, ImexStepper, InterfaceCompleter
+from hpstep.stepping import Evolution, ImexStepper, InterfaceCompleter, _combine
 from hpstep.tableaus import load_tableau
 
 
@@ -324,8 +324,6 @@ def test_corrected_kink_decays_over_many_steps():
 def test_stage_sums_round_like_python_sums(base, field, n_sums):
     # the in-place sums give the bytes of the expression they replace,
     # signed zeros included
-    from hpstep.stepping import _combine
-
     rng = np.random.default_rng(n_sums)
 
     def make(dtype):
@@ -336,7 +334,8 @@ def test_stage_sums_round_like_python_sums(base, field, n_sums):
 
     u = make(base)
     sums = [(np.append(rng.standard_normal(3), 0.0), [make(field) for _ in range(4)])]
-    sums = sums * n_sums if n_sums == 1 else sums + [(rng.standard_normal(2), [make(field)] * 2)]
+    if n_sums == 2:
+        sums.append((rng.standard_normal(2), [make(field)] * 2))
     total = sum(w * f for w, f in zip(*sums[0]))
     for weights, fields in sums[1:]:
         total = total + sum(w * f for w, f in zip(weights, fields))
