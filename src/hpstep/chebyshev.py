@@ -161,16 +161,15 @@ def corner_fill_weights(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fill_corners(fields: np.ndarray) -> np.ndarray:
-    """Return a copy of batched (..., p, p) leaf arrays with corner values
-    rebuilt by edge extrapolation (average of the two adjacent edges)."""
+    """Rebuild the corners of batched (..., p, p) leaf arrays in place by edge
+    extrapolation (mean of the two adjacent edges' interiors); returns `fields`."""
     w_lo, w_hi = corner_fill_weights(fields.shape[-1])
-    out = fields.copy()
     s_edge = fields[..., 0, 1:-1]
     n_edge = fields[..., -1, 1:-1]
     w_edge = fields[..., 1:-1, 0]
     e_edge = fields[..., 1:-1, -1]
-    out[..., 0, 0] = 0.5 * (s_edge @ w_lo + w_edge @ w_lo)
-    out[..., 0, -1] = 0.5 * (s_edge @ w_hi + e_edge @ w_lo)
-    out[..., -1, 0] = 0.5 * (n_edge @ w_lo + w_edge @ w_hi)
-    out[..., -1, -1] = 0.5 * (n_edge @ w_hi + e_edge @ w_hi)
-    return out
+    fields[..., 0, 0] = 0.5 * (s_edge @ w_lo + w_edge @ w_lo)
+    fields[..., 0, -1] = 0.5 * (s_edge @ w_hi + e_edge @ w_lo)
+    fields[..., -1, 0] = 0.5 * (n_edge @ w_lo + w_edge @ w_hi)
+    fields[..., -1, -1] = 0.5 * (n_edge @ w_hi + e_edge @ w_hi)
+    return fields

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mesh import Mesh, build_mesh
-from .operators import EllipticOperator, averaged_gradient
+from .operators import EllipticOperator, advection
 from .stepping import Evolution, ImexStepper
 from .tableaus import load_tableau
 
@@ -185,11 +185,7 @@ def schrodinger_asymmetric(n: int = 8, p: int = 8) -> TransientCase:
 
 
 def _advection(mesh: Mesh):
-    def explicit(t, u):
-        ux, uy = averaged_gradient(mesh, u)
-        return -(u[0] * ux + u[1] * uy)
-
-    return explicit
+    return lambda t, u: advection(mesh, u)
 
 
 def burgers_rotating(n: int = 8, p: int = 12, viscosity: float = 0.005) -> TransientCase:

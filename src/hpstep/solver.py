@@ -276,11 +276,12 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
         S = inv_X @ B
         C = np.concatenate([_cut(Tl, idx1, ia), _cut(Tr, idx2, ib)], axis=1)
 
-        n1 = idx1.size
-        Tp = C @ S
-        Tp[:, :n1, :n1] += _cut(Tl, idx1, idx1)
-        Tp[:, n1:, n1:] += _cut(Tr, idx2, idx2)
-        T[shape] = Tp
+        if shape != order[-1]:  # nothing reads the root's map
+            n1 = idx1.size
+            Tp = C @ S
+            Tp[:, :n1, :n1] += _cut(Tl, idx1, idx1)
+            Tp[:, n1:, n1:] += _cut(Tr, idx2, idx2)
+            T[shape] = Tp
 
         levels.append(
             _Level(

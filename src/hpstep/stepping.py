@@ -14,7 +14,8 @@ One step can be organized around stage slopes or stage values:
 * stages: every implicit stage solves for the stage value itself with
   boundary data g(t_i) and plain interface conditions. With
   time-dependent boundary data this is the variant that loses accuracy
-  orders, which is exactly why it is kept around.
+  orders, which is exactly why it is kept around. Stage i > 0 reads its
+  implicit rate off its own stage equation, (u_i - load_i) / (dt * gamma).
 
 The implicit part of the rate is lam * A(u) + forcing(t); `explicit`
 supplies the remaining term and activates the additive splitting. Both
@@ -296,15 +297,14 @@ class ImexStepper:
         ui = u
         for i in range(1, s):
             ti = t + tab.c[i] * dt
-            load = _combine(u, dt, (tab.A_im[i, :i], F1[:i]))
-            if imex:
-                load = _combine(load, dt, (tab.A_ex[i, :i], F2[:i]))
+            ex = [(tab.A_ex[i, :i], F2[:i])] if imex else []
+            load = _combine(u, dt, (tab.A_im[i, :i], F1[:i]), *ex)
             f = self._forcing_field(ti)
-            if f is not None:
-                load = load + dt * tab.gamma * f
-            ui = self.fact.solve(load, self._sample(evo.bc, ti, self._gids))
+            rhs = load if f is None else load + dt * tab.gamma * f
+            ui = self.fact.solve(rhs, self._sample(evo.bc, ti, self._gids))
             if i < s - 1:
-                F1[i] = self._rate_interior(ti, ui)
+                # valid at interiors; other slots reach only loads, read at interiors
+                F1[i] = (ui - load) * (1.0 / (dt * tab.gamma))
             if imex:
                 F2[i] = evo.explicit(ti, ui)
         return _combine(ui, dt, (tab.A_im[-1] - tab.A_ex[-1], F2)) if imex else ui

@@ -127,6 +127,13 @@ def test_fill_corners_recovers_smooth_field():
     np.testing.assert_array_equal(fixed[1:-1, :], u[1:-1, :])
 
 
+def test_fill_corners_fills_in_place():
+    fields = np.random.default_rng(3).standard_normal((2, 3, 7, 7))
+    edges = fields[..., 1:-1].copy()
+    assert fill_corners(fields) is fields
+    np.testing.assert_array_equal(fields[..., 1:-1], edges)
+
+
 def test_corner_fill_weights_shared_and_read_only():
     w_lo, w_hi = corner_fill_weights(9)
     assert corner_fill_weights(9)[0] is w_lo

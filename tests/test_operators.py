@@ -8,7 +8,7 @@ from hpstep.mesh import build_mesh
 from hpstep.operators import (
     EllipticOperator,
     OperatorApplier,
-    averaged_gradient,
+    advection,
     build_leaf_operators,
     collocate_interior,
     flux_matrix,
@@ -246,18 +246,13 @@ def test_scatter_mean_matches_accumulating_loop(dim):
     np.testing.assert_array_equal(scatter_mean(m, vals), want / count)
 
 
-def test_averaged_gradient_smooth_field():
+def test_advection_smooth_field():
+    # Taylor-Green cell u = (sin x cos y, -cos x sin y):
+    # (u . grad) u = (sin x cos x, sin y cos y)
     m = mesh2d(3, 3, p=12, box=((-1.0, 1.0), (-1.0, 1.0)))
-    u = np.sin(2 * m.x) * np.cos(m.y)
-    ux, uy = averaged_gradient(m, u)
-    np.testing.assert_allclose(ux, 2 * np.cos(2 * m.x) * np.cos(m.y), atol=1e-7)
-    np.testing.assert_allclose(uy, -np.sin(2 * m.x) * np.sin(m.y), atol=1e-7)
-
-
-def test_gradient_1d():
-    m = build_mesh((0.0, np.pi), 4, p=14)
-    (ux,) = averaged_gradient(m, np.sin(m.x))
-    np.testing.assert_allclose(ux, np.cos(m.x), atol=1e-9)
+    u = np.stack([np.sin(m.x) * np.cos(m.y), -np.cos(m.x) * np.sin(m.y)])
+    want = -np.stack([np.sin(m.x) * np.cos(m.x), np.sin(m.y) * np.cos(m.y)])
+    np.testing.assert_allclose(advection(m, u), want, atol=1e-7)
 
 
 # -- the index plan: every take against a fancy-index reference ------------
@@ -324,24 +319,18 @@ def test_interior_apply_matches_fancy_index(dim, kind):
     assert got.flags.c_contiguous
 
 
-@index_cases
-def test_averaged_gradient_matches_fancy_index(dim, kind):
-    m, u = index_case(dim, kind)
-    st = leaf_stencil(m.p, m.hx, m.hy if dim == "2d" else None)
-    U = np.ascontiguousarray(fancy_gather(m, u))
-    parts = [diff_apply_x(st.Dx1, U)]
-    if dim == "2d":
-        U = fill_corners(U)
-        parts = [diff_apply_x(st.Dx1, U), diff_apply_y(st.Dy1, U)]
-    got = averaged_gradient(m, u)
-    assert len(got) == len(parts)
-    for g, part in zip(got, parts):
-        np.testing.assert_array_equal(g, fancy_scatter(m, part))
-        assert g.shape == u.shape and g.flags.c_contiguous
-    # the stacked pair in one scatter equals one scatter per component
-    stacked = scatter_mean(m, np.stack(parts))
-    for row, part in zip(stacked, parts):
-        np.testing.assert_array_equal(row, scatter_mean(m, part))
+@pytest.mark.parametrize("kind", ["pair", "complex"])
+def test_advection_matches_fancy_index(kind):
+    m, u = index_case("2d", kind)
+    st = leaf_stencil(m.p, m.hx, m.hy)
+    U = fill_corners(fancy_gather(m, u))
+    ux = fancy_scatter(m, diff_apply_x(st.Dx1, U))
+    uy = fancy_scatter(m, diff_apply_y(st.Dy1, U))
+    want = -(u[0] * ux + u[1] * uy)
+    got = advection(m, u)
+    # products are formed per leaf before the shared nodes are averaged
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    assert got.dtype == want.dtype and got.flags.c_contiguous
 
 
 # -- the applier forms only the derivatives its terms need -----------------

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from hpstep.chebyshev import leaf_stencil
-from hpstep.mesh import INTERFACE, build_mesh
+from hpstep.mesh import BOUNDARY, INTERFACE, build_mesh
 from hpstep.operators import EllipticOperator, laplace_operator
 from hpstep.oracle import OracleCompleter
+from hpstep.problems import burgers_rotating, heat_cosine, make_stepper, schrodinger_harmonic
 from hpstep.stepping import Evolution, ImexStepper, InterfaceCompleter, _combine
 from hpstep.tableaus import load_tableau
 
@@ -360,3 +361,74 @@ def test_imex_explicit_forcing_enters_every_stage(formulation):
     st = ImexStepper(evo, load_tableau(4), 1.0 / 20, formulation=formulation)
     u = st.run(0.0, np.sin(mesh.x), 20)
     assert np.abs(u - np.cos(1.0) * np.sin(mesh.x)).max() < 1e-5
+
+
+# -- stage rates read off the stage solves ----------------------------------
+
+STAGE_CASES = {
+    "heat1d-bc": lambda: heat_cosine(n=3, p=12),
+    "schrodinger-harmonic": lambda: schrodinger_harmonic(n=4, p=8),
+    "burgers-rotating": lambda: burgers_rotating(n=4, p=8),
+}
+
+
+def stages_stepper(name):
+    case = STAGE_CASES[name]()
+    return case, make_stepper(case, case.t_end / 16, formulation="stages")
+
+
+def reference_stages_step(st, t, u):
+    """One stages step that applies the operator to every stage value."""
+    evo, tab, dt, mesh = st.evo, st.tab, st.dt, st.evo.mesh
+    nb = mesh.node_class != BOUNDARY
+    gids = st.fact.gamma_ids
+    yb, yg = (mesh.y[nb], mesh.y[gids]) if mesh.dim == 2 else (None, None)
+
+    def forcing(ti):
+        f = np.zeros(mesh.n_nodes)
+        if evo.forcing is not None:
+            f[nb] = evo.forcing(ti, mesh.x[nb], yb)
+        return f
+
+    def rate(ti, v):
+        return evo.lam * st.applier.interior_apply(v) + forcing(ti)
+
+    def stage_sum(weights, fields):
+        return sum(w * f for w, f in zip(weights, fields))
+
+    imex = evo.explicit is not None
+    F1 = [rate(t, u)]
+    F2 = [evo.explicit(t, u)] if imex else []
+    ui = u
+    for i in range(1, tab.stages):
+        ti = t + tab.c[i] * dt
+        load = u + dt * stage_sum(tab.A_im[i, :i], F1)
+        if imex:
+            load = load + dt * stage_sum(tab.A_ex[i, :i], F2)
+        ui = st.fact.solve(load + dt * tab.gamma * forcing(ti), evo.bc(ti, mesh.x[gids], yg))
+        F1.append(rate(ti, ui))
+        if imex:
+            F2.append(evo.explicit(ti, ui))
+    return ui + dt * stage_sum(tab.A_im[-1] - tab.A_ex[-1], F2) if imex else ui
+
+
+@pytest.mark.parametrize("name", ["heat1d-bc", "burgers-rotating"])
+def test_stages_apply_the_operator_once_per_step(name, monkeypatch):
+    case, st = stages_stepper(name)
+    calls = []
+    apply = st.applier.interior_apply
+    monkeypatch.setattr(st.applier, "interior_apply", lambda u: calls.append(u) or apply(u))
+    st.run(0.0, case.u0, 3)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name", list(STAGE_CASES))
+def test_stage_rates_match_applied_operator(name):
+    # a rate taken from the forced right-hand side, or any other slip in
+    # reading rates off the stage equation, shows against this loop
+    case, st = stages_stepper(name)
+    want = case.u0
+    for i in range(4):
+        want = reference_stages_step(st, i * st.dt, want)
+    got = st.run(0.0, case.u0, 4)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
