@@ -96,7 +96,6 @@ class LeafStencil:
     derivatives, so they inherit the same null space.
     """
 
-    xi: np.ndarray = field(repr=False)  # reference nodes on [-1, 1]
     Dx1: np.ndarray = field(repr=False)
     Dy1: np.ndarray | None = field(repr=False)
     Dx: np.ndarray = field(repr=False)
@@ -120,15 +119,7 @@ def leaf_stencil(p: int, hx: float, hy: float | None) -> LeafStencil:
         Dx = np.kron(eye, Dx1)
         Dy = np.kron(Dy1, eye)
         Dyy = Dy @ Dy
-    return LeafStencil(
-        xi=cheb_nodes(p),
-        Dx1=Dx1,
-        Dy1=Dy1,
-        Dx=Dx,
-        Dy=Dy,
-        Dxx=Dx @ Dx,
-        Dyy=Dyy,
-    )
+    return LeafStencil(Dx1=Dx1, Dy1=Dy1, Dx=Dx, Dy=Dy, Dxx=Dx @ Dx, Dyy=Dyy)
 
 
 def diff_apply_x(Dx1: np.ndarray, fields: np.ndarray, out=None) -> np.ndarray:

@@ -65,8 +65,7 @@ class RunConfig:
 
     `dt` and `dt_rule` are mutually exclusive; with neither, the
     experiment's default step is used. `dt_rule` currently knows
-    "resolution", the step that tracks h**(p/q_rk). `threads` is
-    validated and accepted for existing configs but has no effect.
+    "resolution", the step that tracks h**(p/q_rk).
     """
 
     experiment: str
@@ -77,7 +76,6 @@ class RunConfig:
     dt_rule: str | None = None
     t_end: float | None = None
     output_dir: str = "runs"
-    threads: int = 1
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -129,8 +127,6 @@ class RunConfig:
                 raise ConfigError(f"{name}: expected a positive finite number, got {value!r}")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir: expected a non-empty path string")
-        if not _is_int(self.threads) or self.threads < 1:
-            raise ConfigError("threads: expected a positive integer")
 
     def to_dict(self) -> dict:
         return asdict(self)

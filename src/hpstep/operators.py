@@ -208,21 +208,18 @@ def flux_matrix(mesh: Mesh) -> np.ndarray:
 class LeafOperatorSet:
     """Interior solve and edge flux maps of every leaf, stacked.
 
-    `inv`, `G` and `T` have a leading axis over the leaves, of length one
+    `inv` and `G` have a leading axis over the leaves, of length one
     when the coefficients are position-independent: the leaves are then
     congruent and a single copy broadcasts over all of them. With
     interior load f_I and edge values g, a leaf's interior solution is
     u_I = inv @ f_I - G @ g, the edge flux of the homogeneous part is
-    T @ g, and the flux of a field with interior values v_I and edge
-    values v_B is Fi @ v_I + Fb @ v_B; `Fi` and `Fb` are shared by all
-    leaves.
+    (Fb - Fi @ G) @ g, and the flux of a field with interior values v_I
+    and edge values v_B is Fi @ v_I + Fb @ v_B; `Fi` and `Fb` are shared
+    by all leaves.
     """
 
-    mesh: Mesh
-    op: EllipticOperator
     inv: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_int)
     G: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_edge)
-    T: np.ndarray = field(repr=False)  # (nl or 1, n_edge, n_edge)
     Fi: np.ndarray = field(repr=False)  # (n_edge, n_int)
     Fb: np.ndarray = field(repr=False)  # (n_edge, n_edge)
     condition: float  # worst 1-norm condition number of the blocks inverted
@@ -242,8 +239,7 @@ def build_leaf_operators(mesh: Mesh, op: EllipticOperator) -> LeafOperatorSet:
     coefs = _sample_leaves(op, mesh)
     inv, cond = guarded_inverse(collocate_interior(op, mesh, ii, coefs), "leaf interior block")
     G = inv @ collocate_interior(op, mesh, bb, coefs)
-    T = Fb - Fi @ G
-    return LeafOperatorSet(mesh=mesh, op=op, inv=inv, G=G, T=T, Fi=Fi, Fb=Fb, condition=cond)
+    return LeafOperatorSet(inv=inv, G=G, Fi=Fi, Fb=Fb, condition=cond)
 
 
 def gather_leaf_fields(mesh: Mesh, u: np.ndarray) -> np.ndarray:

@@ -28,7 +28,9 @@ first, into one flat buffer, at slots the build has worked out; every
 read is an `np.take` over planned slots. A level is two takes (its
 interface fluxes), a product with the inverse, one take (the children's
 other outer fluxes), a product with the stacked flux correction and one
-slice store. A penalty field's jump is read from its leaf fluxes at the
+slice store. The root has no parent, so it passes no outer fluxes up:
+its slot table and flux correction are empty, and the buffer holds no
+slots for it. A penalty field's jump is read from its leaf fluxes at the
 same interface slots among the leaves. The downward pass sets interface
 values from each block's outer values, root first, then leaf interiors.
 Factorizations are immutable; each solve allocates its own buffer, so
@@ -65,14 +67,14 @@ class _Level:
     start: int  # first buffer slot of this level's outer fluxes
     ia: np.ndarray = field(repr=False)  # buffer slots of the interface, left child
     ib: np.ndarray = field(repr=False)  # same interface, right child
-    ext: np.ndarray = field(repr=False)  # children's other outer fluxes, parent order
+    ext: np.ndarray = field(repr=False)  # children's other outer fluxes; none at the root
     pa: np.ndarray = field(repr=False)  # leaf-flux slots of the interface, left side
     pb: np.ndarray = field(repr=False)  # same interface, right side
     boundary_ids: np.ndarray = field(repr=False)  # (m, n_outer)
     interface_ids: np.ndarray = field(repr=False)  # (m, n_interface)
     inv_X: np.ndarray = field(repr=False)
     S: np.ndarray = field(repr=False)  # interface response to outer data
-    C: np.ndarray = field(repr=False)  # [T_left[1,3]; T_right[2,3]]
+    C: np.ndarray = field(repr=False)  # [T_left[1,3]; T_right[2,3]]; no rows at the root
 
 
 @dataclass
@@ -91,7 +93,7 @@ class HpsFactorization:
 
     @property
     def dtype(self):
-        return self.leaf_ops.T.dtype
+        return self.leaf_ops.inv.dtype
 
     def solve(
         self,
@@ -236,7 +238,8 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
     ids = {_LEAF: flat[:, mesh.edge_local]}
     lslots = {_LEAF: leaf_flux}
     first = {_LEAF: 0}
-    T = {_LEAF: leaf_ops.T}  # edge-to-flux maps, dropped after the last parent
+    # edge-to-flux maps, dropped after the last parent
+    T = {_LEAF: leaf_ops.Fb - leaf_ops.Fi @ leaf_ops.G}
     condition = {_LEAF: leaf_ops.condition}
     start = leaf_flux.size
     kids = _blocks(mesh)
@@ -263,7 +266,6 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
         # buffer slot of each child block's first outer flux
         sl = first[left] + left_pos[:, None] * ids_l.shape[1]
         sr = first[right] + right_pos[:, None] * ids_r.shape[1]
-        ext = np.concatenate([sl + idx1, sr + idx2], axis=1)
         first[shape] = start
 
         # a single shared copy stays a single copy
@@ -274,9 +276,12 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
         inv_X, condition[shape] = guarded_inverse(X, what)
         B = np.concatenate([-_cut(Tl, ia, idx1), _cut(Tr, ib, idx2)], axis=2)
         S = inv_X @ B
-        C = np.concatenate([_cut(Tl, idx1, ia), _cut(Tr, idx2, ib)], axis=1)
 
-        if shape != order[-1]:  # nothing reads the root's map
+        # the root has no parent: it passes no outer fluxes up
+        ext, C = np.empty((len(left_pos), 0), dtype=int), inv_X[:, :0]
+        if shape != order[-1]:
+            ext = np.concatenate([sl + idx1, sr + idx2], axis=1)
+            C = np.concatenate([_cut(Tl, idx1, ia), _cut(Tr, idx2, ib)], axis=1)
             n1 = idx1.size
             Tp = C @ S
             Tp[:, :n1, :n1] += _cut(Tl, idx1, idx1)

@@ -24,6 +24,9 @@ from hpstep.analysis import max_error
 from hpstep.problems import PROBLEMS, make_stepper
 
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
 def heat_config(tmp_path, **extra):
     cfg = {
         "experiment": "heat1d-bc",
@@ -33,7 +36,6 @@ def heat_config(tmp_path, **extra):
         "dt": 0.4,
         "t_end": 2.0,
         "output_dir": str(tmp_path / "out"),
-        "threads": 1,
     }
     cfg.update(extra)
     path = tmp_path / "config.json"
@@ -70,11 +72,18 @@ def test_config_round_trip_lossless(tmp_path):
         ({"t_end": float("nan")}, "t_end"),
         ({"t_end": float("-inf")}, "t_end"),
         ({"output_dir": 3}, "output_dir"),
+        ({"threads": 1}, "threads"),
     ],
 )
 def test_config_errors_name_the_field(tmp_path, patch, field):
     with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
         load_config(str(heat_config(tmp_path, **patch)))
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_load(path):
+    cfg = load_config(str(path))
+    assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_mesh_shape_checked_against_experiment(tmp_path):
@@ -198,7 +207,7 @@ def test_run_outputs(tmp_path):
 
 
 def test_run_manifest_reports_condition(tmp_path):
-    config = Path(__file__).resolve().parent.parent / "configs" / "burgers-rotating-desk.json"
+    config = CONFIG_DIR / "burgers-rotating-desk.json"
     cfg = load_config(str(config), ["t_end=0.05", "output_dir=" + str(tmp_path / "out")])
     manifest = json.loads((cmd_run(cfg) / "manifest.json").read_text())
     assert np.isfinite(manifest["condition"]) and manifest["condition"] >= 1
