@@ -243,6 +243,15 @@ def test_identity_operator_tree_is_solvable():
     assert np.abs(got - u).max() < 1e-8
 
 
+def test_root_passes_no_fluxes_up():
+    # nothing reads the root's outer fluxes: it has no slots and no flux correction
+    mesh = build_mesh(((0.0, 2.0), (0.0, 1.0)), 5, 3, p=6)
+    fact = build_factorization(mesh, shifted_laplace())
+    root = fact.levels[-1]
+    assert root.ext.size == 0 and root.C.shape[1] == 0
+    assert fact.n_flux == root.start
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_solve_takes_match_fancy_index(k):
     # the solve reads every slot table, C- or F-ordered, by `_take`; one
