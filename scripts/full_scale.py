@@ -39,7 +39,7 @@ def asymmetric_table() -> None:
 
 def richardson_table() -> None:
     """Extrapolation table for the oscillator on the full box."""
-    out = richardson_study(order=3, levels=5, base_steps=40, n=16, p=12, half=8.0)
+    out = richardson_study(levels=5, base_steps=40, n=16, p=12, half=8.0)
     print("steps   raw error    best extrapolated")
     for i, count in enumerate(out["step_counts"]):
         print(f"{count:6d}  {out['raw'][i]:.3e}  {out['errors'][i][i]:.3e}")

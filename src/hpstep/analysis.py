@@ -68,9 +68,9 @@ def max_error(
     if (exact is None) == (reference is None):
         raise ValueError("give exactly one of exact or reference")
     if exact is not None:
-        want = np.asarray(exact(t, mesh.x, mesh.y if mesh.dim == 2 else None))
+        want = np.asarray(exact(t, mesh.x, mesh.y))
     else:
-        want = MeshInterpolant(*reference)(mesh.x, mesh.y if mesh.dim == 2 else None)
+        want = MeshInterpolant(*reference)(mesh.x, mesh.y)
     return float(np.max(np.abs(u - want)))
 
 
@@ -85,19 +85,12 @@ class RateFit:
     floored: bool
 
 
-def fit_rate(
-    n: np.ndarray,
-    errors: np.ndarray,
-    *,
-    floor_factor: float = 50.0,
-    roundoff_scale: float = 1e-10,
-) -> RateFit:
+def fit_rate(n: np.ndarray, errors: np.ndarray) -> RateFit:
     """Fit errors ~ C * n**(-rate) for a growing resolution parameter n.
 
-    When the smallest error sits below `roundoff_scale` the series has
-    hit rounding noise, and every point within `floor_factor` of that
-    floor is excluded from the fit so the plateau cannot drag the slope
-    down. Larger errors are taken at face value, however slowly they
+    When the smallest error sits below 1e-10 the series has hit rounding
+    noise, and every point within a factor 50 of that floor is excluded
+    from the fit so the plateau cannot drag the slope down. Larger errors are taken at face value, however slowly they
     decay; a coarse three-point sweep carries no floor to detect.
     """
     n = np.asarray(n, dtype=float)
@@ -107,8 +100,8 @@ def fit_rate(
     if np.any(e <= 0):
         raise ValueError("errors must be positive")
     keep = np.ones(e.size, dtype=bool)
-    if e.min() < roundoff_scale:
-        keep = e > floor_factor * e.min()
+    if e.min() < 1e-10:
+        keep = e > 50.0 * e.min()
         if keep.sum() < 2:
             raise ValueError("too few points above the rounding floor")
     slope = np.polyfit(np.log(n[keep]), np.log(e[keep]), 1)[0]
@@ -120,15 +113,15 @@ def fit_rate(
     )
 
 
-def richardson(values, order: int, ratio: float = 2.0) -> list[list]:
+def richardson(values, order: int) -> list[list]:
     """Step-doubling extrapolation table.
 
     `values[i]` is the approximation computed with the i-th step size,
-    each a `ratio` refinement of the previous one, and `order` is the
-    leading error order of the underlying method. Row i of the returned
-    table holds the entries R[i][0..i], where each extra column cancels
-    one more term of the error expansion (divisor ratio**(order+k-1) - 1
-    for column k). Values may be scalars or arrays.
+    each half the previous one, and `order` is the leading error order
+    of the underlying method. Row i of the returned table holds the
+    entries R[i][0..i], where each extra column cancels one more term of
+    the error expansion (divisor 2**(order+k-1) - 1 for column k).
+    Values may be scalars or arrays.
     """
     if order < 1:
         raise ValueError("order must be positive")
@@ -138,7 +131,7 @@ def richardson(values, order: int, ratio: float = 2.0) -> list[list]:
         for k in range(1, i + 1):
             prev = table[i - 1][k - 1]
             cur = row[k - 1]
-            row.append(cur + (cur - prev) / (ratio ** (order + k - 1) - 1.0))
+            row.append(cur + (cur - prev) / (2.0 ** (order + k - 1) - 1.0))
         table.append(row)
     return table
 

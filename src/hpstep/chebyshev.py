@@ -122,14 +122,14 @@ def leaf_stencil(p: int, hx: float, hy: float | None) -> LeafStencil:
     return LeafStencil(Dx1=Dx1, Dy1=Dy1, Dx=Dx, Dy=Dy, Dxx=Dx @ Dx, Dyy=Dyy)
 
 
-def diff_apply_x(Dx1: np.ndarray, fields: np.ndarray, out=None) -> np.ndarray:
-    """Differentiate batched (..., p, p) nodal arrays along x (last axis), into `out`."""
-    return np.matmul(fields, Dx1.T, out=out)
+def diff_apply_x(Dx1: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """Differentiate batched (..., p, p) nodal arrays along x (last axis)."""
+    return np.matmul(fields, Dx1.T)
 
 
-def diff_apply_y(Dy1: np.ndarray, fields: np.ndarray, out=None) -> np.ndarray:
-    """Differentiate batched (..., p, p) nodal arrays along y (second-to-last), into `out`."""
-    return np.matmul(Dy1, fields, out=out)
+def diff_apply_y(Dy1: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """Differentiate batched (..., p, p) nodal arrays along y (second-to-last)."""
+    return np.matmul(Dy1, fields)
 
 
 @cache

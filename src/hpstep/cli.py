@@ -144,13 +144,13 @@ class RunConfig:
         return case
 
     def resolve_order(self, case: TransientCase) -> int:
-        return self.q_rk if self.q_rk is not None else case.defaults.get("order", 3)
+        return self.q_rk if self.q_rk is not None else case.order
 
     def resolve_steps(self, case: TransientCase) -> int:
         """Whole number of steps covering [0, t_end]."""
         if self.dt_rule == "resolution":
             return resolution_step_count(case, self.resolve_order(case))
-        dt = self.dt if self.dt is not None else case.defaults.get("dt")
+        dt = self.dt if self.dt is not None else case.dt
         if dt is None:
             raise ConfigError(
                 f"dt: experiment {self.experiment!r} has no default step; "

@@ -69,9 +69,9 @@ def identity_operator() -> EllipticOperator:
     return EllipticOperator(sigma=1.0, scale=0.0)
 
 
-def laplace_operator(diffusivity: Coef = 1.0) -> EllipticOperator:
-    """Principal part -diffusivity * (u_xx + u_yy)."""
-    return EllipticOperator(c11=diffusivity, c22=diffusivity)
+def laplace_operator() -> EllipticOperator:
+    """Principal part -(u_xx + u_yy)."""
+    return EllipticOperator(c11=1.0, c22=1.0)
 
 
 def _sample(coef: Coef, x: np.ndarray, y: np.ndarray | None):

@@ -38,12 +38,7 @@ MAX_DENSE_NODES = 6000
 @dataclass
 class GlobalSystem:
     mesh: Mesh
-    op: EllipticOperator
     matrix: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.mesh.n_nodes
 
 
 def _outward_sign(mesh: Mesh, local_edge_pos: int) -> float:
@@ -80,7 +75,7 @@ def assemble_global(mesh: Mesh, op: EllipticOperator) -> GlobalSystem:
                 A[r, cols] -= F[q, active]
             else:
                 A[r, cols] += F[q, active]
-    return GlobalSystem(mesh=mesh, op=op, matrix=A)
+    return GlobalSystem(mesh=mesh, matrix=A)
 
 
 def oracle_solve(
@@ -120,7 +115,6 @@ class OracleCompleter:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.boundary_ids = np.nonzero(mesh.node_class == BOUNDARY)[0]
         self._system = assemble_global(mesh, identity_operator())
 
     def complete(self, field: np.ndarray, boundary: np.ndarray) -> np.ndarray:

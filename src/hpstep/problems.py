@@ -1,7 +1,8 @@
 """Catalog of transient benchmark problems.
 
 Every factory returns a `TransientCase` bundling the semidiscrete
-problem, the initial field, the time horizon and per-problem defaults.
+problem, the initial field, the time horizon and the problem's own
+tableau order, formulation and, where it has one, step.
 Exact solutions, where available, are pointwise callables (t, x, y) so
 they can be sampled on any mesh; problems without one are compared
 against finer self-computed references instead.
@@ -9,7 +10,7 @@ against finer self-computed references instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,8 +27,10 @@ class TransientCase:
     evolution: Evolution
     u0: np.ndarray
     t_end: float
+    order: int
+    formulation: str
     exact: Optional[Callable] = None
-    defaults: dict = field(default_factory=dict)
+    dt: float | None = None
 
     @property
     def mesh(self) -> Mesh:
@@ -40,19 +43,16 @@ def make_stepper(
     *,
     order: int | None = None,
     formulation: str | None = None,
-    corrected: bool | None = None,
+    corrected: bool = True,
     interface_method="tridiagonal",
 ) -> ImexStepper:
-    """Stepper for a case, falling back to its defaults where unset."""
-    d = case.defaults
+    """Stepper for a case, with the case's order and formulation where unset."""
     return ImexStepper(
         case.evolution,
-        load_tableau(order if order is not None else d.get("order", 3)),
+        load_tableau(order if order is not None else case.order),
         dt,
-        formulation=formulation
-        if formulation is not None
-        else d.get("formulation", "slopes"),
-        corrected=corrected if corrected is not None else d.get("corrected", True),
+        formulation=formulation if formulation is not None else case.formulation,
+        corrected=corrected,
         interface_method=interface_method,
     )
 
@@ -97,8 +97,10 @@ def heat_cosine(n: int = 3, p: int = 20) -> TransientCase:
         evolution=evo,
         u0=np.ones(mesh.n_nodes),
         t_end=2.0,
+        order=3,
+        formulation="slopes",
         exact=exact,
-        defaults={"order": 3, "formulation": "slopes", "dt": 0.1},
+        dt=0.1,
     )
 
 
@@ -120,7 +122,9 @@ def heat_kink(p: int = 9, n: int = 2) -> TransientCase:
         evolution=evo,
         u0=1.0 - np.abs(mesh.x - 1.0),
         t_end=10.0,
-        defaults={"order": 3, "formulation": "slopes", "dt": 0.1, "corrected": True},
+        order=3,
+        formulation="slopes",
+        dt=0.1,
     )
 
 
@@ -150,8 +154,9 @@ def schrodinger_harmonic(n: int = 16, p: int = 8, half: float = 8.0) -> Transien
         evolution=evo,
         u0=exact(0.0, mesh.x, mesh.y),
         t_end=2.0 * np.pi,
+        order=3,
+        formulation="stages",
         exact=exact,
-        defaults={"order": 3, "formulation": "stages"},
     )
 
 
@@ -177,7 +182,8 @@ def schrodinger_asymmetric(n: int = 8, p: int = 8) -> TransientCase:
         evolution=evo,
         u0=u0.astype(complex),
         t_end=1.0,
-        defaults={"order": 3, "formulation": "stages"},
+        order=3,
+        formulation="stages",
     )
 
 
@@ -188,7 +194,7 @@ def _advection(mesh: Mesh):
     return lambda t, u: advection(mesh, u)
 
 
-def burgers_rotating(n: int = 8, p: int = 12, viscosity: float = 0.005) -> TransientCase:
+def burgers_rotating(n: int = 8, p: int = 12) -> TransientCase:
     """Two-component viscous advection on (-2.4, 2.4)^2 started from a
     rigid swirl damped by a Gaussian.
 
@@ -200,7 +206,7 @@ def burgers_rotating(n: int = 8, p: int = 12, viscosity: float = 0.005) -> Trans
     mesh = build_mesh(((-2.4, 2.4), (-2.4, 2.4)), n, n, p=p)
     evo = Evolution(
         mesh=mesh,
-        operator=EllipticOperator(c11=viscosity, c22=viscosity),
+        operator=EllipticOperator(c11=0.005, c22=0.005),
         lam=-1.0,
         bc=_zero2,
         bc_rate=_zero2,
@@ -213,11 +219,13 @@ def burgers_rotating(n: int = 8, p: int = 12, viscosity: float = 0.005) -> Trans
         evolution=evo,
         u0=u0,
         t_end=1.0,
-        defaults={"order": 5, "formulation": "stages", "dt": 1.0 / 80},
+        order=5,
+        formulation="stages",
+        dt=1.0 / 80,
     )
 
 
-def burgers_crossing(n: int = 8, p: int = 12, viscosity: float = 0.025) -> TransientCase:
+def burgers_crossing(n: int = 8, p: int = 12) -> TransientCase:
     """Two phase-separated shear streams crossing at right angles on
     (-2, 2)^2; boundary values stay frozen at their initial ones."""
     mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), n, n, p=p)
@@ -233,7 +241,7 @@ def burgers_crossing(n: int = 8, p: int = 12, viscosity: float = 0.025) -> Trans
 
     evo = Evolution(
         mesh=mesh,
-        operator=EllipticOperator(c11=viscosity, c22=viscosity),
+        operator=EllipticOperator(c11=0.025, c22=0.025),
         lam=-1.0,
         bc=bc,
         bc_rate=_zero2,
@@ -245,7 +253,9 @@ def burgers_crossing(n: int = 8, p: int = 12, viscosity: float = 0.025) -> Trans
         evolution=evo,
         u0=u0,
         t_end=1.0,
-        defaults={"order": 5, "formulation": "stages", "dt": 1.0 / 80},
+        order=5,
+        formulation="stages",
+        dt=1.0 / 80,
     )
 
 

@@ -87,7 +87,7 @@ class HpsFactorization:
     levels: list[_Level] = field(repr=False)  # by block area, children first
     leaf_interior_ids: np.ndarray = field(repr=False)  # (nl, n_int)
     leaf_boundary_ids: np.ndarray = field(repr=False)  # (nl, n_edge)
-    gamma_ids: np.ndarray = field(repr=False)
+    gamma_ids: np.ndarray = field(repr=False)  # ascending, the mesh's boundary order
     n_flux: int  # length of the flux buffer
     condition: dict  # worst 1-norm condition number per block shape
 
@@ -107,8 +107,9 @@ class HpsFactorization:
 
         Args:
             load: interior data, shape (N,) or (k, N); zero when omitted.
-            dirichlet: boundary values ordered like `gamma_ids`, shape
-                (n_gamma,) or (k, n_gamma); zero when omitted.
+            dirichlet: boundary values by ascending node id, as in
+                `gamma_ids`, shape (n_gamma,) or (k, n_gamma); zero when
+                omitted.
             penalty_field: current solution field whose derivative jumps
                 are penalized in the interface conditions; requires dt.
 
@@ -309,8 +310,8 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
                 for table in (T, lslots):
                     table.pop(child, None)
 
-    gamma_ids = ids[order[-1] if order else _LEAF][0]
-    if not np.array_equal(np.sort(gamma_ids), mesh.ids_of(BOUNDARY)):
+    gamma_ids = mesh.ids_of(BOUNDARY)
+    if not np.array_equal(np.sort(ids[order[-1] if order else _LEAF][0]), gamma_ids):
         raise AssertionError("tree boundary does not match mesh boundary nodes")
     return HpsFactorization(
         mesh=mesh,

@@ -86,8 +86,8 @@ class InterfaceCompleter:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.boundary_ids = np.nonzero(mesh.node_class == BOUNDARY)[0]
-        self._iface_ids = np.nonzero(mesh.node_class == INTERFACE)[0]
+        self._boundary_ids = mesh.ids_of(BOUNDARY)
+        self._iface_ids = mesh.ids_of(INTERFACE)
         p = mesh.p
         st = mesh_stencil(mesh)
         self._dx = st.Dx1
@@ -125,7 +125,7 @@ class InterfaceCompleter:
         dtype = np.result_type(np.asarray(field).dtype, np.asarray(boundary).dtype)
         out = np.array(field, dtype=dtype, copy=True)
         out[..., self._iface_ids] = 0.0
-        out[..., self.boundary_ids] = boundary
+        out[..., self._boundary_ids] = boundary
         p = mesh.p
         U = gather_leaf_fields(mesh, out)
         if mesh.dim == 1:
@@ -178,9 +178,9 @@ class ImexStepper:
         interface_method: how the first-stage rate of the slope
             formulation gets its interface values: "tridiagonal" for the
             continuity completion, "averaged" for one-sided means (kept
-            as an instability demonstration), or a ready-made completer
-            (an InterfaceCompleter to share across steppers, or any
-            object with `mesh`, `boundary_ids` and `complete`).
+            as an instability demonstration), or a ready-made completer:
+            any object with `mesh` and `complete(field, boundary)`, the
+            boundary values by ascending node id.
     """
 
     def __init__(
@@ -245,8 +245,7 @@ class ImexStepper:
     # -- slope formulation -----------------------------------------------
 
     def _first_slope(self, t: float, u: np.ndarray, f2):
-        evo = self.evo
-        ids = self._gids if self.completer is None else self.completer.boundary_ids
+        evo, ids = self.evo, self._gids
         g = self._sample(evo.bc_rate, t, ids)
         if f2 is not None:
             g = g - f2[..., ids]

@@ -31,7 +31,7 @@ from .problems import (
 )
 from .oracle import OracleCompleter
 from .solver import build_factorization
-from .stepping import Evolution, InterfaceCompleter
+from .stepping import Evolution
 
 
 @dataclass
@@ -144,13 +144,13 @@ def order_study(
     local accuracy.
     """
     case = heat_cosine(n=n, p=p)
-    kw = {"formulation": formulation, "interface_method": InterfaceCompleter(case.mesh)}
     kind = "step" if single_step else "global"
 
     def run(count, q):
         if single_step:  # one step of size t_end / count
-            return advance(replace(case, t_end=case.t_end / count), 1, order=q, **kw)
-        return advance(case, count, order=q, **kw)
+            short = replace(case, t_end=case.t_end / count)
+            return advance(short, 1, order=q, formulation=formulation)
+        return advance(case, count, order=q, formulation=formulation)
 
     return [
         resolution_series(
@@ -163,7 +163,6 @@ def order_study(
 
 
 def richardson_study(
-    order: int = 3,
     levels: int = 5,
     base_steps: int = 10,
     *,
@@ -179,9 +178,9 @@ def richardson_study(
     """
     case = schrodinger_harmonic(n=n, p=p, half=half)
     counts = [base_steps * 2**i for i in range(levels)]
-    errs = extrapolation_table(case, counts, order, "slopes")
+    errs = extrapolation_table(case, counts, case.order, "slopes")
     return {
-        "order": order,
+        "order": case.order,
         "step_counts": counts,
         "errors": errs,
         "raw": [row[0] for row in errs],
@@ -195,7 +194,6 @@ def richardson_study(
 def harmonic_resolution_sweep(
     p: int,
     panel_counts=(16, 24, 32),
-    order: int = 3,
     formulations=("stages", "slopes"),
 ) -> dict:
     """Error at one revolution of the oscillator phase versus panel count.
@@ -207,20 +205,18 @@ def harmonic_resolution_sweep(
 
     def run(n_panels, form):
         case = schrodinger_harmonic(n=n_panels, p=p)
-        count = resolution_step_count(case, order)
-        return advance(case, count, order=order, formulation=form)
+        return advance(case, resolution_step_count(case, case.order), formulation=form)
 
     per_form = {
         form: resolution_series(
             f"p{p}-{form}", "panels", panel_counts,
             lambda n_panels, form=form: run(n_panels, form),
-            extra={"p": p, "order": order, "formulation": form},
+            extra={"p": p, "formulation": form},
         )
         for form in formulations
     }
     best_errors = [min(errs) for errs in zip(*(s.errors for s in per_form.values()))]
-    best = fit_series(f"p{p}-best", "panels", panel_counts, best_errors,
-                      extra={"p": p, "order": order})
+    best = fit_series(f"p{p}-best", "panels", panel_counts, best_errors, extra={"p": p})
     return {"per_form": per_form, "best": best}
 
 
@@ -262,14 +258,12 @@ def asymmetric_self_convergence(
 # -- kink and interface-treatment studies --------------------------------
 
 
-def kink_study(
-    p: int = 9, dt: float = 0.1, t_end: float = 10.0, order: int = 3
-) -> dict:
+def kink_study(dt: float = 0.1, t_end: float = 10.0) -> dict:
     """Corrected versus uncorrected treatment of a derivative kink."""
     out = {}
     for corrected in (True, False):
-        case = heat_kink(p=p)
-        st = make_stepper(case, dt, order=order, corrected=corrected)
+        case = heat_kink()
+        st = make_stepper(case, dt, corrected=corrected)
         u = st.run(0.0, case.u0, round(t_end / dt))
         out["corrected" if corrected else "uncorrected"] = {
             "final_max": float(np.abs(u).max()),
@@ -284,7 +278,7 @@ def decaying_sine_case(n: int = 8, p: int = 16) -> TransientCase:
     mesh = build_mesh((0.0, math.pi), n, p=p)
     evo = Evolution(
         mesh=mesh,
-        operator=laplace_operator(1.0),
+        operator=laplace_operator(),
         lam=-1.0,
         bc=lambda t, x, y: np.zeros_like(x),
         bc_rate=lambda t, x, y: np.zeros_like(x),
@@ -294,27 +288,22 @@ def decaying_sine_case(n: int = 8, p: int = 16) -> TransientCase:
         evolution=evo,
         u0=np.sin(mesh.x),
         t_end=1.0,
+        order=3,
+        formulation="slopes",
         exact=lambda t, x, y: np.exp(-t) * np.sin(x),
     )
 
 
-def averaged_instability(
-    n: int = 8,
-    p: int = 16,
-    dt: float = 0.1,
-    max_steps: int = 500,
-    order: int = 3,
-    blowup: float = 1e6,
-) -> dict:
+def averaged_instability(n: int = 8, p: int = 16, max_steps: int = 500) -> dict:
     """Noise injection of the averaged first-stage interface treatment.
 
     On decaying sine data the continuity-enforced first stage lets the
     field relax to roundoff, while one-sided averaging keeps feeding a
     marginal interface mode whose noise floor sits orders of magnitude
-    higher; the end-norm ratio records the separation. Runs stop early
-    if a norm passes `blowup`. The tridiagonal continuity route is
-    checked on the way against the dense oracle's completion of the same
-    system, whose run is reported under "solve".
+    higher; the end-norm ratio records the separation. Runs take steps
+    of 0.1 and stop early if a norm passes 1e6. The tridiagonal
+    continuity route is checked on the way against the dense oracle's
+    completion of the same system, whose run is reported under "solve".
     """
     results = {}
     case = decaying_sine_case(n=n, p=p)
@@ -324,16 +313,13 @@ def averaged_instability(
         "averaged": "averaged",
     }
     for method, route in routes.items():
-        st = make_stepper(
-            case, dt, order=order, formulation="slopes",
-            interface_method=route, corrected=False,
-        )
+        st = make_stepper(case, 0.1, interface_method=route, corrected=False)
         norms = [float(np.abs(case.u0).max())]
 
         def watch(i, t, u):
             m = float(np.abs(u).max())
             norms.append(m)
-            return m > blowup
+            return m > 1e6
 
         st.run(0.0, case.u0, max_steps, callback=watch)
         results[method] = {"norms": norms, "steps": len(norms) - 1}
@@ -352,10 +338,11 @@ def averaged_instability(
 # -- viscous advection ---------------------------------------------------
 
 
-def burgers_stability(n: int = 8, p: int = 12, n_steps: int = 80) -> dict:
-    """Sup-norm history of the rotating-swirl run over one time unit."""
-    case = burgers_rotating(n=n, p=p)
-    st = make_stepper(case, case.t_end / n_steps)
+def burgers_stability() -> dict:
+    """Sup-norm history of the rotating-swirl run over one time unit, at
+    the case's own step."""
+    case = burgers_rotating()
+    st = make_stepper(case, case.dt)
     peak = float(np.abs(case.u0).max())
     history = [peak]
 
@@ -363,7 +350,7 @@ def burgers_stability(n: int = 8, p: int = 12, n_steps: int = 80) -> dict:
         history.append(float(np.abs(u).max()))
         return False
 
-    u = st.run(0.0, case.u0, n_steps, callback=watch)
+    u = st.run(0.0, case.u0, round(case.t_end / case.dt), callback=watch)
     return {
         "initial_max": peak,
         "overall_max": float(max(history)),
@@ -374,23 +361,18 @@ def burgers_stability(n: int = 8, p: int = 12, n_steps: int = 80) -> dict:
     }
 
 
-def burgers_self_convergence(
-    n: int = 8,
-    p: int = 12,
-    step_counts=(80, 160),
-    ref_steps: int = 320,
-) -> Series:
+def burgers_self_convergence() -> Series:
     """Step-size convergence of the rotating-swirl run on a fixed mesh.
 
     The advection split is explicit, so the 8x8 mesh caps the step at
-    about 1/40; the halving ladder therefore starts at the canonical 80
-    steps and refines from there.
+    about 1/40; the halving ladder therefore runs 80 and 160 steps and
+    measures both against 320.
     """
-    case = burgers_rotating(n=n, p=p)
+    case = burgers_rotating()
     return resolution_series(
-        "swirl-steps", "steps", step_counts, lambda count: advance(case, count),
-        "halving", reference_run=advance(case, ref_steps),
-        extra={"n": n, "p": p, "ref_steps": ref_steps},
+        "swirl-steps", "steps", (80, 160), lambda count: advance(case, count),
+        "halving", reference_run=advance(case, 320),
+        extra={"n": case.mesh.n1, "p": case.mesh.p, "ref_steps": 320},
     )
 
 

@@ -59,7 +59,7 @@ def test_criterion_02_order_reduction_study():
 
 
 def test_criterion_03_kink_steady_state():
-    out = kink_study(p=9, dt=0.1, t_end=10.0, order=3)
+    out = kink_study(dt=0.1, t_end=10.0)
     corrected = out["corrected"]["final_max"]
     drift = out["uncorrected"]["drift_from_start"]
     assert corrected <= 1e-6
@@ -80,7 +80,7 @@ def test_criterion_04_harmonic_convergence_rates():
 
 
 def test_criterion_05_richardson_extrapolation():
-    out = richardson_study(order=3, levels=5, base_steps=10, n=10, p=12, half=6.0)
+    out = richardson_study(levels=5, base_steps=10, n=10, p=12, half=6.0)
     errs = out["errors"]
     raw = out["raw"]
     diag = out["diagonal"]
@@ -117,7 +117,7 @@ def test_criterion_07_tableau_suite():
 
 
 def test_criterion_08_averaged_interface_instability():
-    out = averaged_instability(n=8, p=16, dt=0.1, max_steps=500, order=3)
+    out = averaged_instability(n=8, p=16, max_steps=500)
     continuity_peak = max(out["solve"]["norms"])
     assert continuity_peak <= 2.0
     assert out["growth_ratio"] > 10.0
@@ -128,7 +128,7 @@ def test_criterion_08_averaged_interface_instability():
 
 
 def test_criterion_09_burgers_desk_scale():
-    stab = burgers_stability(n=8, p=12, n_steps=80)
+    stab = burgers_stability()
     assert len(stab["history"]) == 81
     assert np.isfinite(stab["history"]).all()
     assert stab["overall_max"] <= 1.05 * stab["initial_max"]

@@ -36,15 +36,11 @@ MESHES_2D = [(1, 1), (2, 1), (2, 2), (3, 2), (6, 6), (5, 3)]
 def test_matches_oracle_shifted_laplace(n1, n2, p):
     mesh = build_mesh(((0.0, float(n1)), (0.0, float(n2))), n1, n2, p=p)
     rng = np.random.default_rng(10 * n1 + n2 + p)
-    f, g_sorted = random_data(mesh, rng)
+    f, g = random_data(mesh, rng)
     op = shifted_laplace()
     fact = build_factorization(mesh, op)
-    # oracle orders boundary data by ascending id; translate for the tree
-    order = np.argsort(fact.gamma_ids)
-    g_tree = np.empty_like(g_sorted)
-    g_tree[order] = g_sorted
-    got = fact.solve(f, g_tree)
-    want = oracle_solve(assemble_global(mesh, op), f, dirichlet=g_sorted)
+    got = fact.solve(f, g)
+    want = oracle_solve(assemble_global(mesh, op), f, dirichlet=g)
     scale = max(1.0, np.abs(want).max())
     assert np.abs(got - want).max() / scale < 1e-9
 
@@ -53,15 +49,12 @@ def test_matches_oracle_shifted_laplace(n1, n2, p):
 def test_matches_oracle_complex_shift(n1, n2):
     mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), n1, n2, p=7)
     rng = np.random.default_rng(5)
-    f, g_sorted = random_data(mesh, rng, complex)
+    f, g = random_data(mesh, rng, complex)
     op = laplace_operator().shifted(sigma=1.0, scale=0.03 + 0.07j)
     fact = build_factorization(mesh, op)
     assert fact.dtype == complex
-    order = np.argsort(fact.gamma_ids)
-    g_tree = np.empty_like(g_sorted)
-    g_tree[order] = g_sorted
-    got = fact.solve(f, g_tree)
-    want = oracle_solve(assemble_global(mesh, op), f, dirichlet=g_sorted)
+    got = fact.solve(f, g)
+    want = oracle_solve(assemble_global(mesh, op), f, dirichlet=g)
     assert np.abs(got - want).max() / np.abs(want).max() < 1e-9
 
 
@@ -69,14 +62,11 @@ def test_matches_oracle_complex_shift(n1, n2):
 def test_matches_oracle_variable_reaction(n1, n2):
     mesh = build_mesh(((-1.0, 1.0), (0.0, 1.0)), n1, n2, p=7)
     rng = np.random.default_rng(11)
-    f, g_sorted = random_data(mesh, rng)
+    f, g = random_data(mesh, rng)
     op = EllipticOperator(c11=1.0, c22=1.0, c0=lambda x, y: 1 + x * x + y * y)
     fact = build_factorization(mesh, op)
-    order = np.argsort(fact.gamma_ids)
-    g_tree = np.empty_like(g_sorted)
-    g_tree[order] = g_sorted
-    got = fact.solve(f, g_tree)
-    want = oracle_solve(assemble_global(mesh, op), f, dirichlet=g_sorted)
+    got = fact.solve(f, g)
+    want = oracle_solve(assemble_global(mesh, op), f, dirichlet=g)
     assert np.abs(got - want).max() / np.abs(want).max() < 1e-9
 
 
@@ -84,14 +74,11 @@ def test_matches_oracle_variable_reaction(n1, n2):
 def test_matches_oracle_1d(n1):
     mesh = build_mesh((0.0, 2.0), n1, p=9)
     rng = np.random.default_rng(n1)
-    f, g_sorted = random_data(mesh, rng)
+    f, g = random_data(mesh, rng)
     op = shifted_laplace()
     fact = build_factorization(mesh, op)
-    order = np.argsort(fact.gamma_ids)
-    g_tree = np.empty_like(g_sorted)
-    g_tree[order] = g_sorted
-    got = fact.solve(f, g_tree)
-    want = oracle_solve(assemble_global(mesh, op), f, dirichlet=g_sorted)
+    got = fact.solve(f, g)
+    want = oracle_solve(assemble_global(mesh, op), f, dirichlet=g)
     assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
 
 
@@ -100,13 +87,10 @@ def test_factorization_reuse_many_solves():
     fact = build_factorization(mesh, shifted_laplace())
     sysm = assemble_global(mesh, shifted_laplace())
     rng = np.random.default_rng(0)
-    order = np.argsort(fact.gamma_ids)
     for _ in range(3):
-        f, g_sorted = random_data(mesh, rng)
-        g_tree = np.empty_like(g_sorted)
-        g_tree[order] = g_sorted
-        got = fact.solve(f, g_tree)
-        want = oracle_solve(sysm, f, dirichlet=g_sorted)
+        f, g = random_data(mesh, rng)
+        got = fact.solve(f, g)
+        want = oracle_solve(sysm, f, dirichlet=g)
         assert np.abs(got - want).max() < 1e-9 * max(1, np.abs(want).max())
 
 
@@ -229,6 +213,45 @@ def test_penalty_requires_dt():
     fact = build_factorization(mesh, shifted_laplace())
     with pytest.raises(ValueError, match="dt"):
         fact.solve(np.zeros(mesh.n_nodes), np.zeros(2), penalty_field=np.zeros(mesh.n_nodes))
+
+
+PENALTY_MESHES = {
+    "1d": lambda: build_mesh((0.0, 2.0), 3, p=9),
+    "2d": lambda: build_mesh(((0.0, 3.0), (0.0, 2.0)), 3, 2, p=7),
+}
+PENALTY_OPERATORS = {  # 1D meshes sample the coefficients at x alone
+    "constant": laplace_operator(),
+    "variable": EllipticOperator(
+        c11=lambda x, y=0.0: 1.0 + 0.3 * np.sin(x) + 0.2 * y,
+        c22=lambda x, y=0.0: 1.5 - 0.1 * y,
+        c1=lambda x, y=0.0: 0.4 + 0.3 * y,
+        c0=lambda x, y=0.0: 1.0 + x * x,
+    ),
+}
+
+
+@pytest.mark.parametrize("mesh_name", PENALTY_MESHES)
+@pytest.mark.parametrize("op_name", PENALTY_OPERATORS)
+def test_penalty_route_is_linear(mesh_name, op_name):
+    # the penalty only adds its flux jumps to the interface conditions, so
+    # a penalized solve is the plain solve plus the penalty's own response
+    mesh = PENALTY_MESHES[mesh_name]()
+    dt = 0.05
+    fact = build_factorization(mesh, PENALTY_OPERATORS[op_name].shifted(1.0, dt))
+    rng = np.random.default_rng(3)
+    f, g = random_data(mesh, rng)
+    pen = rng.standard_normal(mesh.n_nodes)
+    got = fact.solve(f, g, penalty_field=pen, dt=dt)
+    want = fact.solve(f, g) + fact.solve(None, None, penalty_field=pen, dt=dt)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mesh_name", MULTI_RHS_MESHES)
+def test_boundary_data_in_mesh_order(mesh_name):
+    # one order for boundary data everywhere: ascending node id
+    mesh = MULTI_RHS_MESHES[mesh_name]()
+    fact = build_factorization(mesh, shifted_laplace())
+    np.testing.assert_array_equal(fact.gamma_ids, mesh.ids_of(BOUNDARY))
 
 
 def test_identity_operator_tree_is_solvable():

@@ -49,7 +49,8 @@ def test_completer_routes_agree(shape):
     banded = InterfaceCompleter(mesh)
     rng = np.random.default_rng(7)
     data = np.where(mesh.node_class == 0, field, 0.0) + 0.0
-    bc = field[banded.boundary_ids] + rng.normal(0, 0.1, banded.boundary_ids.size)
+    gamma = mesh.ids_of(BOUNDARY)
+    bc = field[gamma] + rng.normal(0, 0.1, gamma.size)
     a = reference.complete(data, bc)
     b = banded.complete(data, bc)
     np.testing.assert_allclose(b, a, atol=1e-11, rtol=1e-11)
@@ -67,7 +68,7 @@ def test_completer_matches_derivatives(completer, passthrough_atol):
     f = np.exp(0.4 * mesh.x) * np.sin(mesh.y + 0.3)
     comp = completer(mesh)
     out = comp.complete(
-        np.where(mesh.node_class == 0, f, 0.0), f[comp.boundary_ids]
+        np.where(mesh.node_class == 0, f, 0.0), f[mesh.ids_of(BOUNDARY)]
     )
     iface = mesh.node_class == INTERFACE
     np.testing.assert_allclose(out[iface], f[iface], atol=1e-9)
@@ -82,7 +83,7 @@ def test_completer_multicomponent():
     f = np.stack([np.cos(2 * mesh.x), mesh.x**3])
     for comp in (InterfaceCompleter(mesh), OracleCompleter(mesh)):
         out = comp.complete(
-            np.where(mesh.node_class == 0, f, 0.0), f[:, comp.boundary_ids]
+            np.where(mesh.node_class == 0, f, 0.0), f[:, mesh.ids_of(BOUNDARY)]
         )
         np.testing.assert_allclose(out, f, atol=1e-9)
 

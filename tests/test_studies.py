@@ -111,7 +111,7 @@ def test_order_study_single_step_mode():
 
 
 def test_richardson_study_small():
-    out = richardson_study(order=3, levels=3, base_steps=5, n=4, p=10, half=6.0)
+    out = richardson_study(levels=3, base_steps=5, n=4, p=10, half=6.0)
     assert out["step_counts"] == [5, 10, 20]
     raw = out["raw"]
     diag = out["diagonal"]
@@ -123,7 +123,7 @@ def test_richardson_study_small():
 
 def test_harmonic_sweep_structure():
     out = harmonic_resolution_sweep(
-        4, panel_counts=(6, 8), order=3, formulations=("stages",)
+        4, panel_counts=(6, 8), formulations=("stages",)
     )
     stages = out["per_form"]["stages"]
     best = out["best"]
@@ -142,7 +142,7 @@ def test_asymmetric_self_convergence_small():
 
 
 def test_kink_study_modes_differ():
-    out = kink_study(p=9, dt=0.25, t_end=2.0)
+    out = kink_study(dt=0.25, t_end=2.0)
     # the uncorrected steady state is the kink itself
     assert out["uncorrected"]["drift_from_start"] < 1e-10
     # the corrected run relaxes it toward zero
@@ -159,7 +159,7 @@ def test_decaying_sine_case_exact_solution():
 
 
 def test_averaged_instability_structure():
-    out = averaged_instability(n=4, p=10, dt=0.1, max_steps=40)
+    out = averaged_instability(n=4, p=10, max_steps=40)
     assert out["route_mismatch"] < 1e-11
     for method in ("solve", "tridiagonal", "averaged"):
         assert out[method]["steps"] == 40
