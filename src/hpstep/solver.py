@@ -30,9 +30,10 @@ interface fluxes), a product with the inverse, one take (the children's
 other outer fluxes), a product with the stacked flux correction and one
 slice store. The root has no parent, so it passes no outer fluxes up:
 its slot table and flux correction are empty, and the buffer holds no
-slots for it. A penalty field's jump is read from its leaf fluxes at the
-same interface slots among the leaves. The downward pass sets interface
-values from each block's outer values, root first, then leaf interiors.
+slots for it. A penalty field's leaf fluxes, times 1/dt, are added into
+the leaf slots: blocks pass leaf fluxes up unchanged, so every interface
+jump then carries the penalty's. The downward pass sets interface values
+from each block's outer values, root first, then leaf interiors.
 Factorizations are immutable; each solve allocates its own buffer, so
 concurrent solves against one factorization are safe.
 
@@ -61,15 +62,13 @@ _LEAF = (1, 1)  # block shape of a single leaf, in leaves along x and y
 @dataclass
 class _Level:
     """All merges of one block shape: operators stacked over the merges
-    (one copy when the leaf operators are shared), buffer slots and node
-    ids with one row per block."""
+    (one copy when the leaf operators are shared), flux-buffer slots and
+    node ids with one row per block. The solve reads every field."""
 
     start: int  # first buffer slot of this level's outer fluxes
     ia: np.ndarray = field(repr=False)  # buffer slots of the interface, left child
     ib: np.ndarray = field(repr=False)  # same interface, right child
     ext: np.ndarray = field(repr=False)  # children's other outer fluxes; none at the root
-    pa: np.ndarray = field(repr=False)  # leaf-flux slots of the interface, left side
-    pb: np.ndarray = field(repr=False)  # same interface, right side
     boundary_ids: np.ndarray = field(repr=False)  # (m, n_outer)
     interface_ids: np.ndarray = field(repr=False)  # (m, n_interface)
     inv_X: np.ndarray = field(repr=False)
@@ -114,7 +113,8 @@ class HpsFactorization:
                 are penalized in the interface conditions; requires dt.
 
         Returns:
-            Field over all active nodes, same leading shape as the input.
+            Field over all active nodes, (N,) or (k, N) like the first input
+            given, which sets k; the others must have k rows.
             NaN or inf in the data is not screened and reaches the result.
         """
         n = self.mesh.n_nodes
@@ -123,12 +123,13 @@ class HpsFactorization:
         f = _as_rows(load, n, "load")
         g = _as_rows(dirichlet, self.gamma_ids.size, "dirichlet")
         pen = _as_rows(penalty_field, n, "penalty_field")
-        lead = load if load is not None else dirichlet
-        k = len(f) if f is not None else len(g) if g is not None else 1
-        for name, arr in (("dirichlet", g), ("penalty_field", pen)):
-            if arr is not None and len(arr) != k:
+        given = (("load", f), ("dirichlet", g), ("penalty_field", pen))
+        given = [(name, a) for name, a in given if a is not None]
+        k = len(given[0][1]) if given else 1
+        for name, arr in given:
+            if len(arr) != k:
                 raise ValueError(f"{name} has {len(arr)} rows, expected {k}")
-        dtype = np.result_type(self.dtype, *(a.dtype for a in (f, g, pen) if a is not None))
+        dtype = np.result_type(self.dtype, *(a.dtype for _, a in given))
 
         # upward pass: particular interior solutions z, the particular
         # outer fluxes of every block into the buffer, and per level the
@@ -140,15 +141,12 @@ class HpsFactorization:
         n_leaf = self.leaf_boundary_ids.size
         buf[:, :n_leaf] = (z @ lf.Fi.T).reshape(k, n_leaf)
         if pen is not None:
-            inv_dt = 1.0 / dt
             hu = _take(pen, self.leaf_interior_ids) @ lf.Fi.T
-            hu = (hu + _take(pen, self.leaf_boundary_ids) @ lf.Fb.T).reshape(k, n_leaf)
+            hu = hu + _take(pen, self.leaf_boundary_ids) @ lf.Fb.T
+            buf[:, :n_leaf] += (1.0 / dt) * hu.reshape(k, n_leaf)
         w = []
         for lv in self.levels:
-            delta = _take(buf, lv.ib) - _take(buf, lv.ia)
-            if pen is not None:
-                delta -= inv_dt * (_take(hu, lv.pa) - _take(hu, lv.pb))
-            w.append(_apply(lv.inv_X, delta))
+            w.append(_apply(lv.inv_X, _take(buf, lv.ib) - _take(buf, lv.ia)))
             h = _take(buf, lv.ext) + _apply(lv.C, w[-1])
             buf[:, lv.start : lv.start + lv.ext.size] = h.reshape(k, -1)
 
@@ -160,7 +158,8 @@ class HpsFactorization:
         for lv, w_lv in zip(reversed(self.levels), reversed(w)):
             put_rows(out, lv.interface_ids, w_lv + _apply(lv.S, _take(out, lv.boundary_ids)))
         put_rows(out, self.leaf_interior_ids, z - _apply(lf.G, _take(out, self.leaf_boundary_ids)))
-        return out if lead is not None and np.ndim(lead) == 2 else out[0]
+        lead = next((a for a in (load, dirichlet, penalty_field) if a is not None), None)
+        return out if np.ndim(lead) == 2 else out[0]
 
 
 def _take(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -233,16 +232,13 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
     """Factorize the operator on the mesh for repeated solves."""
     leaf_ops = build_leaf_operators(mesh, op)
     flat = mesh.leaf_grid.reshape(mesh.n_leaves, -1)
-    # per block shape, one row per block over its outer boundary: global ids
-    # and leaf-flux slots; then the first buffer slot of its outer fluxes
-    leaf_flux = np.arange(mesh.n_leaves * mesh.edge_local.size).reshape(mesh.n_leaves, -1)
+    # per block shape: outer-boundary ids, one row per block; its first outer-flux slot
     ids = {_LEAF: flat[:, mesh.edge_local]}
-    lslots = {_LEAF: leaf_flux}
     first = {_LEAF: 0}
     # edge-to-flux maps, dropped after the last parent
     T = {_LEAF: leaf_ops.Fb - leaf_ops.Fi @ leaf_ops.G}
     condition = {_LEAF: leaf_ops.condition}
-    start = leaf_flux.size
+    start = ids[_LEAF].size
     kids = _blocks(mesh)
     order = sorted(kids, key=lambda s: s[0] * s[1])
     last_parent = {c: s for s in order for c, _ in kids[s][0]}
@@ -262,8 +258,6 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
         idx2 = np.setdiff1d(np.arange(ids_r.shape[1]), ib)
 
         ids[shape] = np.concatenate([ids_l[:, idx1], ids_r[:, idx2]], axis=1)
-        ls_l, ls_r = lslots[left][left_pos], lslots[right][right_pos]
-        lslots[shape] = np.concatenate([ls_l[:, idx1], ls_r[:, idx2]], axis=1)
         # buffer slot of each child block's first outer flux
         sl = first[left] + left_pos[:, None] * ids_l.shape[1]
         sr = first[right] + right_pos[:, None] * ids_r.shape[1]
@@ -295,8 +289,6 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
                 ia=sl + ia,
                 ib=sr + ib,
                 ext=ext,
-                pa=ls_l[:, ia],
-                pb=ls_r[:, ib],
                 boundary_ids=ids[shape],
                 interface_ids=ids_l[:, ia],
                 inv_X=inv_X,
@@ -307,8 +299,7 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
         start += ext.size
         for child in (left, right):
             if last_parent[child] == shape:
-                for table in (T, lslots):
-                    table.pop(child, None)
+                T.pop(child, None)
 
     gamma_ids = mesh.ids_of(BOUNDARY)
     if not np.array_equal(np.sort(ids[order[-1] if order else _LEAF][0]), gamma_ids):

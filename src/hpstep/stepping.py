@@ -306,7 +306,12 @@ class ImexStepper:
                 F1[i] = (ui - load) * (1.0 / (dt * tab.gamma))
             if imex:
                 F2[i] = evo.explicit(ti, ui)
-        return _combine(ui, dt, (tab.A_im[-1] - tab.A_ex[-1], F2)) if imex else ui
+        if not imex:
+            return ui
+        # boundary values keep g(t + c_s dt) of the last stage solve; c_s = 1
+        out = _combine(ui, dt, (tab.A_im[-1] - tab.A_ex[-1], F2))
+        out[..., self._gids] = ui[..., self._gids]
+        return out
 
     # -- driver ----------------------------------------------------------
 

@@ -20,3 +20,17 @@ def test_every_imported_name_is_read(path):
     # an attribute chain such as `np.linalg.inv` starts with the Name `np`
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert not imported - read, f"{path.name} never reads {sorted(imported - read)}"
+
+
+def test_solve_reads_every_level_field():
+    # a table the build stores per level but the solve never reads is dead weight
+    tree = ast.parse((SRC / "solver.py").read_text())
+    classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+    fields = {s.target.id for s in classes["_Level"].body if isinstance(s, ast.AnnAssign)}
+    solve = next(n for n in classes["HpsFactorization"].body if getattr(n, "name", "") == "solve")
+    read = {
+        n.attr
+        for n in ast.walk(solve)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "lv"
+    }
+    assert fields and not fields - read, f"solve never reads _Level.{sorted(fields - read)}"

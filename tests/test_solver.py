@@ -104,8 +104,8 @@ MULTI_RHS_MESHES = {
 
 @pytest.mark.parametrize("mesh_name", list(MULTI_RHS_MESHES))
 @pytest.mark.parametrize("variable", [False, True], ids=["shared", "stacked"])
-@pytest.mark.parametrize("penalized", [False, True], ids=["plain", "penalty"])
-def test_multi_rhs_matches_stacked_single(mesh_name, variable, penalized):
+@pytest.mark.parametrize("route", ["plain", "penalty", "penalty-only"])
+def test_multi_rhs_matches_stacked_single(mesh_name, variable, route):
     mesh = MULTI_RHS_MESHES[mesh_name]()
     if variable:
         op = EllipticOperator(c11=1.0, c22=1.0, c0=lambda x, y=0.0: 1 + x * x + y * y)
@@ -116,12 +116,15 @@ def test_multi_rhs_matches_stacked_single(mesh_name, variable, penalized):
     rng = np.random.default_rng(4)
     F = rng.standard_normal((3, mesh.n_nodes))
     G = rng.standard_normal((3, fact.gamma_ids.size))
-    P = rng.standard_normal((3, mesh.n_nodes)) if penalized else None
+    P = rng.standard_normal((3, mesh.n_nodes)) if route != "plain" else None
+    if route == "penalty-only":  # the penalty field alone sets the row count
+        F = G = None
     got = fact.solve(F, G, penalty_field=P, dt=0.1)
     assert got.shape == (3, mesh.n_nodes)
-    scale = np.abs(got).max() if penalized else 1.0  # penalty jumps carry 1/dt
+    scale = np.abs(got).max() if P is not None else 1.0  # penalty jumps carry 1/dt
     for i in range(3):
-        want = fact.solve(F[i], G[i], penalty_field=None if P is None else P[i], dt=0.1)
+        rows = [None if a is None else a[i] for a in (F, G, P)]
+        want = fact.solve(rows[0], rows[1], penalty_field=rows[2], dt=0.1)
         np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12 * scale)
 
 
@@ -177,22 +180,26 @@ def leaf_flux_jumps(mesh, leaf_ops: LeafOperatorSet, field):
     return jump
 
 
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, "5x3-variable"])
 def test_penalized_interface_condition(dim):
     # the corrected solve must carry -(1/dt) * [[flux(penalty)]] as its
     # own interface flux jump: stage sums with unit weight then cancel
     # the penalty field's kink
+    op = laplace_operator()
     if dim == 1:
         mesh = build_mesh((0.0, 2.0), 2, p=12)
         kink = 1.0 - np.abs(mesh.x - 1.0)
         smooth = np.sin(np.pi * mesh.x / 2)
     else:
-        # kinks along every interface line x = 1, x = 2 and y = 1
-        mesh = build_mesh(((0.0, 3.0), (0.0, 2.0)), 3, 2, p=12)
+        # unit leaves: kinks along every interface line x = 1, 2, .. and y = 1, ..
+        n1, n2 = (3, 2) if dim == 2 else (5, 3)
+        mesh = build_mesh(((0.0, float(n1)), (0.0, float(n2))), n1, n2, p=12)
         kink = np.abs(np.sin(np.pi * mesh.x)) + np.abs(np.sin(np.pi * mesh.y))
         smooth = np.sin(mesh.x) * np.cos(mesh.y)
+        if dim != 2:  # full stacks on a tree whose levels' children differ in shape
+            op = PENALTY_OPERATORS["variable"]
     dt = 0.05
-    op = laplace_operator().shifted(sigma=1.0, scale=dt)
+    op = op.shifted(sigma=1.0, scale=dt)
     fact = build_factorization(mesh, op)
     f = np.zeros(mesh.n_nodes)
     g = np.zeros(fact.gamma_ids.size)
@@ -231,17 +238,22 @@ PENALTY_OPERATORS = {  # 1D meshes sample the coefficients at x alone
 
 
 @pytest.mark.parametrize("mesh_name", PENALTY_MESHES)
-@pytest.mark.parametrize("op_name", PENALTY_OPERATORS)
+@pytest.mark.parametrize("op_name", list(PENALTY_OPERATORS) + ["complex-penalty"])
 def test_penalty_route_is_linear(mesh_name, op_name):
     # the penalty only adds its flux jumps to the interface conditions, so
-    # a penalized solve is the plain solve plus the penalty's own response
+    # a penalized solve is the plain solve plus the penalty's own response;
+    # a complex penalty field on a real load and operator gives a complex field
     mesh = PENALTY_MESHES[mesh_name]()
     dt = 0.05
-    fact = build_factorization(mesh, PENALTY_OPERATORS[op_name].shifted(1.0, dt))
+    op = PENALTY_OPERATORS.get(op_name, PENALTY_OPERATORS["variable"])
+    fact = build_factorization(mesh, op.shifted(1.0, dt))
     rng = np.random.default_rng(3)
     f, g = random_data(mesh, rng)
     pen = rng.standard_normal(mesh.n_nodes)
+    if op_name == "complex-penalty":
+        pen = pen + 1j * rng.standard_normal(mesh.n_nodes)
     got = fact.solve(f, g, penalty_field=pen, dt=dt)
+    assert got.dtype == pen.dtype
     want = fact.solve(f, g) + fact.solve(None, None, penalty_field=pen, dt=dt)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -285,7 +297,7 @@ def test_solve_takes_match_fancy_index(k):
     rows = np.random.default_rng(0).standard_normal((k, width))
     tables = [fact.leaf_interior_ids, fact.leaf_boundary_ids]
     for lv in fact.levels:
-        tables += [lv.ia, lv.ib, lv.ext, lv.pa, lv.pb, lv.boundary_ids, lv.interface_ids]
+        tables += [lv.ia, lv.ib, lv.ext, lv.boundary_ids, lv.interface_ids]
     assert {t.flags.c_contiguous for t in tables} == {True, False}
     for t in tables:
         got, want = _take(rows, t), rows[:, t]

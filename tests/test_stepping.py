@@ -6,7 +6,8 @@ from hpstep.chebyshev import leaf_stencil
 from hpstep.mesh import BOUNDARY, INTERFACE, build_mesh
 from hpstep.operators import EllipticOperator, laplace_operator
 from hpstep.oracle import OracleCompleter
-from hpstep.problems import burgers_rotating, heat_cosine, make_stepper, schrodinger_harmonic
+from hpstep.problems import burgers_crossing, burgers_rotating, heat_cosine, make_stepper
+from hpstep.problems import schrodinger_harmonic
 from hpstep.stepping import Evolution, ImexStepper, InterfaceCompleter, _combine
 from hpstep.tableaus import load_tableau
 
@@ -410,7 +411,22 @@ def reference_stages_step(st, t, u):
         F1.append(rate(ti, ui))
         if imex:
             F2.append(evo.explicit(ti, ui))
-    return ui + dt * stage_sum(tab.A_im[-1] - tab.A_ex[-1], F2) if imex else ui
+    if not imex:
+        return ui
+    out = ui + dt * stage_sum(tab.A_im[-1] - tab.A_ex[-1], F2)
+    out[..., gids] = ui[..., gids]  # boundary values stay g(t + dt)
+    return out
+
+
+def test_stages_imex_step_keeps_boundary_values():
+    # the explicit correction would move boundary nodes off g(t + dt):
+    # this case's advection is not zero on the boundary
+    case = burgers_crossing(n=4, p=8)
+    st = make_stepper(case, 1.0 / 80, formulation="stages")
+    assert st.evo.explicit is not None
+    mesh, gids = case.evolution.mesh, st.fact.gamma_ids
+    u = st.step(0.0, case.u0)
+    np.testing.assert_array_equal(u[..., gids], case.evolution.bc(st.dt, mesh.x[gids], mesh.y[gids]))
 
 
 @pytest.mark.parametrize("name", ["heat1d-bc", "burgers-rotating"])
