@@ -10,6 +10,16 @@ from hpstep.mesh import (
     Mesh,
     build_mesh,
 )
+from hpstep.operators import leaf_coordinates
+
+# 1D and non-square 2D shapes (n2 None means 1D), on off-origin domains
+SHAPES = [(1, None, 3), (3, None, 5), (8, None, 12), (1, 3, 4), (3, 1, 8), (4, 2, 6), (2, 5, 5)]
+
+
+def shape_mesh(n1: int, n2: int | None, p: int) -> Mesh:
+    if n2 is None:
+        return build_mesh((-0.5, 1.25), n1, p=p)
+    return build_mesh(((-0.5, 1.25), (0.3, 2.0)), n1, n2, p=p)
 
 
 def expected_node_count(n1: int, n2: int | None, p: int) -> int:
@@ -61,19 +71,42 @@ def test_corner_slots_never_allocated():
 
 def test_shared_edge_nodes_coincide():
     # the shared edge is stored once; rebuilding its coordinates from
-    # either neighbouring leaf's box must agree to roundoff
+    # either neighbouring leaf must agree to roundoff
     m = build_mesh(((0.0, 2.0), (0.0, 1.0)), 2, 1, p=9)
     left, right = m.leaf_grid[0], m.leaf_grid[1]
     shared_l = left[1:-1, -1]
     shared_r = right[1:-1, 0]
     np.testing.assert_array_equal(shared_l, shared_r)
-    from hpstep.chebyshev import cheb_nodes
-
-    xi01 = (cheb_nodes(9) + 1.0) / 2.0
-    from_left = m.leaf_boxes[0][0] + xi01[-1] * m.hx
-    from_right = m.leaf_boxes[1][0] + xi01[0] * m.hx
+    X, _ = leaf_coordinates(m)
+    from_left = X[0, 1, -1]
+    from_right = X[1, 1, 0]
     assert abs(from_left - from_right) < 1e-14
     np.testing.assert_allclose(m.x[shared_l], from_left, atol=1e-14)
+
+
+@pytest.mark.parametrize("n1,n2,p", SHAPES)
+def test_ids_in_yx_order(n1, n2, p):
+    m = shape_mesh(n1, n2, p)
+    if n2 is None:
+        assert np.all(np.diff(m.x) > 0)
+    else:
+        np.testing.assert_array_equal(np.lexsort((m.x, m.y)), np.arange(m.n_nodes))
+
+
+@pytest.mark.parametrize("n1,n2,p", SHAPES)
+def test_leaf_coordinates_match_nodes(n1, n2, p):
+    # exact on leaf interiors; an edge node is placed from one of its two
+    # leaves, so the other leaf reproduces it to roundoff
+    m = shape_mesh(n1, n2, p)
+    ids = m.leaf_grid.reshape(m.n_leaves, -1)
+    for leaf, nodal in zip(leaf_coordinates(m), (m.x, m.y)):
+        if nodal is None:
+            continue
+        leaf = leaf.reshape(m.n_leaves, -1)
+        inner, edge = m.interior_local, m.edge_local
+        np.testing.assert_array_equal(leaf[:, inner], nodal[ids[:, inner]])
+        drift = np.abs(leaf[:, edge] - nodal[ids[:, edge]]).max()
+        assert drift <= 1e-14 * np.abs(nodal).max()
 
 
 def test_node_classes_2x2():

@@ -34,3 +34,18 @@ def test_solve_reads_every_level_field():
         if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "lv"
     }
     assert fields and not fields - read, f"solve never reads _Level.{sorted(fields - read)}"
+
+
+def test_every_mesh_field_is_read():
+    # a field the builder stores but no other module reads is dead weight
+    tree = ast.parse((SRC / "mesh.py").read_text())
+    mesh = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Mesh")
+    fields = {s.target.id for s in mesh.body if isinstance(s, ast.AnnAssign)}
+    read = {
+        n.attr
+        for path in MODULES
+        if path.name != "mesh.py"
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.Attribute)
+    }
+    assert fields and not fields - read, f"nothing outside mesh.py reads Mesh.{sorted(fields - read)}"
