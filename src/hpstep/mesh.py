@@ -1,7 +1,8 @@
 """Uniform multidomain meshes of tensor-product collocation leaves.
 
 A rectangular domain is split into n1-by-n2 identical leaf boxes, each
-carrying a p-by-p Chebyshev grid. Nodes on a shared leaf edge appear once
+carrying a p-by-p Chebyshev grid; an interval split into n1 leaves of p
+nodes is the one-axis case, and one builder serves both. Nodes on a shared leaf edge appear once
 globally; the four corner nodes of every leaf are never allocated, because
 no collocation row of the supported operators reads them. Node classes:
 
@@ -9,8 +10,12 @@ no collocation row of the supported operators reads them. Node classes:
     INTERFACE - on an edge shared by two leaves; a flux-matching row
     BOUNDARY  - on the outer boundary; data is imposed here
 
-Global ids are assigned in (y, x)-lexicographic order of the virtual
-tensor line indices, which makes every construction deterministic.
+Each axis is a set of tensor lines, the Chebyshev nodes of its leaves
+with shared leaf ends counted once. A grid point on two leaf-edge lines
+is a dropped corner, one on exactly one is an interface node (a boundary
+node at a domain end), and the rest are leaf interiors. Global ids are
+assigned in (y, x)-lexicographic order of the line indices, which makes
+every construction deterministic.
 """
 from __future__ import annotations
 
@@ -38,7 +43,6 @@ class Mesh:
         x, y: node coordinates, shape (N,); y is None in 1D.
         node_class: per-node class, one of INTERIOR/INTERFACE/BOUNDARY.
         leaf_grid: (nl, p, p) or (nl, p) global ids, -1 at dropped corners.
-        leaf_boxes: physical extents per leaf, (nl, 4) or (nl, 2).
         owner_slots: (2, N) flat positions in the leaf arrays of the
             leaves touching each node (a node on one leaf has it twice);
             computed on first use.
@@ -57,7 +61,6 @@ class Mesh:
     y: np.ndarray | None = field(repr=False)
     node_class: np.ndarray = field(repr=False)
     leaf_grid: np.ndarray = field(repr=False)
-    leaf_boxes: np.ndarray = field(repr=False)
     interior_local: np.ndarray = field(repr=False)
     edge_local: np.ndarray = field(repr=False)
 
@@ -106,121 +109,55 @@ def build_mesh(bounds, n1: int, n2: int | None = None, *, p: int) -> Mesh:
         raise ValueError(f"p={p} leaves no interior nodes")
     if n1 < 1 or (n2 is not None and n2 < 1):
         raise ValueError("need at least one leaf per direction")
-    if n2 is None:
-        return _build_1d(float(bounds[0]), float(bounds[1]), n1, p)
-    (x0, x1), (y0, y1) = bounds
-    return _build_2d(float(x0), float(x1), float(y0), float(y1), n1, n2, p)
-
-
-def _build_1d(a: float, b: float, n1: int, p: int) -> Mesh:
-    if not b > a:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    h = (b - a) / n1
-    edges = np.linspace(a, b, n1 + 1)
+    axes = [(bounds, n1)] if n2 is None else [(bounds[0], n1), (bounds[1], n2)]
     xi01 = (cheb_nodes(p) + 1.0) / 2.0
+    # per axis (x first): tensor-line coordinates, edge-line and domain-end
+    # flags of every line, and the lines each leaf spans
+    box, step, line, on_edge, at_end, span = [], [], [], [], [], []
+    for (a, b), n in axes:
+        a, b = float(a), float(b)
+        if not b > a:
+            raise ValueError(f"empty interval [{a}, {b}]")
+        h = (b - a) / n
+        g = np.arange(n * (p - 1) + 1)
+        j = np.minimum(g // (p - 1), n - 1)
+        box.append((a, b))
+        step.append(h)
+        line.append(np.linspace(a, b, n + 1)[j] + xi01[g - j * (p - 1)] * h)
+        on_edge.append(g % (p - 1) == 0)
+        at_end.append((g == 0) | (g == g[-1]))
+        span.append(np.arange(n)[:, None] * (p - 1) + np.arange(p))
 
-    n_line = n1 * (p - 1) + 1
-    gx = np.arange(n_line)
-    jx = np.minimum(gx // (p - 1), n1 - 1)
-    ix = gx - jx * (p - 1)
-    x = edges[jx] + xi01[ix] * h
+    # points of the (y, x) line grid; crossings of two edge lines are dropped
+    def grid_count(flags):  # per grid point, how many of its lines carry the flag
+        return sum(np.meshgrid(*flags[::-1], indexing="ij", sparse=True))
 
-    cls = np.full(n_line, INTERIOR, dtype=np.int8)
-    on_break = gx % (p - 1) == 0
-    cls[on_break] = INTERFACE
-    cls[0] = cls[-1] = BOUNDARY
-
-    leaf_grid = np.empty((n1, p), dtype=np.int64)
-    for l in range(n1):
-        leaf_grid[l] = l * (p - 1) + np.arange(p)
-    leaf_boxes = np.stack([edges[:-1], edges[1:]], axis=1)
-
-    interior_local, edge_local = _local_index_sets(p, 1)
-    return Mesh(
-        dim=1,
-        bounds=((a, b),),
-        n1=n1,
-        n2=0,
-        p=p,
-        hx=h,
-        hy=0.0,
-        x=x,
-        y=None,
-        node_class=cls,
-        leaf_grid=leaf_grid,
-        leaf_boxes=leaf_boxes,
-        interior_local=interior_local,
-        edge_local=edge_local,
-    )
-
-
-def _build_2d(
-    x0: float, x1: float, y0: float, y1: float, n1: int, n2: int, p: int
-) -> Mesh:
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError("empty domain")
-    hx = (x1 - x0) / n1
-    hy = (y1 - y0) / n2
-    xedges = np.linspace(x0, x1, n1 + 1)
-    yedges = np.linspace(y0, y1, n2 + 1)
-    xi01 = (cheb_nodes(p) + 1.0) / 2.0
-
-    nx = n1 * (p - 1) + 1
-    ny = n2 * (p - 1) + 1
-    gx = np.arange(nx)
-    gy = np.arange(ny)
-    on_vline = gx % (p - 1) == 0  # x lies on a leaf edge line
-    on_hline = gy % (p - 1) == 0
-
-    # active nodes: everything except crossings of two edge lines
-    GX, GY = np.meshgrid(gx, gy)  # shape (ny, nx), y outer
-    active = ~(on_vline[GX] & on_hline[GY])
-    gid = np.full((ny, nx), -1, dtype=np.int64)
+    crossings = grid_count(on_edge)
+    active = crossings < 2
+    gid = np.full(active.shape, -1, dtype=np.int64)
     gid[active] = np.arange(active.sum())
+    on_gamma = grid_count(at_end)[active] > 0
+    cls = np.where(crossings[active] == 0, INTERIOR, np.where(on_gamma, BOUNDARY, INTERFACE))
+    x, *y = (ln[g] for ln, g in zip(line, np.nonzero(active)[::-1]))
 
-    jx = np.minimum(gx // (p - 1), n1 - 1)
-    ix = gx - jx * (p - 1)
-    xline = xedges[jx] + xi01[ix] * hx
-    jy = np.minimum(gy // (p - 1), n2 - 1)
-    iy = gy - jy * (p - 1)
-    yline = yedges[jy] + xi01[iy] * hy
-
-    ax = GX[active]
-    ay = GY[active]
-    x = xline[ax]
-    y = yline[ay]
-
-    on_edge = on_vline[ax] | on_hline[ay]
-    on_gamma = (ax == 0) | (ax == nx - 1) | (ay == 0) | (ay == ny - 1)
-    cls = np.full(x.size, INTERIOR, dtype=np.int8)
-    cls[on_edge] = INTERFACE
-    cls[on_edge & on_gamma] = BOUNDARY
-
-    nl = n1 * n2
-    leaf_grid = np.empty((nl, p, p), dtype=np.int64)
-    leaf_boxes = np.empty((nl, 4))
-    for ly in range(n2):
-        for lx in range(n1):
-            l = ly * n1 + lx
-            gxs = lx * (p - 1) + np.arange(p)
-            gys = ly * (p - 1) + np.arange(p)
-            leaf_grid[l] = gid[np.ix_(gys, gxs)]
-            leaf_boxes[l] = (xedges[lx], xedges[lx + 1], yedges[ly], yedges[ly + 1])
-
-    interior_local, edge_local = _local_index_sets(p, 2)
+    if n2 is None:
+        leaf_grid = gid[span[0]]
+    else:
+        sx, sy = span
+        leaf_grid = gid[sy[:, None, :, None], sx[None, :, None, :]].reshape(-1, p, p)
+    interior_local, edge_local = _local_index_sets(p, len(axes))
     return Mesh(
-        dim=2,
-        bounds=((x0, x1), (y0, y1)),
+        dim=len(axes),
+        bounds=tuple(box),
         n1=n1,
-        n2=n2,
+        n2=n2 or 0,
         p=p,
-        hx=hx,
-        hy=hy,
+        hx=step[0],
+        hy=step[1] if n2 else 0.0,
         x=x,
-        y=y,
-        node_class=cls,
+        y=y[0] if y else None,
+        node_class=cls.astype(np.int8),
         leaf_grid=leaf_grid,
-        leaf_boxes=leaf_boxes,
         interior_local=interior_local,
         edge_local=edge_local,
     )

@@ -83,15 +83,16 @@ def _sample(coef: Coef, x: np.ndarray, y: np.ndarray | None):
 def leaf_coordinates(mesh: Mesh) -> tuple[np.ndarray, np.ndarray | None]:
     """Batched leaf node coordinates, shape (nl, p, p) or (nl, p)."""
     xi01 = (cheb_nodes(mesh.p) + 1.0) / 2.0
+    lines = [
+        np.linspace(a, b, n + 1)[:-1, None] + xi01[None, :] * h
+        for (a, b), n, h in zip(mesh.bounds, (mesh.n1, mesh.n2), (mesh.hx, mesh.hy))
+    ]
     if mesh.dim == 1:
-        a = mesh.leaf_boxes[:, 0]
-        return a[:, None] + xi01[None, :] * mesh.hx, None
-    x0 = mesh.leaf_boxes[:, 0]
-    y0 = mesh.leaf_boxes[:, 2]
-    xs = x0[:, None] + xi01[None, :] * mesh.hx
-    ys = y0[:, None] + xi01[None, :] * mesh.hy
-    X = np.broadcast_to(xs[:, None, :], (mesh.n_leaves, mesh.p, mesh.p))
-    Y = np.broadcast_to(ys[:, :, None], (mesh.n_leaves, mesh.p, mesh.p))
+        return lines[0], None
+    leaf = np.arange(mesh.n_leaves)
+    shape = (mesh.n_leaves, mesh.p, mesh.p)
+    X = np.broadcast_to(lines[0][leaf % mesh.n1, None, :], shape)
+    Y = np.broadcast_to(lines[1][leaf // mesh.n1, :, None], shape)
     return X, Y
 
 

@@ -365,42 +365,3 @@ def _validate(tab: ImexTableau) -> None:
     for name, value, bound in _conditions(tab):
         check(value <= bound, f"{name} at {value:.2e}, bound {bound:.1e}")
 
-
-def scalar_step_slopes(
-    tab: ImexTableau, lam_im: complex, lam_ex: complex, dt: float, u: complex
-) -> complex:
-    """One step of u' = lam_im*u + lam_ex*u via the slope formulation."""
-    s = tab.stages
-    k = np.zeros(s, dtype=complex)
-    l = np.zeros(s, dtype=complex)
-    for i in range(s):
-        p = u + dt * (tab.A_im[i, :i] @ k[:i] + tab.A_ex[i, :i] @ l[:i])
-        if i == 0:
-            y = p
-            k[0] = lam_im * y
-        else:
-            k[i] = lam_im * p / (1.0 - dt * tab.gamma * lam_im)
-            y = p + dt * tab.gamma * k[i]
-        l[i] = lam_ex * y
-    return u + dt * (tab.b @ k + tab.b @ l)
-
-
-def scalar_step_stages(
-    tab: ImexTableau, lam_im: complex, lam_ex: complex, dt: float, u: complex
-) -> complex:
-    """One step of u' = lam_im*u + lam_ex*u via the stage formulation."""
-    s = tab.stages
-    us = np.zeros(s, dtype=complex)
-    us[0] = u
-    f_im = np.zeros(s, dtype=complex)
-    f_ex = np.zeros(s, dtype=complex)
-    f_im[0] = lam_im * u
-    f_ex[0] = lam_ex * u
-    for i in range(1, s):
-        rhs = u + dt * (tab.A_im[i, :i] @ f_im[:i] + tab.A_ex[i, :i] @ f_ex[:i])
-        us[i] = rhs / (1.0 - dt * tab.gamma * lam_im)
-        f_im[i] = lam_im * us[i]
-        f_ex[i] = lam_ex * us[i]
-    if lam_ex == 0:
-        return us[-1]
-    return us[-1] + dt * ((tab.A_im[-1] - tab.A_ex[-1]) @ f_ex)

@@ -2,9 +2,10 @@
 
 Two independent routes to the same answers: the tree solver against the
 dense assembled system, and the stepping tables against their algebraic
-conditions. Both return plain check records so the command line can
-print them and the test suite can assert on them without duplicating
-the definitions.
+conditions, with one real stepper step per formulation against the
+tables' stability function. Both return plain check records so the
+command line can print them and the test suite can assert on them
+without duplicating the definitions.
 """
 from __future__ import annotations
 
@@ -16,13 +17,8 @@ from .mesh import BOUNDARY, build_mesh
 from .operators import EllipticOperator, laplace_operator
 from .oracle import assemble_global, oracle_solve
 from .solver import build_factorization
-from .tableaus import (
-    _conditions,
-    load_tableau,
-    scalar_step_slopes,
-    scalar_step_stages,
-    stability_function,
-)
+from .stepping import Evolution, ImexStepper
+from .tableaus import _conditions, load_tableau, stability_function
 
 
 @dataclass
@@ -81,14 +77,20 @@ def oracle_equivalence_report() -> list[Check]:
 
 
 def tableau_report() -> list[Check]:
-    """Algebraic conditions on the stepping tables of orders 3, 4, 5."""
+    """Algebraic conditions on the stepping tables of orders 3, 4, 5, and
+    one `ImexStepper` step per formulation against R(lam * dt)."""
     checks = []
     lam, dt, u0 = -1.3 + 0.9j, 0.37, 1.0
+    # one leaf of three nodes with zero boundary data: the interior node
+    # obeys u' = lam * u
+    zero = lambda t, x, y: np.zeros_like(x)
+    evo = Evolution(build_mesh((0.0, 1.0), 1, p=3), EllipticOperator(c0=1.0), lam, zero, zero)
+    u = np.array([0.0, u0, 0.0], dtype=complex)
     for q in (3, 4, 5):
         tab = load_tableau(q)
         checks += [Check(*c) for c in _conditions(tab)]
         want = complex(stability_function(tab.A_im, tab.b, lam * dt)) * u0
-        for label, step in (("slopes", scalar_step_slopes), ("stages", scalar_step_stages)):
-            got = step(tab, lam, 0.0, dt, u0)
-            checks.append(Check(f"q{q} {label} scalar step vs R", abs(got - want), 1e-13))
+        for label in ("slopes", "stages"):
+            got = ImexStepper(evo, tab, dt, formulation=label).step(0.0, u)[1]
+            checks.append(Check(f"q{q} {label} step vs R", abs(got - want), 1e-13))
     return checks

@@ -183,6 +183,22 @@ def test_run_reports_non_finite_step(tmp_path, monkeypatch, capsys):
     assert err.splitlines() == ["error: step 1 (t=0.4): field is not finite"]
 
 
+def test_run_reports_overflow_at_its_step(tmp_path, monkeypatch, capsys):
+    # an overflowing step raises no numpy warning; the finiteness check names it
+    make = PROBLEMS["heat1d-bc"]
+
+    def overflowing(**kw):
+        case = make(**kw)
+        case.evolution.forcing = lambda t, x, y: np.full_like(x, 1e308)
+        return case
+
+    monkeypatch.setitem(PROBLEMS, "heat1d-bc", overflowing)
+    code = main(["run", str(heat_config(tmp_path))])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: step "), err
+
+
 def test_run_outputs(tmp_path):
     cfg = load_config(str(heat_config(tmp_path)))
     out = cmd_run(cfg)

@@ -3,12 +3,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from hpstep.mesh import build_mesh
+from hpstep.operators import EllipticOperator
+from hpstep.stepping import Evolution, ImexStepper
 from hpstep.tableaus import (
     ImexTableau,
     load_tableau,
     order_condition_residuals,
-    scalar_step_slopes,
-    scalar_step_stages,
     stability_function,
 )
 
@@ -81,6 +82,16 @@ def test_implicit_damping(q):
     assert err.max() < 10 * 0.05 ** (q + 1)
 
 
+def _scalar_step(tab, formulation, lam, dt, u, explicit=None):
+    """One ImexStepper step on a single leaf of three nodes with zero
+    boundary data, whose interior node obeys u' = lam*u + explicit(t, u)."""
+    zero = lambda t, x, y: np.zeros_like(x)
+    mesh = build_mesh((0.0, 1.0), 1, p=3)
+    evo = Evolution(mesh, EllipticOperator(c0=1.0), lam, zero, zero, explicit=explicit)
+    stepper = ImexStepper(evo, tab, dt, formulation=formulation)
+    return stepper.step(0.0, np.array([0.0, u, 0.0], dtype=complex))[1]
+
+
 @pytest.mark.parametrize("q", ORDERS)
 @pytest.mark.parametrize("lam", [-1.7, 1j * 2.3, -0.4 + 1.1j])
 def test_scalar_step_matches_stability_function(q, lam):
@@ -88,8 +99,8 @@ def test_scalar_step_matches_stability_function(q, lam):
     dt = 0.37
     u0 = 0.8 - 0.25j
     want = stability_function(tab.A_im, tab.b, lam * dt) * u0
-    got_k = scalar_step_slopes(tab, lam, 0.0, dt, u0)
-    got_u = scalar_step_stages(tab, lam, 0.0, dt, u0)
+    got_k = _scalar_step(tab, "slopes", lam, dt, u0)
+    got_u = _scalar_step(tab, "stages", lam, dt, u0)
     np.testing.assert_allclose(got_k, want, rtol=1e-13)
     np.testing.assert_allclose(got_u, want, rtol=1e-13)
 
@@ -98,8 +109,9 @@ def test_scalar_step_matches_stability_function(q, lam):
 def test_formulations_agree_for_linear_splitting(q):
     tab = load_tableau(q)
     u = 1.1 + 0.3j
-    got_k = scalar_step_slopes(tab, -2.0 + 0.5j, 0.7j, 0.21, u)
-    got_u = scalar_step_stages(tab, -2.0 + 0.5j, 0.7j, 0.21, u)
+    explicit = lambda t, v: 0.7j * v
+    got_k = _scalar_step(tab, "slopes", -2.0 + 0.5j, 0.21, u, explicit)
+    got_u = _scalar_step(tab, "stages", -2.0 + 0.5j, 0.21, u, explicit)
     np.testing.assert_allclose(got_k, got_u, rtol=1e-13)
 
 
