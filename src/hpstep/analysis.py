@@ -81,7 +81,6 @@ class RateFit:
 
     rate: float
     used: int
-    errors: tuple
     floored: bool
 
 
@@ -108,7 +107,6 @@ def fit_rate(n: np.ndarray, errors: np.ndarray) -> RateFit:
     return RateFit(
         rate=float(-slope),
         used=int(keep.sum()),
-        errors=tuple(float(v) for v in e),
         floored=bool(keep.sum() < e.size),
     )
 

@@ -2,8 +2,7 @@
 
 The operator applied at interior collocation nodes is
 
-    sigma * u + scale * (-c11 u_xx - 2 c12 u_xy - c22 u_yy
-                         + c1 u_x + c2 u_y + c0 u)
+    sigma * u + scale * (-c11 u_xx - c22 u_yy + c1 u_x + c2 u_y + c0 u)
 
 with coefficients given as scalars or callables of the node coordinates
 (1D drops the y terms). The second-order part is written with leading
@@ -15,10 +14,11 @@ Only the interior rows of a leaf are collocated; its edge rows are the
 flux rows of `flux_matrix`. The rows of all leaves are built at once,
 as one stack, from one checked sample of the coefficients.
 
-Leaf corners hold no unknowns. For every term except the mixed one the
-collocation rows used by the solver have exactly zero weight on corner
-values, so the corner rows/columns can be dropped without approximation;
-operators with a nonzero sampled c12 are rejected for that reason.
+Leaf corners hold no unknowns. For every term above, the collocation
+rows used by the solver have exactly zero weight on corner values, so
+the corner rows/columns can be dropped without approximation. A mixed
+term c12 u_xy would weigh the dropped corners, which is why there is
+none.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ class EllipticOperator:
 
     c11: Coef = 0.0
     c22: Coef = 0.0
-    c12: Coef = 0.0
     c1: Coef = 0.0
     c2: Coef = 0.0
     c0: Coef = 0.0
@@ -55,9 +54,7 @@ class EllipticOperator:
 
     @property
     def is_constant(self) -> bool:
-        return not any(
-            callable(c) for c in (self.c11, self.c22, self.c12, self.c1, self.c2, self.c0)
-        )
+        return not any(callable(c) for c in (self.c11, self.c22, self.c1, self.c2, self.c0))
 
     def shifted(self, sigma: complex, scale: complex) -> "EllipticOperator":
         """Same spatial coefficients under a new shift and prefactor."""
@@ -97,11 +94,6 @@ def leaf_coordinates(mesh: Mesh) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _check_coefficients(coefs: dict) -> None:
-    if np.max(np.abs(coefs["c12"])) > 0:
-        raise ValueError(
-            "mixed-derivative coefficient c12 is not supported: its "
-            "collocation rows couple to the dropped corner nodes"
-        )
     for name in ("c11", "c22"):
         if np.min(np.real(coefs[name])) < 0:
             raise ValueError(f"negative principal coefficient {name} sampled on a leaf")
@@ -116,7 +108,7 @@ def _sample_leaves(op: EllipticOperator, mesh: Mesh) -> dict:
     are left out.
     """
     x, y = (None, None) if op.is_constant else leaf_coordinates(mesh)
-    names = ("c11", "c22", "c12", "c1", "c2", "c0")
+    names = ("c11", "c22", "c1", "c2", "c0")
     coefs = {name: _sample(getattr(op, name), x, y) for name in names}
     _check_coefficients(coefs)
     keep = ("c11", "c1", "c0") if mesh.dim == 1 else ("c11", "c22", "c1", "c2", "c0")

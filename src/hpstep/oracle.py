@@ -114,7 +114,6 @@ class OracleCompleter:
     """
 
     def __init__(self, mesh: Mesh):
-        self.mesh = mesh
         self._system = assemble_global(mesh, identity_operator())
 
     def complete(self, field: np.ndarray, boundary: np.ndarray) -> np.ndarray:

@@ -44,7 +44,6 @@ def make_stepper(
     order: int | None = None,
     formulation: str | None = None,
     corrected: bool = True,
-    interface_method="tridiagonal",
 ) -> ImexStepper:
     """Stepper for a case, with the case's order and formulation where unset."""
     return ImexStepper(
@@ -53,7 +52,6 @@ def make_stepper(
         dt,
         formulation=formulation if formulation is not None else case.formulation,
         corrected=corrected,
-        interface_method=interface_method,
     )
 
 

@@ -96,8 +96,8 @@ class HpsFactorization:
 
     def solve(
         self,
-        load: np.ndarray | None = None,
-        dirichlet: np.ndarray | None = None,
+        load: np.ndarray,
+        dirichlet: np.ndarray,
         *,
         penalty_field: np.ndarray | None = None,
         dt: float | None = None,
@@ -105,37 +105,30 @@ class HpsFactorization:
         """Solve for one or several right-hand sides.
 
         Args:
-            load: interior data, shape (N,) or (k, N); zero when omitted.
+            load: interior data, shape (N,) or (k, N); sets k for all inputs.
             dirichlet: boundary values by ascending node id, as in
-                `gamma_ids`, shape (n_gamma,) or (k, n_gamma); zero when
-                omitted.
+                `gamma_ids`, shape (n_gamma,) or (k, n_gamma).
             penalty_field: current solution field whose derivative jumps
-                are penalized in the interface conditions; requires dt.
+                are penalized in the interface conditions, shape (N,) or
+                (k, N); requires dt.
 
         Returns:
-            Field over all active nodes, (N,) or (k, N) like the first input
-            given, which sets k; the others must have k rows.
+            Field over all active nodes, (N,) or (k, N) like `load`.
             NaN or inf in the data is not screened and reaches the result.
         """
         n = self.mesh.n_nodes
         if penalty_field is not None and dt is None:
             raise ValueError("penalty_field requires dt")
         f = _as_rows(load, n, "load")
-        g = _as_rows(dirichlet, self.gamma_ids.size, "dirichlet")
-        pen = _as_rows(penalty_field, n, "penalty_field")
-        given = (("load", f), ("dirichlet", g), ("penalty_field", pen))
-        given = [(name, a) for name, a in given if a is not None]
-        k = len(given[0][1]) if given else 1
-        for name, arr in given:
-            if len(arr) != k:
-                raise ValueError(f"{name} has {len(arr)} rows, expected {k}")
-        dtype = np.result_type(self.dtype, *(a.dtype for _, a in given))
+        k = len(f)
+        g = _as_rows(dirichlet, self.gamma_ids.size, "dirichlet", k)
+        pen = None if penalty_field is None else _as_rows(penalty_field, n, "penalty_field", k)
+        dtype = np.result_type(self.dtype, *(a.dtype for a in (f, g, pen) if a is not None))
 
         # upward pass: particular interior solutions z, the particular
         # outer fluxes of every block into the buffer, and per level the
         # interface correction w
         lf = self.leaf_ops
-        f = np.zeros((k, n), dtype=dtype) if f is None else f
         z = _apply(lf.inv, _take(f, self.leaf_interior_ids))
         buf = np.empty((k, self.n_flux), dtype=dtype)
         n_leaf = self.leaf_boundary_ids.size
@@ -153,13 +146,11 @@ class HpsFactorization:
         # downward pass: every block's outer values are known once its
         # ancestors are done, which gives its interface values
         out = np.zeros((k, n), dtype=dtype)
-        if g is not None:
-            put_rows(out, self.gamma_ids, g)
+        put_rows(out, self.gamma_ids, g)
         for lv, w_lv in zip(reversed(self.levels), reversed(w)):
             put_rows(out, lv.interface_ids, w_lv + _apply(lv.S, _take(out, lv.boundary_ids)))
         put_rows(out, self.leaf_interior_ids, z - _apply(lf.G, _take(out, self.leaf_boundary_ids)))
-        lead = next((a for a in (load, dirichlet, penalty_field) if a is not None), None)
-        return out if np.ndim(lead) == 2 else out[0]
+        return out if np.ndim(load) == 2 else out[0]
 
 
 def _take(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -171,14 +162,15 @@ def _take(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return np.take(rows, slots.T, axis=1).transpose(0, 2, 1)
 
 
-def _as_rows(arr, n: int, name: str) -> np.ndarray | None:
-    """(n,) or (k, n) data as (k, n) rows, without a copy."""
-    if arr is None:
-        return None
+def _as_rows(arr, n: int, name: str, k: int | None = None) -> np.ndarray:
+    """(n,) or (k, n) data as (k, n) rows, without a copy; k rows if k is given."""
     a = np.asarray(arr)
     if a.ndim not in (1, 2) or a.shape[-1] != n:
         raise ValueError(f"{name}: expected shape ({n},) or (k, {n}), got {a.shape}")
-    return a.reshape(-1, n)
+    a = a.reshape(-1, n)
+    if k is not None and len(a) != k:
+        raise ValueError(f"{name} has {len(a)} rows, expected {k}")
+    return a
 
 
 def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -6,11 +6,11 @@ One step can be organized around stage slopes or stage values:
   data from the time derivative of the boundary values. The first stage
   rate is known explicitly at interior nodes and is completed to the
   interfaces by one derivative-continuity route, a set of tridiagonal
-  chains (`InterfaceCompleter`); one-sided averaging of the operator
-  values is kept only to demonstrate the instability that continuity
-  avoids. The interface conditions of the implicit stage solves can
-  carry the derivative-jump penalty of the incoming solution
-  (`corrected`), which removes spurious fixed points with kinked data.
+  chains (`InterfaceCompleter`); the stepper's `completer` attribute is
+  the one place to substitute another completion. The interface
+  conditions of the implicit stage solves can carry the derivative-jump
+  penalty of the incoming solution (`corrected`), which removes spurious
+  fixed points with kinked data.
 * stages: every implicit stage solves for the stage value itself with
   boundary data g(t_i) and plain interface conditions. With
   time-dependent boundary data this is the variant that loses accuracy
@@ -25,14 +25,13 @@ formulations reduce to the underlying diagonally implicit scheme when
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .mesh import BOUNDARY, INTERFACE, Mesh
-from .operators import EllipticOperator, OperatorApplier, gather_leaf_fields
-from .operators import mesh_stencil, scatter_mean
+from .operators import EllipticOperator, OperatorApplier, gather_leaf_fields, mesh_stencil
 from .solver import build_factorization
 from .tableaus import ImexTableau
 
@@ -175,12 +174,10 @@ class ImexStepper:
         formulation: "slopes" or "stages".
         corrected: penalize derivative jumps of the incoming solution in
             the implicit stage solves (slope formulation only).
-        interface_method: how the first-stage rate of the slope
-            formulation gets its interface values: "tridiagonal" for the
-            continuity completion, "averaged" for one-sided means (kept
-            as an instability demonstration), or a ready-made completer:
-            any object with `mesh` and `complete(field, boundary)`, the
-            boundary values by ascending node id.
+
+    `completer` (an `InterfaceCompleter` for slopes, None for stages)
+    completes the first-stage rate; any object with `complete(field,
+    boundary)`, boundary values by ascending node id, can replace it.
     """
 
     def __init__(
@@ -191,7 +188,6 @@ class ImexStepper:
         *,
         formulation: str = "slopes",
         corrected: bool = True,
-        interface_method: Union[str, InterfaceCompleter] = "tridiagonal",
     ):
         if formulation not in ("slopes", "stages"):
             raise ValueError(f"unknown formulation {formulation!r}")
@@ -206,19 +202,8 @@ class ImexStepper:
         self.fact = build_factorization(evo.mesh, shifted)
         self.applier = OperatorApplier(evo.mesh, evo.operator)
         self._gids = self.fact.gamma_ids
-        mesh = evo.mesh
-        self._nb_ids = np.nonzero(mesh.node_class != BOUNDARY)[0]
-        # None for stages and for the averaged slope variant
-        self.completer: Optional[InterfaceCompleter] = None
-        if isinstance(interface_method, str):
-            if interface_method not in ("tridiagonal", "averaged"):
-                raise ValueError(f"unknown interface method {interface_method!r}")
-            if formulation == "slopes" and interface_method == "tridiagonal":
-                self.completer = InterfaceCompleter(mesh)
-        elif formulation == "slopes":
-            if interface_method.mesh is not mesh:
-                raise ValueError("completer was built for a different mesh")
-            self.completer = interface_method
+        self._nb_ids = np.nonzero(evo.mesh.node_class != BOUNDARY)[0]
+        self.completer = InterfaceCompleter(evo.mesh) if formulation == "slopes" else None
 
     # -- sampling helpers ------------------------------------------------
 
@@ -244,18 +229,8 @@ class ImexStepper:
 
     # -- slope formulation -----------------------------------------------
 
-    def _first_slope(self, t: float, u: np.ndarray, f2):
-        evo, ids = self.evo, self._gids
-        g = self._sample(evo.bc_rate, t, ids)
-        if f2 is not None:
-            g = g - f2[..., ids]
-        if self.completer is not None:
-            return self.completer.complete(self._rate_interior(t, u), g)
-        k1 = evo.lam * scatter_mean(evo.mesh, self.applier.leaf_values(u, fill=True))
-        f = self._forcing_field(t)
-        k1 = k1 if f is None else k1 + f
-        k1[..., ids] = g
-        return k1
+    def _first_slope(self, t: float, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return self.completer.complete(self._rate_interior(t, u), g)
 
     def _step_slopes(self, t: float, u: np.ndarray) -> np.ndarray:
         evo, tab, dt = self.evo, self.tab, self.dt
@@ -263,9 +238,11 @@ class ImexStepper:
         s = tab.stages
         k = [None] * s
         l = [None] * s
+        g = self._sample(evo.bc_rate, t, self._gids)
         if imex:
             l[0] = evo.explicit(t, u)
-        k[0] = self._first_slope(t, u, l[0])
+            g = g - l[0][..., self._gids]
+        k[0] = self._first_slope(t, u, g)
         pen = u if self.corrected else None
         for i in range(1, s):
             ti = t + tab.c[i] * dt

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import RateFit, fit_rate, max_error, richardson, richardson_errors
 from .mesh import build_mesh
-from .operators import laplace_operator
+from .operators import laplace_operator, scatter_mean
 from .problems import (
     TransientCase,
     burgers_rotating,
@@ -31,7 +31,7 @@ from .problems import (
 )
 from .oracle import OracleCompleter
 from .solver import build_factorization
-from .stepping import Evolution
+from .stepping import Evolution, ImexStepper
 
 
 @dataclass
@@ -294,26 +294,41 @@ def decaying_sine_case(n: int = 8, p: int = 16) -> TransientCase:
     )
 
 
+class AveragedSlopeStepper(ImexStepper):
+    """Slope stepper whose first-stage rate takes one-sided means of the
+    operator values on the interfaces instead of derivative continuity.
+    It is kept only to show the instability that continuity avoids."""
+
+    def _first_slope(self, t: float, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        evo = self.evo
+        k1 = evo.lam * scatter_mean(evo.mesh, self.applier.leaf_values(u, fill=True))
+        f = self._forcing_field(t)
+        k1 = k1 if f is None else k1 + f
+        k1[..., self._gids] = g
+        return k1
+
+
 def averaged_instability(n: int = 8, p: int = 16, max_steps: int = 500) -> dict:
     """Noise injection of the averaged first-stage interface treatment.
 
     On decaying sine data the continuity-enforced first stage lets the
-    field relax to roundoff, while one-sided averaging keeps feeding a
-    marginal interface mode whose noise floor sits orders of magnitude
-    higher; the end-norm ratio records the separation. Runs take steps
-    of 0.1 and stop early if a norm passes 1e6. The tridiagonal
-    continuity route is checked on the way against the dense oracle's
-    completion of the same system, whose run is reported under "solve".
+    field relax to roundoff, while one-sided averaging (the "averaged"
+    run of `AveragedSlopeStepper`) keeps feeding a marginal interface
+    mode whose noise floor sits orders of magnitude higher; the end-norm
+    ratio records the separation. Runs take steps of 0.1 and stop early
+    if a norm passes 1e6. The tridiagonal route is checked on the way
+    against a stepper whose `completer` is the dense oracle's ("solve").
     """
     results = {}
     case = decaying_sine_case(n=n, p=p)
-    routes = {
-        "solve": OracleCompleter(case.mesh),
-        "tridiagonal": "tridiagonal",
-        "averaged": "averaged",
+    oracle = make_stepper(case, 0.1, corrected=False)
+    oracle.completer = OracleCompleter(case.mesh)
+    steppers = {
+        "solve": oracle,
+        "tridiagonal": make_stepper(case, 0.1, corrected=False),
+        "averaged": AveragedSlopeStepper(case.evolution, oracle.tab, 0.1, corrected=False),
     }
-    for method, route in routes.items():
-        st = make_stepper(case, 0.1, interface_method=route, corrected=False)
+    for method, st in steppers.items():
         norms = [float(np.abs(case.u0).max())]
 
         def watch(i, t, u):

@@ -82,7 +82,7 @@ def test_variable_coefficient_sampling():
 
 def test_mixed_term_rejected_and_why():
     m = mesh2d(p=6)
-    with pytest.raises(ValueError, match="c12"):
+    with pytest.raises(TypeError, match="c12"):
         rows(EllipticOperator(c11=1.0, c22=1.0, c12=0.5), m)
     # the reason: unlike every supported term, the mixed derivative's
     # interior rows carry nonzero weight on the dropped corner nodes

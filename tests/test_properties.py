@@ -1,0 +1,106 @@
+"""Randomized referees: the tree solve and the interface completion
+against the dense oracle, and the solve against itself, on drawn meshes,
+orders and data.
+
+Meshes are 1D with 1-7 leaves, or 2D with 1-7 leaves along each axis
+drawn independently (so neither square nor powers of two); p is 4-9 and
+the data has one or two rows. `derandomize=True` fixes the examples, so
+a failure reproduces on every run.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hpstep.mesh import BOUNDARY, build_mesh
+from hpstep.operators import EllipticOperator
+from hpstep.oracle import OracleCompleter, assemble_global, oracle_solve
+from hpstep.solver import build_factorization
+from hpstep.stepping import InterfaceCompleter
+
+REFEREE = settings(max_examples=20, deadline=None, derandomize=True)
+
+SEEDS = st.integers(0, 2**32 - 1)
+ROWS = st.sampled_from([(), (1,), (2,)])  # leading shape: a bare field, or k rows
+
+
+@st.composite
+def meshes(draw):
+    p = draw(st.integers(4, 9))
+    n1 = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return build_mesh((0.0, 0.5 * n1), n1, p=p)
+    n2 = draw(st.integers(1, 7))
+    return build_mesh(((0.0, 0.5 * n1), (-0.3, 0.4 * n2)), n1, n2, p=p)
+
+
+def variable_operator() -> EllipticOperator:
+    """Variable principal, advection and reaction terms under the shift of
+    an implicit stage; 1D meshes sample at x alone and drop c22/c2."""
+    return EllipticOperator(
+        c11=lambda x, y=0.0: 1.0 + 0.3 * np.sin(x + y),
+        c22=lambda x, y=0.0: 1.2 + 0.2 * np.cos(x * y),
+        c1=lambda x, y=0.0: 0.5 * np.cos(x) + 0.2 * y,
+        c2=lambda x, y=0.0: 0.3 - 0.4 * x,
+        c0=lambda x, y=0.0: 0.5 + x * x,
+    ).shifted(1.0, 0.5)
+
+
+def random_rows(rng, lead, *sizes):
+    return [rng.standard_normal(lead + (n,)) for n in sizes]
+
+
+def rel_err(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@REFEREE
+@given(mesh=meshes(), lead=ROWS, seed=SEEDS)
+def test_completer_matches_oracle(mesh, lead, seed):
+    n_gamma = mesh.ids_of(BOUNDARY).size
+    field, boundary = random_rows(np.random.default_rng(seed), lead, mesh.n_nodes, n_gamma)
+    want = OracleCompleter(mesh).complete(field, boundary)
+    got = InterfaceCompleter(mesh).complete(field, boundary)
+    assert got.shape == want.shape
+    assert rel_err(got, want) <= 1e-11
+
+
+@REFEREE
+@given(mesh=meshes(), lead=ROWS, seed=SEEDS)
+def test_tree_solve_matches_oracle(mesh, lead, seed):
+    # criterion 1's measure and bound: max difference over max(1, max|u|)
+    op = variable_operator()
+    fact = build_factorization(mesh, op)
+    n_gamma = fact.gamma_ids.size
+    f, g = random_rows(np.random.default_rng(seed), lead, mesh.n_nodes, n_gamma)
+    got = fact.solve(f, g)
+    assert got.shape == f.shape
+    system = assemble_global(mesh, op)
+    rows = zip(f.reshape(-1, mesh.n_nodes), g.reshape(-1, n_gamma))
+    want = np.array([oracle_solve(system, fi, dirichlet=gi) for fi, gi in rows])
+    want = want.reshape(got.shape)
+    assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+
+
+@REFEREE
+@given(mesh=meshes(), seed=SEEDS, penalized=st.booleans())
+def test_row_solve_matches_single_solves(mesh, seed, penalized):
+    fact = build_factorization(mesh, variable_operator())
+    n = mesh.n_nodes
+    f, g, pen = random_rows(np.random.default_rng(seed), (2,), n, fact.gamma_ids.size, n)
+    pen = pen if penalized else None
+    got = fact.solve(f, g, penalty_field=pen, dt=0.1)
+    for i in range(2):
+        want = fact.solve(f[i], g[i], penalty_field=None if pen is None else pen[i], dt=0.1)
+        assert rel_err(got[i], want) <= 1e-14
+
+
+@REFEREE
+@given(mesh=meshes(), lead=ROWS, seed=SEEDS)
+def test_penalty_route_is_linear(mesh, lead, seed):
+    # the penalty only adds its flux jumps to the interface conditions
+    fact = build_factorization(mesh, variable_operator())
+    n, dt = mesh.n_nodes, 0.05
+    f, g, pen = random_rows(np.random.default_rng(seed), lead, n, fact.gamma_ids.size, n)
+    got = fact.solve(f, g, penalty_field=pen, dt=dt)
+    want = fact.solve(f, g) + fact.solve(0 * f, 0 * g, penalty_field=pen, dt=dt)
+    assert rel_err(got, want) <= 1e-12

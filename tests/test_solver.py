@@ -117,14 +117,13 @@ def test_multi_rhs_matches_stacked_single(mesh_name, variable, route):
     F = rng.standard_normal((3, mesh.n_nodes))
     G = rng.standard_normal((3, fact.gamma_ids.size))
     P = rng.standard_normal((3, mesh.n_nodes)) if route != "plain" else None
-    if route == "penalty-only":  # the penalty field alone sets the row count
-        F = G = None
+    if route == "penalty-only":  # the penalty field alone drives the solve
+        F, G = np.zeros_like(F), np.zeros_like(G)
     got = fact.solve(F, G, penalty_field=P, dt=0.1)
     assert got.shape == (3, mesh.n_nodes)
     scale = np.abs(got).max() if P is not None else 1.0  # penalty jumps carry 1/dt
     for i in range(3):
-        rows = [None if a is None else a[i] for a in (F, G, P)]
-        want = fact.solve(rows[0], rows[1], penalty_field=rows[2], dt=0.1)
+        want = fact.solve(F[i], G[i], penalty_field=None if P is None else P[i], dt=0.1)
         np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12 * scale)
 
 
@@ -132,12 +131,13 @@ def test_solve_rejects_mismatched_rows():
     mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), 2, 2, p=6)
     fact = build_factorization(mesh, shifted_laplace())
     F = np.zeros((3, mesh.n_nodes))
+    G = np.zeros((3, fact.gamma_ids.size))
     with pytest.raises(ValueError, match="dirichlet has 2 rows, expected 3"):
-        fact.solve(F, np.zeros((2, fact.gamma_ids.size)))
+        fact.solve(F, G[:2])
     with pytest.raises(ValueError, match="penalty_field has 1 rows, expected 3"):
-        fact.solve(F, penalty_field=np.zeros(mesh.n_nodes), dt=0.1)
+        fact.solve(F, G, penalty_field=np.zeros(mesh.n_nodes), dt=0.1)
     with pytest.raises(ValueError, match="load: expected shape"):
-        fact.solve(np.zeros(mesh.n_nodes + 1))
+        fact.solve(np.zeros(mesh.n_nodes + 1), G[0])
     with pytest.raises(ValueError, match="dirichlet: expected shape"):
         fact.solve(F, np.zeros((3, 1, fact.gamma_ids.size)))
 
@@ -254,7 +254,7 @@ def test_penalty_route_is_linear(mesh_name, op_name):
         pen = pen + 1j * rng.standard_normal(mesh.n_nodes)
     got = fact.solve(f, g, penalty_field=pen, dt=dt)
     assert got.dtype == pen.dtype
-    want = fact.solve(f, g) + fact.solve(None, None, penalty_field=pen, dt=dt)
+    want = fact.solve(f, g) + fact.solve(0 * f, 0 * g, penalty_field=pen, dt=dt)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 

@@ -9,6 +9,7 @@ from hpstep.oracle import OracleCompleter
 from hpstep.problems import burgers_crossing, burgers_rotating, heat_cosine, make_stepper
 from hpstep.problems import schrodinger_harmonic
 from hpstep.stepping import Evolution, ImexStepper, InterfaceCompleter, _combine
+from hpstep.studies import AveragedSlopeStepper
 from hpstep.tableaus import load_tableau
 
 
@@ -87,15 +88,6 @@ def test_completer_multicomponent():
             np.where(mesh.node_class == 0, f, 0.0), f[:, mesh.ids_of(BOUNDARY)]
         )
         np.testing.assert_allclose(out, f, atol=1e-9)
-
-
-def test_completer_rejects_unknown_method():
-    evo = heat_sine_evolution(n=2, p=5)
-    with pytest.raises(ValueError, match="interface method"):
-        ImexStepper(evo, load_tableau(3), 0.1, interface_method="banded")
-    other = build_mesh((0.0, np.pi), 2, p=5)
-    with pytest.raises(ValueError, match="different mesh"):
-        ImexStepper(evo, load_tableau(3), 0.1, interface_method=InterfaceCompleter(other))
 
 
 # -- constructor guards --------------------------------------------------
@@ -177,9 +169,10 @@ def test_tridiagonal_path_matches_general_path():
     evo = heat_sine_evolution(n=4, p=10)
     tab = load_tableau(3)
     u0 = np.sin(evo.mesh.x)
-    reference = OracleCompleter(evo.mesh)
-    a = ImexStepper(evo, tab, 0.05, interface_method=reference).run(0.0, u0, 10)
-    b = ImexStepper(evo, tab, 0.05, interface_method="tridiagonal").run(0.0, u0, 10)
+    st = ImexStepper(evo, tab, 0.05)
+    st.completer = OracleCompleter(evo.mesh)
+    a = st.run(0.0, u0, 10)
+    b = ImexStepper(evo, tab, 0.05).run(0.0, u0, 10)
     np.testing.assert_allclose(b, a, atol=1e-12)
 
 
@@ -190,7 +183,7 @@ def test_averaged_variant_close_over_one_step():
     tab = load_tableau(3)
     u0 = np.sin(evo.mesh.x)
     a = ImexStepper(evo, tab, 0.02).step(0.0, u0)
-    b = ImexStepper(evo, tab, 0.02, interface_method="averaged").step(0.0, u0)
+    b = AveragedSlopeStepper(evo, tab, 0.02).step(0.0, u0)
     assert np.abs(a - b).max() < 1e-7
 
 
