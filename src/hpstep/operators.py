@@ -11,8 +11,10 @@ minus signs so that positive c11/c22 mean a coercive principal part;
 may be complex.
 
 Only the interior rows of a leaf are collocated; its edge rows are the
-flux rows of `flux_matrix`. The rows of all leaves are built at once,
-as one stack, from one checked sample of the coefficients.
+flux rows of `flux_matrix`. The rows of all leaves come from one checked
+sample of the coefficients, and they form a stack with one block per
+leaf only in the columns that a sampled coefficient weighs; elsewhere
+one block stands for every leaf.
 
 Leaf corners hold no unknowns. For every term above, the collocation
 rows used by the solver have exactly zero weight on corner values, so
@@ -131,29 +133,46 @@ def collocate_interior(
 ) -> np.ndarray:
     """Interior collocation rows of every leaf, restricted to local columns.
 
+    The constant terms, scaled and shifted, form one block that every leaf
+    shares. A sampled term is then added at the nonzero slots of its
+    matrix alone; the identity term (c0) touches only the diagonal.
+
     Args:
         cols: flat local node indices of the columns to keep.
         coefs: a coefficient sample of `op` on `mesh` to reuse.
 
     Returns:
         Shape (nl, n_int, cols.size), or (1, n_int, cols.size) standing
-        for every leaf when the coefficients are position-independent.
+        for every leaf when no sampled term weighs the kept columns: with
+        constant coefficients, and for the edge columns when c0 is the
+        only sampled term.
     """
     coefs = _sample_leaves(op, mesh) if coefs is None else coefs
     st = mesh_stencil(mesh)
     ii = mesh.interior_local
-    count = 1 if op.is_constant else mesh.n_leaves
     eye = np.equal.outer(ii, cols)  # rows of the identity
     dtype = np.result_type(op.sigma, op.scale, *coefs.values())
-    A = np.zeros((count, ii.size, cols.size), dtype=dtype)
+    block = np.zeros((ii.size, cols.size), dtype=dtype)
+    sampled = []
     for name, sign, key in _TERMS:
         if name in coefs:
             c = coefs[name]
-            c = np.reshape(c, (count, -1, 1))[:, ii] if np.ndim(c) else c
             D = eye if key == "I" else getattr(st, key)[np.ix_(ii, cols)]
-            A += c * (sign * D)
-    A *= op.scale
-    A += op.sigma * eye
+            if not np.ndim(c):
+                block += c * (sign * D)
+            elif D.any():
+                sampled.append((c, sign, D))
+    block *= op.scale
+    block += op.sigma * eye
+    if not sampled:
+        return block[None]
+    A = np.empty((mesh.n_leaves,) + block.shape, dtype=dtype)
+    A[:] = block
+    flat = A.reshape(mesh.n_leaves, -1)
+    for c, sign, D in sampled:
+        r, k = np.nonzero(D)
+        c = np.reshape(c, (mesh.n_leaves, -1))[:, ii[r]]
+        flat[:, r * cols.size + k] += c * (op.scale * sign * D[r, k])
     return A
 
 
@@ -163,21 +182,29 @@ def mesh_stencil(mesh: Mesh) -> LeafStencil:
 
 
 def guarded_inverse(X: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    """Inverse of a stack of square blocks, and the worst 1-norm
-    condition number among them.
+    """Inverse of a stack of square blocks, C-ordered, and the worst
+    1-norm condition number among them.
+
+    A C-ordered X is overwritten: its blocks are inverted a few megabytes
+    at a time, each group into its own place, so a large stack is never
+    held twice.
 
     Raises ValueError("singular <what>") when any block has a condition
     number of 1e14 or more, or one that is not finite.
     """
+    X = np.ascontiguousarray(X)
+    norm = np.abs(X).sum(axis=-2).max(axis=-1)
+    step = max(1, (1 << 22) // X[0].nbytes)
     try:
-        inv = np.linalg.inv(X)
+        for s in range(0, len(X), step):
+            X[s : s + step] = np.linalg.inv(X[s : s + step])
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular {what}") from exc
     # NaN fails the test as well
-    cond = np.abs(X).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
+    cond = norm * np.abs(X).sum(axis=-2).max(axis=-1)
     if not np.all(cond < 1e14):
         raise ValueError(f"singular {what}")
-    return inv, float(cond.max())
+    return X, float(cond.max())
 
 
 def flux_matrix(mesh: Mesh) -> np.ndarray:

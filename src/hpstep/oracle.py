@@ -65,7 +65,7 @@ def assemble_global(mesh: Mesh, op: EllipticOperator) -> GlobalSystem:
     for l in range(mesh.n_leaves):
         ids = mesh.leaf_grid[l].ravel()
         cols = ids[active]
-        A[np.ix_(ids[mesh.interior_local], cols)] = rows[0 if op.is_constant else l]
+        A[np.ix_(ids[mesh.interior_local], cols)] = rows[0 if len(rows) == 1 else l]
         for q, le in enumerate(mesh.edge_local):
             r = ids[le]
             if mesh.node_class[r] == BOUNDARY:

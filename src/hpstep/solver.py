@@ -185,13 +185,14 @@ def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (A @ np.ascontiguousarray(x.transpose(1, 2, 0))).transpose(2, 0, 1)
 
 
-def _cut(T: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """T[:, rows][:, :, cols]: from a full stack C-ordered, in one take without an
-    intermediate stack; from a shared copy in the layout of that fancy index."""
+def _cut(T: np.ndarray, pos: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """T[pos][:, rows][:, :, cols]: from a full stack C-ordered, in one take over the
+    whole stack; a shared copy stays one copy, in the layout of that fancy index."""
     if len(T) == 1:
         return T[:, rows][:, :, cols]
     flat = (rows[:, None] * T.shape[2] + cols).ravel()
-    return np.take(T.reshape(len(T), -1), flat, axis=1).reshape(len(T), rows.size, cols.size)
+    at = (pos * T[0].size)[:, None] + flat
+    return np.take(T, at).reshape(len(pos), rows.size, cols.size)
 
 
 def _blocks(mesh: Mesh) -> dict:
@@ -255,24 +256,24 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
         sr = first[right] + right_pos[:, None] * ids_r.shape[1]
         first[shape] = start
 
-        # a single shared copy stays a single copy
-        Tl = T[left] if len(T[left]) == 1 else T[left][left_pos]
-        Tr = T[right] if len(T[right]) == 1 else T[right][right_pos]
-        X = _cut(Tl, ia, ia) - _cut(Tr, ib, ib)
+        Tl, Tr = T[left], T[right]
+        X = _cut(Tl, left_pos, ia, ia) - _cut(Tr, right_pos, ib, ib)
         what = f"interface operator in the {shape[0]}x{shape[1]} blocks"
         inv_X, condition[shape] = guarded_inverse(X, what)
-        B = np.concatenate([-_cut(Tl, ia, idx1), _cut(Tr, ib, idx2)], axis=2)
+        B = np.concatenate([-_cut(Tl, left_pos, ia, idx1), _cut(Tr, right_pos, ib, idx2)], axis=2)
         S = inv_X @ B
 
         # the root has no parent: it passes no outer fluxes up
         ext, C = np.empty((len(left_pos), 0), dtype=int), inv_X[:, :0]
         if shape != order[-1]:
             ext = np.concatenate([sl + idx1, sr + idx2], axis=1)
-            C = np.concatenate([_cut(Tl, idx1, ia), _cut(Tr, idx2, ib)], axis=1)
+            C = np.concatenate(
+                [_cut(Tl, left_pos, idx1, ia), _cut(Tr, right_pos, idx2, ib)], axis=1
+            )
             n1 = idx1.size
             Tp = C @ S
-            Tp[:, :n1, :n1] += _cut(Tl, idx1, idx1)
-            Tp[:, n1:, n1:] += _cut(Tr, idx2, idx2)
+            Tp[:, :n1, :n1] += _cut(Tl, left_pos, idx1, idx1)
+            Tp[:, n1:, n1:] += _cut(Tr, right_pos, idx2, idx2)
             T[shape] = Tp
 
         levels.append(

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpstep.cli import (
+    FORMULATIONS,
     RESULT_COLUMNS,
     SWEEP_COLUMNS,
     ConfigError,
@@ -162,6 +163,133 @@ def test_bad_overrides_exit_2_naming_the_field(shared_config, override):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["run", shared_config, "--set", f"{key}={value}"])
+    text = err.getvalue()
+    assert code == 2, text
+    assert text.startswith(f"error: {field}"), text
+    assert "Traceback" not in text
+
+
+# whole config dicts, valid but for one fault, paired with the field the
+# message has to name
+_TWO_D = {name: PROBLEMS[name](n=1, p=4).mesh.n2 > 0 for name in PROBLEMS}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+_JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-10, 10),
+    "float": st.floats(),
+    "text": st.text(max_size=5),
+    "list": st.lists(_JSON, max_size=2),
+    "object": st.dictionaries(st.text(max_size=3), _JSON, max_size=2),
+}
+
+
+def _json_except(*kinds):
+    return st.one_of(*(values for kind, values in _JSON_KINDS.items() if kind not in kinds))
+
+
+def _new_key(known):
+    return st.text(min_size=1, max_size=10).filter(lambda k: k not in known)
+
+
+def _absent_or(values):
+    """A valid optional field value; None is written as null or left out."""
+    return st.one_of(st.none(), values)
+
+
+_BAD_NUMBER_VALUE = st.one_of(
+    _json_except("null", "int", "float"),
+    st.floats(max_value=0.0),
+    st.integers(max_value=0),
+    st.sampled_from([float("nan"), float("inf"), 10**400]),
+)
+_BAD_VALUES = {
+    "experiment": _json_except("text") | st.text(max_size=12).filter(lambda t: t not in PROBLEMS),
+    "mesh": _json_except("object"),
+    "formulation": _json_except("null", "text")
+    | st.text(max_size=8).filter(lambda t: t not in FORMULATIONS),
+    "q_rk": _json_except("null", "int") | st.integers().filter(lambda v: v not in (3, 4, 5)),
+    "dt": _BAD_NUMBER_VALUE,
+    "dt_rule": _json_except("null", "text")
+    | st.text(max_size=12).filter(lambda t: t != "resolution"),
+    "t_end": _BAD_NUMBER_VALUE,
+    "output_dir": _json_except("text") | st.just(""),
+    "mesh.n1": _json_except("int") | st.integers(max_value=0),
+    "mesh.p": _json_except("int") | st.integers(max_value=3),
+}
+_FAULTS = sorted(_BAD_VALUES) + [
+    "unknown", "unknown mesh", "missing", "n2", "dt and dt_rule", "top level"
+]
+
+
+@st.composite
+def _bad_configs(draw, fault):
+    name = draw(st.sampled_from(sorted(PROBLEMS)))
+    n1 = draw(st.integers(1, 3))
+    mesh = {"n1": n1, "n2": n1 if _TWO_D[name] else 0, "p": draw(st.integers(4, 8))}
+    cfg = {"experiment": name, "mesh": mesh, "output_dir": "out"}
+    optional = {
+        "formulation": _absent_or(st.sampled_from(FORMULATIONS)),
+        "q_rk": _absent_or(st.sampled_from([3, 4, 5])),
+        "t_end": _absent_or(st.floats(0.01, 10.0)),
+        "dt": _absent_or(st.floats(1e-3, 1.0)),
+    }
+    for key, values in optional.items():
+        value = draw(values)
+        if value is not None or draw(st.booleans()):
+            cfg[key] = value
+    if cfg.get("dt") is None and draw(st.booleans()):
+        cfg["dt_rule"] = "resolution"
+
+    if fault in _BAD_VALUES:
+        field = fault
+        head, _, tail = field.partition(".")
+        (mesh if tail else cfg)[tail or head] = draw(_BAD_VALUES[field])
+    elif fault == "unknown":
+        field = draw(_new_key(RunConfig.__dataclass_fields__))
+        cfg[field] = draw(_JSON)
+    elif fault == "unknown mesh":
+        key = draw(_new_key(mesh))
+        mesh[key] = draw(_JSON)
+        field = f"mesh.{key}"
+    elif fault == "missing":
+        field = draw(st.sampled_from(["experiment", "mesh", "mesh.n1", "mesh.n2", "mesh.p"]))
+        head, _, tail = field.partition(".")
+        del (mesh if tail else cfg)[tail or head]
+    elif fault == "n2":  # an integer the experiment's mesh shape does not have
+        field = "mesh.n2"
+        mesh["n2"] = draw(st.integers().filter(lambda v: v != mesh["n2"]))
+    elif fault == "dt and dt_rule":
+        field = "dt"
+        cfg.update(dt=draw(st.floats(1e-3, 1.0)), dt_rule="resolution")
+    else:
+        field = "config"
+        cfg = draw(_json_except("object"))
+    return cfg, field
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_bad_configs_exit_2_naming_the_field(config_dir, fault, data):
+    cfg, field = data.draw(_bad_configs(fault))
+    if isinstance(cfg, dict) and cfg.get("output_dir") == "out":
+        cfg["output_dir"] = str(config_dir / "out")
+    path = config_dir / "config.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", str(path)])
     text = err.getvalue()
     assert code == 2, text
     assert text.startswith(f"error: {field}"), text

@@ -17,6 +17,7 @@ from hpstep.operators import (
     identity_operator,
     laplace_operator,
     leaf_coordinates,
+    mesh_stencil,
     scatter_mean,
 )
 
@@ -215,7 +216,7 @@ NEAR_SINGULAR = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0 + 1e-15]]])  # cond 
     [
         lambda: build_leaf_operators(mesh2d(2, 1, p=5), EllipticOperator()),
         lambda: guarded_inverse(np.ones((3, 4, 4)), "test stack"),
-        lambda: guarded_inverse(NEAR_SINGULAR, "test stack"),
+        lambda: guarded_inverse(NEAR_SINGULAR.copy(), "test stack"),
         lambda: guarded_inverse(np.full((1, 3, 3), np.nan), "test stack"),
     ],
     ids=["zero-operator", "singular", "near-singular", "nan"],
@@ -223,6 +224,20 @@ NEAR_SINGULAR = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0 + 1e-15]]])  # cond 
 def test_singular_blocks_raise(make_stack):
     with pytest.raises(ValueError, match="singular"):
         make_stack()
+
+
+def test_guarded_inverse_matches_one_batched_inverse():
+    # 80 KB blocks: the stack is inverted in place in two groups
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((70, 100, 100)) + 20 * np.eye(100)
+    want = np.linalg.inv(X)
+    inv, cond = guarded_inverse(X.copy(), "test stack")
+    np.testing.assert_array_equal(inv, want)
+    assert cond == pytest.approx(max(np.linalg.cond(x, 1) for x in X), rel=1e-12)
+    # blocks stored transposed still come back C-ordered, as the solve multiplies them
+    inv, _ = guarded_inverse(X.transpose(0, 2, 1).copy().transpose(0, 2, 1), "test stack")
+    assert inv.flags.c_contiguous
+    np.testing.assert_array_equal(inv, want)
 
 
 def test_gather_scatter_round_trip():
@@ -410,3 +425,68 @@ def test_applier_runs_only_needed_passes(monkeypatch, terms, passes):
     m, u = index_case("2d", "pair")
     OperatorApplier(m, EllipticOperator(**terms)).interior_apply(u)
     assert (calls["x"], calls["y"]) == passes
+
+
+# -- interior collocation against a leaf-by-leaf dense build ---------------
+
+COLLOCATION_COEFS = {
+    "c11": (1.3, lambda x, y=0.0: 1 + x**2 + 0.5 * y),
+    "c22": (0.7, lambda x, y: 2 + np.sin(x * y)),
+    "c1": (0.4 - 0.2j, lambda x, y=0.0: np.cos(x) - 0.5j * y),
+    "c2": (-0.6, lambda x, y: x - y),
+    "c0": (2.0 + 1.0j, lambda x, y=0.0: (x**2 + y**2) / 2 + 1j * x),
+}
+COLLOCATION_MESHES = {
+    "1d": lambda: build_mesh((0.0, 1.5), 3, p=7),
+    "2d": lambda: build_mesh(((0.0, 2.0), (-0.5, 0.5)), 3, 2, p=6),
+}
+_TERM_MATRIX = {"c11": (-1.0, "Dxx"), "c22": (-1.0, "Dyy"), "c1": (1.0, "Dx"), "c2": (1.0, "Dy")}
+
+
+def dense_leaf_rows(m, op, l):
+    """sigma*I + scale*sum(sign*c*D) of leaf l over all of its local nodes."""
+    st = mesh_stencil(m)
+    x, y = leaf_coordinates(m)
+    x, y = x[l].ravel(), None if y is None else y[l].ravel()
+    n = x.size
+    A = np.zeros((n, n), dtype=complex)
+    for name in ("c11", "c1", "c0") if m.dim == 1 else COLLOCATION_COEFS:
+        c = getattr(op, name)
+        c = (c(x) if y is None else c(x, y)) if callable(c) else np.full(n, c)
+        sign, key = _TERM_MATRIX.get(name, (1.0, None))
+        A += sign * c[:, None] * (np.eye(n) if key is None else getattr(st, key))
+    return op.sigma * np.eye(n) + op.scale * A
+
+
+@pytest.mark.parametrize(
+    "dim,sampled",
+    [("1d", s) for s in ("none", "c11", "c1", "c0", "all")]
+    + [("2d", s) for s in ("none", "c11", "c22", "c1", "c2", "c0", "all")],
+)
+def test_collocation_matches_dense_leaf_build(dim, sampled):
+    m = COLLOCATION_MESHES[dim]()
+    names = ("c11", "c1", "c0") if dim == "1d" else tuple(COLLOCATION_COEFS)
+    terms = {n: COLLOCATION_COEFS[n][n == sampled or sampled == "all"] for n in names}
+    op = EllipticOperator(**terms, sigma=0.3 - 1.1j, scale=-0.7 + 0.4j)
+    want = np.array([dense_leaf_rows(m, op, l)[m.interior_local] for l in range(m.n_leaves)])
+    for cols in (m.interior_local, m.edge_local, np.arange(m.leaf_grid[0].size)):
+        got = collocate_interior(op, m, cols)
+        assert len(got) in (1, m.n_leaves) and got.shape[1:] == (m.interior_local.size, cols.size)
+        got = np.broadcast_to(got, (m.n_leaves,) + got.shape[1:])
+        ref = want[:, :, cols]
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim", list(COLLOCATION_MESHES))
+def test_sampled_identity_term_leaves_edge_columns_shared(dim):
+    # c0 weighs only the diagonal, which lies in the interior columns: the
+    # edge columns of every leaf are then the same
+    m = COLLOCATION_MESHES[dim]()
+    names = ("c11", "c1") if dim == "1d" else ("c11", "c22", "c1", "c2")
+    op = EllipticOperator(
+        **{n: COLLOCATION_COEFS[n][0] for n in names}, c0=COLLOCATION_COEFS["c0"][1], sigma=1j
+    )
+    assert len(collocate_interior(op, m, m.edge_local)) == 1
+    assert len(collocate_interior(op, m, m.interior_local)) == m.n_leaves
+    ops = build_leaf_operators(m, op)
+    assert len(ops.inv) == len(ops.G) == m.n_leaves
