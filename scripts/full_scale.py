@@ -6,19 +6,17 @@ run them all:
 
     python scripts/full_scale.py asymmetric-table richardson-table
     python scripts/full_scale.py all
+
+The full-size flow runs are plain configs, run by the CLI with its own
+error handling:
+
+    hpstep run configs/burgers-rotating-full.json
+    hpstep run configs/burgers-cross-full.json
 """
 import argparse
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-
-from hpstep.cli import cmd_run, load_config  # noqa: E402
-from hpstep.studies import asymmetric_self_convergence, richardson_study  # noqa: E402
-
-
-def run_config(name: str) -> None:
-    cmd_run(load_config(str(ROOT / "configs" / name)))
+from hpstep.studies import asymmetric_self_convergence, richardson_study
 
 
 def asymmetric_table() -> None:
@@ -46,8 +44,6 @@ def richardson_table() -> None:
 
 
 TARGETS = {
-    "burgers-rotating": lambda: run_config("burgers-rotating-full.json"),
-    "burgers-cross": lambda: run_config("burgers-cross-full.json"),
     "asymmetric-table": asymmetric_table,
     "richardson-table": richardson_table,
 }

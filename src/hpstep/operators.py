@@ -186,22 +186,25 @@ def guarded_inverse(X: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     1-norm condition number among them.
 
     A C-ordered X is overwritten: its blocks are inverted a few megabytes
-    at a time, each group into its own place, so a large stack is never
-    held twice.
+    at a time, each group into its own place, and each group's column
+    sums are taken before and after, so no temporary as large as the
+    stack is made.
 
     Raises ValueError("singular <what>") when any block has a condition
     number of 1e14 or more, or one that is not finite.
     """
     X = np.ascontiguousarray(X)
-    norm = np.abs(X).sum(axis=-2).max(axis=-1)
+    cond = np.empty(len(X))
     step = max(1, (1 << 22) // X[0].nbytes)
     try:
         for s in range(0, len(X), step):
-            X[s : s + step] = np.linalg.inv(X[s : s + step])
+            group = X[s : s + step]
+            norm = np.abs(group).sum(axis=-2).max(axis=-1)
+            group[:] = np.linalg.inv(group)
+            cond[s : s + step] = norm * np.abs(group).sum(axis=-2).max(axis=-1)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular {what}") from exc
     # NaN fails the test as well
-    cond = norm * np.abs(X).sum(axis=-2).max(axis=-1)
     if not np.all(cond < 1e14):
         raise ValueError(f"singular {what}")
     return X, float(cond.max())

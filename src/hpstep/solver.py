@@ -18,14 +18,15 @@ local index maps and the shapes of their two children. All merges of one
 block shape therefore form a level whose operators are stacked along a
 leading axis, and levels are ordered by block area, children first. With
 position-independent coefficients a level stores one copy, and a
-product with it is one GEMM over the rows of all its blocks. A full
-stack is C-contiguous and is one batched product over a contiguous
-(m, n, k) copy of the rows, so that every block product runs in BLAS.
+product with it is one GEMM over the rows of all its blocks; a full
+stack is one batched BLAS product over a contiguous (m, n, k) copy of
+the rows. Everything the build stores has one memory order, C: every
+slot and id table (one row per block) and every stack, shared or full.
 
-A solve takes and returns fields as rows, (N,) or (k, N). The upward
-pass writes the particular outer edge fluxes of every block, leaves
-first, into one flat buffer, at slots the build has worked out; every
-read is an `np.take` over planned slots. A level is two takes (its
+A solve takes and returns fields as rows, (N,) or (k, N), and reads
+them with plain `np.take(rows, table, axis=1)`. The upward pass writes
+the particular outer edge fluxes of every block, leaves first, into one
+flat buffer, at slots the build has worked out. A level is two takes (its
 interface fluxes), a product with the inverse, one take (the children's
 other outer fluxes), a product with the stacked flux correction and one
 slice store. The root has no parent, so it passes no outer fluxes up:
@@ -129,18 +130,18 @@ class HpsFactorization:
         # outer fluxes of every block into the buffer, and per level the
         # interface correction w
         lf = self.leaf_ops
-        z = _apply(lf.inv, _take(f, self.leaf_interior_ids))
+        z = _apply(lf.inv, np.take(f, self.leaf_interior_ids, axis=1))
         buf = np.empty((k, self.n_flux), dtype=dtype)
         n_leaf = self.leaf_boundary_ids.size
         buf[:, :n_leaf] = (z @ lf.Fi.T).reshape(k, n_leaf)
         if pen is not None:
-            hu = _take(pen, self.leaf_interior_ids) @ lf.Fi.T
-            hu = hu + _take(pen, self.leaf_boundary_ids) @ lf.Fb.T
+            hu = np.take(pen, self.leaf_interior_ids, axis=1) @ lf.Fi.T
+            hu = hu + np.take(pen, self.leaf_boundary_ids, axis=1) @ lf.Fb.T
             buf[:, :n_leaf] += (1.0 / dt) * hu.reshape(k, n_leaf)
         w = []
         for lv in self.levels:
-            w.append(_apply(lv.inv_X, _take(buf, lv.ib) - _take(buf, lv.ia)))
-            h = _take(buf, lv.ext) + _apply(lv.C, w[-1])
+            w.append(_apply(lv.inv_X, np.take(buf, lv.ib, axis=1) - np.take(buf, lv.ia, axis=1)))
+            h = np.take(buf, lv.ext, axis=1) + _apply(lv.C, w[-1])
             buf[:, lv.start : lv.start + lv.ext.size] = h.reshape(k, -1)
 
         # downward pass: every block's outer values are known once its
@@ -148,18 +149,11 @@ class HpsFactorization:
         out = np.zeros((k, n), dtype=dtype)
         put_rows(out, self.gamma_ids, g)
         for lv, w_lv in zip(reversed(self.levels), reversed(w)):
-            put_rows(out, lv.interface_ids, w_lv + _apply(lv.S, _take(out, lv.boundary_ids)))
-        put_rows(out, self.leaf_interior_ids, z - _apply(lf.G, _take(out, self.leaf_boundary_ids)))
+            outer = np.take(out, lv.boundary_ids, axis=1)
+            put_rows(out, lv.interface_ids, w_lv + _apply(lv.S, outer))
+        edge = np.take(out, self.leaf_boundary_ids, axis=1)
+        put_rows(out, self.leaf_interior_ids, z - _apply(lf.G, edge))
         return out if np.ndim(load) == 2 else out[0]
-
-
-def _take(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """rows[:, slots] by one `np.take` in the slot table's memory order: each row is
-    a C- or F-ordered BLAS operand, and one row rounds in products like rows[:, slots].
-    A shared stack's one GEMM takes them as they are, a full stack a contiguous copy."""
-    if slots.flags.c_contiguous:
-        return np.take(rows, slots, axis=1)
-    return np.take(rows, slots.T, axis=1).transpose(0, 2, 1)
 
 
 def _as_rows(arr, n: int, name: str, k: int | None = None) -> np.ndarray:
@@ -177,8 +171,8 @@ def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Each block's operator applied to its rows: (k, m, n) -> (k, m, r).
 
     A shared stack (length one) multiplies the rows of every block in one
-    GEMM; a full stack (m, r, n), C-contiguous, is one batched BLAS product
-    over a contiguous (m, n, k) copy of the rows.
+    GEMM; a full stack (m, r, n), C-ordered like every stored stack, is
+    one batched BLAS product over a contiguous (m, n, k) copy of the rows.
     """
     if len(A) == 1:
         return x @ A[0].T
@@ -186,10 +180,10 @@ def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _cut(T: np.ndarray, pos: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """T[pos][:, rows][:, :, cols]: from a full stack C-ordered, in one take over the
-    whole stack; a shared copy stays one copy, in the layout of that fancy index."""
+    """T[pos][:, rows][:, :, cols] in one take over the whole stack, C-ordered;
+    a shared (length-one) stack is cut at position 0 and stays one copy."""
     if len(T) == 1:
-        return T[:, rows][:, :, cols]
+        pos = np.zeros(1, dtype=int)
     flat = (rows[:, None] * T.shape[2] + cols).ravel()
     at = (pos * T[0].size)[:, None] + flat
     return np.take(T, at).reshape(len(pos), rows.size, cols.size)
@@ -226,7 +220,7 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
     leaf_ops = build_leaf_operators(mesh, op)
     flat = mesh.leaf_grid.reshape(mesh.n_leaves, -1)
     # per block shape: outer-boundary ids, one row per block; its first outer-flux slot
-    ids = {_LEAF: flat[:, mesh.edge_local]}
+    ids = {_LEAF: np.take(flat, mesh.edge_local, axis=1)}
     first = {_LEAF: 0}
     # edge-to-flux maps, dropped after the last parent
     T = {_LEAF: leaf_ops.Fb - leaf_ops.Fi @ leaf_ops.G}
@@ -250,7 +244,8 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
         idx1 = np.setdiff1d(np.arange(ids_l.shape[1]), ia)
         idx2 = np.setdiff1d(np.arange(ids_r.shape[1]), ib)
 
-        ids[shape] = np.concatenate([ids_l[:, idx1], ids_r[:, idx2]], axis=1)
+        outer = np.take(ids_l, idx1, axis=1), np.take(ids_r, idx2, axis=1)
+        ids[shape] = np.concatenate(outer, axis=1)
         # buffer slot of each child block's first outer flux
         sl = first[left] + left_pos[:, None] * ids_l.shape[1]
         sr = first[right] + right_pos[:, None] * ids_r.shape[1]
@@ -283,7 +278,7 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
                 ib=sr + ib,
                 ext=ext,
                 boundary_ids=ids[shape],
-                interface_ids=ids_l[:, ia],
+                interface_ids=np.take(ids_l, ia, axis=1),
                 inv_X=inv_X,
                 S=S,
                 C=C,
@@ -302,7 +297,7 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
         op=op,
         leaf_ops=leaf_ops,
         levels=levels,
-        leaf_interior_ids=flat[:, mesh.interior_local],
+        leaf_interior_ids=np.take(flat, mesh.interior_local, axis=1),
         leaf_boundary_ids=ids[_LEAF],
         gamma_ids=gamma_ids,
         n_flux=start,

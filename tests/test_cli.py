@@ -460,10 +460,48 @@ def test_extrapolation_axis_emits_table(tmp_path):
     assert raw[2] < raw[0]
 
 
-def test_main_rejects_bad_config_with_exit_code(tmp_path, capsys):
-    path = heat_config(tmp_path, experiment="nope")
-    assert main(["run", str(path)]) == 2
-    assert "experiment" in capsys.readouterr().err
+def _raw_config(tmp_path, data: bytes):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    return path
+
+
+BAD_INVOCATIONS = {  # name: (argv from tmp_path, field the message names)
+    "unknown-experiment": (
+        lambda tmp: ["run", str(heat_config(tmp, experiment="nope"))], "experiment"
+    ),
+    "missing-file": (lambda tmp: ["run", str(tmp / "absent.json")], "config"),
+    "directory": (lambda tmp: ["run", str(tmp)], "config"),
+    "bad-json": (lambda tmp: ["run", str(_raw_config(tmp, b'{"experiment": '))], "config"),
+    "undecodable": (lambda tmp: ["run", str(_raw_config(tmp, b"\xff\xfe{}"))], "config"),
+    "override-without-equals": (
+        lambda tmp: ["run", str(heat_config(tmp)), "--set", "dt"], "override"
+    ),
+    "no-points": (
+        lambda tmp: ["sweep", str(heat_config(tmp)), "--axis", "dt", "--points", "0"],
+        "points",
+    ),
+    "no-default-step": (
+        lambda tmp: [
+            "run",
+            str(heat_config(
+                tmp, experiment="schrodinger-harmonic", mesh={"n1": 4, "n2": 4, "p": 6}, dt=None
+            )),
+        ],
+        "dt",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INVOCATIONS)
+def test_main_rejects_bad_config_with_exit_code(tmp_path, capsys, case):
+    argv, field = BAD_INVOCATIONS[case]
+    assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_verify_passes(capsys):

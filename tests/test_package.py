@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hpstep"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hpstep"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_every_imported_name_is_read(path):
     tree = ast.parse(path.read_text())
     imported = set()

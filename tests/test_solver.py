@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from hpstep.operators import (
     laplace_operator,
 )
 from hpstep.oracle import assemble_global, oracle_solve
-from hpstep.solver import _apply, _take, build_factorization
+from hpstep.solver import _apply, build_factorization
 
 
 def shifted_laplace():
@@ -287,40 +289,45 @@ def test_root_passes_no_fluxes_up():
     assert fact.n_flux == root.start
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_solve_takes_match_fancy_index(k):
-    # the solve reads every slot table, C- or F-ordered, by `_take`; one
-    # row comes out laid out like the fancy index, so products round alike
-    mesh = build_mesh(((0.0, 2.0), (0.0, 1.0)), 5, 3, p=6)
-    fact = build_factorization(mesh, shifted_laplace())
-    width = max(mesh.n_nodes, fact.n_flux)
-    rows = np.random.default_rng(0).standard_normal((k, width))
-    tables = [fact.leaf_interior_ids, fact.leaf_boundary_ids]
-    for lv in fact.levels:
-        tables += [lv.ia, lv.ib, lv.ext, lv.boundary_ids, lv.interface_ids]
-    assert {t.flags.c_contiguous for t in tables} == {True, False}
-    for t in tables:
-        got, want = _take(rows, t), rows[:, t]
-        np.testing.assert_array_equal(got, want)
-        if k == 1:
-            assert got.strides[1:] == want.strides[1:]
-
-
 def variable_factorization():
     mesh = build_mesh(((0.0, 4.0), (0.0, 2.0)), 4, 2, p=6)
     op = EllipticOperator(c11=1.0, c22=1.0, c0=lambda x, y: 1 + x * x + y * y)
     return build_factorization(mesh, op.shifted(1.0, 0.1 + 0.2j))
 
 
-def test_full_stacks_are_c_contiguous():
-    # every batched product of a full stack goes to BLAS only if the stack
-    # is C-ordered; a length-one (shared) stack is left as the build made it
-    fact = variable_factorization()
-    stacks = [fact.leaf_ops.inv, fact.leaf_ops.G]
-    stacks += [getattr(lv, name) for lv in fact.levels for name in ("inv_X", "S", "C")]
-    full = [A for A in stacks if len(A) > 1]
-    assert len(full) >= 8
-    assert all(A.flags.c_contiguous for A in full)
+LAYOUT_MESHES = {
+    "1d": lambda: build_mesh((0.0, 3.0), 6, p=7),
+    "2d": lambda: build_mesh(((0.0, 5.0), (0.0, 3.0)), 5, 3, p=6),
+}
+
+
+@pytest.mark.parametrize("mesh_name", LAYOUT_MESHES)
+@pytest.mark.parametrize("op_name", PENALTY_OPERATORS)
+def test_stored_tables_and_stacks_are_c_contiguous(mesh_name, op_name):
+    # one memory order for everything the solve reads: every id and slot
+    # table (one row per block) and every stack, shared or full, is C-ordered,
+    # so a plain np.take of a table hands the products C-ordered rows
+    mesh = LAYOUT_MESHES[mesh_name]()
+    fact = build_factorization(mesh, PENALTY_OPERATORS[op_name].shifted(1.0, 0.05))
+    stored = {
+        "leaf_interior_ids": fact.leaf_interior_ids,
+        "leaf_boundary_ids": fact.leaf_boundary_ids,
+        "gamma_ids": fact.gamma_ids,
+        "leaf inv": fact.leaf_ops.inv,
+        "leaf G": fact.leaf_ops.G,
+    }
+    for i, lv in enumerate(fact.levels):
+        for f in dataclasses.fields(lv):
+            if isinstance(getattr(lv, f.name), np.ndarray):
+                stored[f"level {i} {f.name}"] = getattr(lv, f.name)
+    assert [name for name, a in stored.items() if not a.flags.c_contiguous] == []
+    # the tables have rows to lay out, and the stacks are the kind the case names
+    assert max(len(lv.ia) for lv in fact.levels) > 1
+    blocks = [len(fact.leaf_ops.inv)] + [len(lv.inv_X) for lv in fact.levels]
+    if op_name == "constant":
+        assert blocks == [1] * len(blocks)
+    else:
+        assert blocks == [mesh.n_leaves] + [len(lv.ia) for lv in fact.levels]
 
 
 @pytest.mark.parametrize("k", [1, 2])

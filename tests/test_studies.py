@@ -195,7 +195,7 @@ def test_full_scale_targets_bind_to_the_study_signatures(monkeypatch):
 
         return bind
 
-    for name in ("asymmetric_self_convergence", "richardson_study", "cmd_run"):
+    for name in ("asymmetric_self_convergence", "richardson_study"):
         monkeypatch.setattr(script, name, binding(name))
     for target in script.TARGETS.values():
         with pytest.raises(Bound):
