@@ -221,20 +221,12 @@ def write_snapshot(path: Path, mesh, u: np.ndarray, t: float) -> None:
     )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, columns, rows) -> None:
+    """One row per dict; a missing or None cell is written empty."""
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
+        writer = csv.DictWriter(fh, columns)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def cmd_run(cfg: RunConfig) -> Path:

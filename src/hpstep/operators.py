@@ -299,18 +299,20 @@ def put_rows(rows: np.ndarray, ids: np.ndarray, vals: np.ndarray) -> None:
 
 
 class OperatorApplier:
-    """Pointwise application of an operator's interior rows to fields.
+    """Pointwise application of a bare operator's interior rows to fields.
 
-    Coefficients are sampled once; `interior_apply` then evaluates
-    sigma*u + scale*A(u) at every interior node of the mesh by batched
-    leaf differentiation. Every interior node has exactly one owning
-    leaf, so its value is copied straight from that leaf's array.
+    The operator must have sigma = 0 and scale = 1, as `stepping.Evolution`
+    holds it. Coefficients are sampled once; `interior_apply` then
+    evaluates A(u) at every interior node of the mesh by batched leaf
+    differentiation. Every interior node has exactly one owning leaf, so
+    its value is copied straight from that leaf's array.
     """
 
     def __init__(self, mesh: Mesh, op: EllipticOperator):
+        if op.sigma != 0 or op.scale != 1:
+            raise ValueError("OperatorApplier wants the bare operator: sigma = 0 and scale = 1")
         self.mesh = mesh
-        self.op = op
-        coefs = self.coefs = _sample_leaves(op, mesh)
+        coefs = _sample_leaves(op, mesh)
         st = mesh_stencil(mesh)
         flat = mesh.leaf_grid.reshape(mesh.n_leaves, -1)
         self._interior_ids = flat[:, mesh.interior_local].ravel()
@@ -320,25 +322,15 @@ class OperatorApplier:
             diffs.update(Dy=(diff_apply_y, st.Dy1), Dyy=(diff_apply_y, st.Dy1 @ st.Dy1))
         self._terms = [(sign, coefs[n], diffs.get(k)) for n, sign, k in _TERMS if n in coefs]
 
-    def leaf_values(self, u: np.ndarray, fill: bool = False) -> np.ndarray:
-        """Batched operator values on leaf arrays (interior slots valid).
-
-        With `fill`, 2D corner slots are rebuilt by edge extrapolation
-        first, which makes the edge slots usable as one-sided operator
-        values at extrapolation accuracy.
-        """
-        op = self.op
+    def leaf_values(self, u: np.ndarray) -> np.ndarray:
+        """Batched values of A(u) on leaf arrays. The interior slots are
+        valid, and so are the edge slots of a 1D mesh; 2D edge slots read
+        the zero corners."""
         U = gather_leaf_fields(self.mesh, u)
-        if fill and self.mesh.dim == 2:
-            U = fill_corners(U)
-        vals = np.zeros(U.shape, np.result_type(U, op.sigma, op.scale, *self.coefs.values()))
+        vals = np.zeros(U.shape, np.result_type(U, *(coef for _, coef, _ in self._terms)))
         for sign, coef, diff in self._terms:
             term = coef * (U if diff is None else diff[0](diff[1], U))
             (np.add if sign > 0 else np.subtract)(vals, term, out=vals)
-        if op.scale != 1:
-            vals *= op.scale
-        if op.sigma != 0:
-            vals += op.sigma * U
         return vals
 
     def interior_apply(self, u: np.ndarray) -> np.ndarray:

@@ -4,9 +4,8 @@ Assembles the complete collocation system over all active nodes in one
 N-by-N matrix and solves it with dense LU. Row classes mirror the node
 classes: interior rows collocate the operator, interface rows equate the
 one-sided edge-normal derivatives of the two touching leaves, and outer
-boundary rows take the outward normal derivative from the owning leaf.
-Dirichlet data is imposed by swapping boundary rows for identity rows at
-solve time, so the assembled matrix itself stays purely structural.
+boundary rows are identity rows, so the solve imposes Dirichlet data by
+placing it on the right-hand side.
 
 This path shares the differentiation stencils and the interior
 collocation rows with the fast solver; assembly and solution are
@@ -41,15 +40,6 @@ class GlobalSystem:
     matrix: np.ndarray = field(repr=False)
 
 
-def _outward_sign(mesh: Mesh, local_edge_pos: int) -> float:
-    """Sign turning the stored directional derivative into an outward one."""
-    if mesh.dim == 1:
-        return -1.0 if local_edge_pos == 0 else 1.0
-    q = mesh.p - 2
-    edge = local_edge_pos // q  # 0=S, 1=E, 2=N, 3=W
-    return -1.0 if edge in (0, 3) else 1.0
-
-
 def assemble_global(mesh: Mesh, op: EllipticOperator) -> GlobalSystem:
     """Build the dense N-by-N system for one mesh and operator."""
     n = mesh.n_nodes
@@ -69,7 +59,7 @@ def assemble_global(mesh: Mesh, op: EllipticOperator) -> GlobalSystem:
         for q, le in enumerate(mesh.edge_local):
             r = ids[le]
             if mesh.node_class[r] == BOUNDARY:
-                A[r, cols] = _outward_sign(mesh, q) * F[q, active]
+                A[r, r] = 1.0
             elif A[r].any():
                 # second owner: the row becomes a one-sided derivative jump
                 A[r, cols] -= F[q, active]
@@ -86,7 +76,7 @@ def oracle_solve(
     Args:
         load: values at all nodes; only interior entries are read.
         dirichlet: boundary values ordered by ascending boundary node id;
-            imposed by replacing the boundary rows with identity rows.
+            the right-hand side of the boundary rows.
     """
     mesh = system.mesh
     cls = mesh.node_class
@@ -95,13 +85,10 @@ def oracle_solve(
     if data.shape != gamma.shape:
         raise ValueError(f"expected {gamma.size} boundary values")
     dtype = np.result_type(system.matrix.dtype, np.asarray(load).dtype, data.dtype)
-    A = system.matrix.astype(dtype, copy=True)
-    A[gamma, :] = 0.0
-    A[gamma, gamma] = 1.0
     rhs = np.zeros(mesh.n_nodes, dtype=dtype)
     rhs[cls == INTERIOR] = np.asarray(load)[cls == INTERIOR]
     rhs[gamma] = data
-    return scipy.linalg.solve(A, rhs)
+    return scipy.linalg.solve(system.matrix, rhs)
 
 
 class OracleCompleter:

@@ -23,7 +23,6 @@ from .tableaus import load_tableau
 
 @dataclass
 class TransientCase:
-    name: str
     evolution: Evolution
     u0: np.ndarray
     t_end: float
@@ -91,7 +90,6 @@ def heat_cosine(n: int = 3, p: int = 20) -> TransientCase:
         forcing=lambda t, x, y: np.full_like(np.asarray(x, dtype=float), -math.sin(t)),
     )
     return TransientCase(
-        name="heat1d-bc",
         evolution=evo,
         u0=np.ones(mesh.n_nodes),
         t_end=2.0,
@@ -116,7 +114,6 @@ def heat_kink(p: int = 9, n: int = 2) -> TransientCase:
         bc_rate=_zero,
     )
     return TransientCase(
-        name="heat1d-kink",
         evolution=evo,
         u0=1.0 - np.abs(mesh.x - 1.0),
         t_end=10.0,
@@ -148,7 +145,6 @@ def schrodinger_harmonic(n: int = 16, p: int = 8, half: float = 8.0) -> Transien
         bc_rate=lambda t, x, y: -1j * exact(t, x, y),
     )
     return TransientCase(
-        name="schrodinger-harmonic",
         evolution=evo,
         u0=exact(0.0, mesh.x, mesh.y),
         t_end=2.0 * np.pi,
@@ -176,7 +172,6 @@ def schrodinger_asymmetric(n: int = 8, p: int = 8) -> TransientCase:
     )
     u0 = 3.0 * np.sin(mesh.x) * np.sin(mesh.y) * np.exp(-(mesh.x**2 + mesh.y**2))
     return TransientCase(
-        name="schrodinger-asymmetric",
         evolution=evo,
         u0=u0.astype(complex),
         t_end=1.0,
@@ -213,7 +208,6 @@ def burgers_rotating(n: int = 8, p: int = 12) -> TransientCase:
     damp = 5.0 * np.exp(-3.0 * (mesh.x**2 + mesh.y**2))
     u0 = np.stack([-damp * mesh.y, damp * mesh.x])
     return TransientCase(
-        name="burgers-rotating",
         evolution=evo,
         u0=u0,
         t_end=1.0,
@@ -247,7 +241,6 @@ def burgers_crossing(n: int = 8, p: int = 12) -> TransientCase:
     )
     u0 = np.stack([stream_u(mesh.x, mesh.y), stream_v(mesh.x, mesh.y)])
     return TransientCase(
-        name="burgers-cross",
         evolution=evo,
         u0=u0,
         t_end=1.0,

@@ -16,6 +16,7 @@ from hpstep.cli import (
     SWEEP_COLUMNS,
     ConfigError,
     RunConfig,
+    _write_csv,
     cmd_run,
     cmd_sweep,
     load_config,
@@ -348,6 +349,12 @@ def test_run_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"] == cfg.to_dict()
     assert set(manifest["versions"]) == {"artifact", "python", "numpy", "scipy"}
+
+
+def test_csv_cells_write_numpy_floats_as_plain_numbers(tmp_path):
+    path = tmp_path / "cells.csv"
+    _write_csv(path, ("a", "b", "c"), [{"a": np.float64(0.1), "b": None}])
+    assert read_csv(path) == [["a", "b", "c"], ["0.1", "", ""]]
 
 
 def test_run_manifest_reports_condition(tmp_path):

@@ -182,15 +182,11 @@ def test_shared_factorization_detection():
     [
         (
             mesh2d(2, 2, p=6, box=((0.0, 2.0), (0.0, 2.0))),
-            EllipticOperator(
-                c11=1.0, c22=1.0, c1=0.3, c0=lambda x, y: 1 + x + y, sigma=0.5, scale=2.0
-            ),
+            EllipticOperator(c11=1.0, c22=1.0, c1=0.3, c0=lambda x, y: 1 + x + y),
         ),
         (
             build_mesh((0.0, 2.0), 4, p=7),
-            EllipticOperator(
-                c11=lambda x: 1 + x, c1=0.3, c0=lambda x: 1 + x**2, sigma=0.5, scale=2.0
-            ),
+            EllipticOperator(c11=lambda x: 1 + x, c1=0.3, c0=lambda x: 1 + x**2),
         ),
     ],
     ids=["2d", "1d"],
@@ -364,7 +360,8 @@ APPLIER_COEFS = {
 
 
 def reference_leaf_values(m, op, u, fill):
-    """Every term of the operator from two first-derivative passes."""
+    """Every term of the bare operator from two first-derivative passes;
+    `fill` rebuilds the 2D corners by edge extrapolation first."""
     st = leaf_stencil(m.p, m.hx, m.hy if m.dim == 2 else None)
     U = fancy_gather(m, u)
     if fill and m.dim == 2:
@@ -376,7 +373,7 @@ def reference_leaf_values(m, op, u, fill):
     if m.dim == 2:
         uy = diff_apply_y(st.Dy1, U)
         A = A - coef(op.c22) * diff_apply_y(st.Dy1, uy) + coef(op.c2) * uy
-    return op.sigma * U + op.scale * A
+    return A
 
 
 @pytest.mark.parametrize("dim", ["1d", "2d"])
@@ -385,18 +382,25 @@ def reference_leaf_values(m, op, u, fill):
 @pytest.mark.parametrize("shift", [(0.0, 1.0), (0.5, 2.0 - 0.5j)], ids=["plain", "shifted"])
 @pytest.mark.parametrize("fill", [False, True], ids=["nofill", "fill"])
 def test_leaf_values_match_two_pass_reference(dim, kind, coefs, shift, fill):
+    # the applier takes only the bare operator; its interior values read no
+    # corner slot, so a reference with rebuilt corners (`fill`) agrees there
     m, u = index_case(dim, kind)
     terms = dict(APPLIER_COEFS[coefs])
     if dim == "1d":
         del terms["c22"], terms["c2"]
-    op = EllipticOperator(**terms, sigma=shift[0], scale=shift[1])
-    got = OperatorApplier(m, op).leaf_values(u, fill=fill)
+    op = EllipticOperator(**terms)
+    if shift != (0.0, 1.0):
+        # a shift and a prefactor are each refused alone
+        for sigma, scale in ((shift[0], 1.0), (0.0, shift[1])):
+            with pytest.raises(ValueError, match="bare operator"):
+                OperatorApplier(m, op.shifted(sigma, scale))
+        return
+    got = OperatorApplier(m, op).leaf_values(u)
     want = reference_leaf_values(m, op, u, fill)
     assert got.shape == want.shape and got.dtype == want.dtype
     interior = np.zeros(m.leaf_grid.shape[1:], dtype=bool)
     interior.reshape(-1)[m.interior_local] = True
-    valid = (...,) if fill and dim == "2d" else (..., interior)  # fill makes edges usable
-    assert np.abs(got - want)[valid].max() <= 1e-12 * np.abs(want)[valid].max()
+    assert np.abs(got - want)[..., interior].max() <= 1e-12 * np.abs(want)[..., interior].max()
 
 
 @pytest.mark.parametrize(

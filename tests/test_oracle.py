@@ -65,12 +65,8 @@ def test_row_classes_act_as_documented():
     np.testing.assert_allclose(act[interior], (-lap + 0.5 * u)[interior], atol=1e-6)
     # interface rows: one-sided derivative jump of a smooth field ~ 0
     assert np.abs(act[m.ids_of(INTERFACE)]).max() < 1e-6
-    # boundary rows: outward normal derivative
-    gx, gy = m.x[boundary], m.y[boundary]
-    nx = np.where(np.isclose(gx, 1.0), 1.0, np.where(np.isclose(gx, -1.0), -1.0, 0.0))
-    ny = np.where(np.isclose(gy, 1.0), 1.0, np.where(np.isclose(gy, -1.0), -1.0, 0.0))
-    dn = nx * np.cos(gx + 0.3) * np.cos(gy) + ny * -np.sin(gx + 0.3) * np.sin(gy)
-    np.testing.assert_allclose(act[boundary], dn, atol=1e-6)
+    # boundary rows: identity rows, so the solve's Dirichlet data is their right-hand side
+    np.testing.assert_array_equal(A[boundary], np.eye(m.n_nodes)[boundary])
 
 
 def test_complex_operator():

@@ -6,6 +6,7 @@ from hpstep.mesh import BOUNDARY
 from hpstep.operators import OperatorApplier
 from hpstep.problems import (
     PROBLEMS,
+    TransientCase,
     burgers_crossing,
     burgers_rotating,
     heat_cosine,
@@ -26,8 +27,8 @@ def test_registry_complete():
         "burgers-rotating",
         "burgers-cross",
     }
-    for name, factory in PROBLEMS.items():
-        assert factory().name == name
+    for factory in PROBLEMS.values():
+        assert isinstance(factory(), TransientCase)
 
 
 @pytest.mark.parametrize("factory", [heat_cosine, heat_kink])
@@ -65,15 +66,13 @@ def test_schrodinger_cases_complex(factory):
 def test_initial_data_matches_boundary_values():
     # the rotating swirl is Gaussian-damped, not compactly supported: its
     # no-slip walls clip a ~4e-7 tail, so that case only gets a loose bound
-    for factory in PROBLEMS.values():
+    for name, factory in PROBLEMS.items():
         case = factory()
         ids = case.mesh.ids_of(BOUNDARY)
         y = case.mesh.y[ids] if case.mesh.dim == 2 else None
         g0 = np.asarray(case.evolution.bc(0.0, case.mesh.x[ids], y))
-        atol = 1e-6 if case.name == "burgers-rotating" else 5e-11
-        np.testing.assert_allclose(
-            case.u0[..., ids], g0, atol=atol, err_msg=case.name
-        )
+        atol = 1e-6 if name == "burgers-rotating" else 5e-11
+        np.testing.assert_allclose(case.u0[..., ids], g0, atol=atol, err_msg=name)
 
 
 def test_harmonic_semidiscrete_residual():

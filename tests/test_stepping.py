@@ -140,6 +140,35 @@ def test_run_stops_at_first_non_finite_step():
             st.run(0.0, np.sin(mesh.x), 10)
 
 
+def test_run_stops_when_the_callback_says_so():
+    # the callback returns True after step 3: the run ends with the 3-step field
+    evo = heat_sine_evolution(n=2, p=8)
+    st = ImexStepper(evo, load_tableau(3), 0.1)
+    u0 = np.sin(evo.mesh.x)
+    seen = []
+
+    def stop_at_3(i, t, u):
+        seen.append(i)
+        return i == 3
+
+    got = st.run(0.0, u0, 10, callback=stop_at_3)
+    assert seen == [1, 2, 3]
+    np.testing.assert_array_equal(got, st.run(0.0, u0, 3))
+
+
+def test_averaged_stepper_rejects_2d_mesh():
+    # its edge means would read the zero corners of 2D leaves
+    evo = Evolution(
+        mesh=build_mesh(((0.0, 1.0), (0.0, 1.0)), 2, 2, p=6),
+        operator=laplace_operator(),
+        lam=-1.0,
+        bc=zero_bc,
+        bc_rate=zero_bc,
+    )
+    with pytest.raises(ValueError, match="1D mesh"):
+        AveragedSlopeStepper(evo, load_tableau(3), 0.1)
+
+
 # -- convergence on manufactured solutions -------------------------------
 
 

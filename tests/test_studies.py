@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hpstep import studies
 from hpstep.analysis import fit_rate, max_error
 from hpstep.problems import PROBLEMS, make_stepper
 from hpstep.studies import (
@@ -132,13 +133,26 @@ def test_harmonic_sweep_structure():
     assert stages.errors[1] < stages.errors[0]
 
 
-def test_asymmetric_self_convergence_small():
+def test_asymmetric_self_convergence_small(monkeypatch):
     series = asymmetric_self_convergence(
         panel_counts=(2, 4), p=6, reference=(8, 8), order=3, n_steps=6
     )
     assert series.errors[1] < series.errors[0]
     assert len(series.extra["pair_rates"]) == 1
     assert series.extra["pair_rates"][0] > 1.0
+    # a `t_end` override reaches every run, the reference included
+    ends = []
+
+    def recording(case, count, **kw):
+        ends.append(case.t_end)
+        return advance(case, count, **kw)
+
+    monkeypatch.setattr(studies, "advance", recording)
+    short = asymmetric_self_convergence(
+        panel_counts=(2, 4), p=6, reference=(8, 8), order=3, n_steps=6, t_end=0.5
+    )
+    assert ends == [0.5] * 3
+    assert short.errors[1] < short.errors[0] and short.errors != series.errors
 
 
 def test_kink_study_modes_differ():
