@@ -272,7 +272,7 @@ def gather_leaf_fields(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     analogues, C-contiguous. Corner zeros are fine for every consumer
     that only reads interior rows or edge-normal derivative rows.
     """
-    vals = np.take(u, mesh.leaf_grid, axis=-1, mode="clip")  # -1 corners read node 0
+    vals = take_rows(u, mesh.leaf_grid)  # -1 corners read the last node
     if mesh.dim == 2:
         vals[..., :: mesh.p - 1, :: mesh.p - 1] = 0.0  # the four corners
     return vals
@@ -286,10 +286,22 @@ def scatter_mean(mesh: Mesh, leaf_vals: np.ndarray) -> np.ndarray:
     """
     flat = leaf_vals.reshape(leaf_vals.shape[: -mesh.leaf_grid.ndim] + (-1,))
     a, b = mesh.owner_slots
-    out = np.take(flat, a, axis=-1)
-    out += np.take(flat, b, axis=-1)
+    out = take_rows(flat, a)
+    out += take_rows(flat, b)
     out *= 0.5
     return out
+
+
+def take_rows(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """rows[..., ids], gathered along the last axis, C-ordered.
+
+    Mesh and merge-plan tables are read-only, and np.take copies a
+    read-only index on every call; one row is gathered with a plain
+    index instead, which reads it in place.
+    """
+    if rows.size == rows.shape[-1]:
+        return rows.reshape(-1)[ids].reshape(rows.shape[:-1] + ids.shape)
+    return np.take(rows, ids, axis=-1)
 
 
 def put_rows(rows: np.ndarray, ids: np.ndarray, vals: np.ndarray) -> None:

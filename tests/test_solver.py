@@ -330,6 +330,54 @@ def test_stored_tables_and_stacks_are_c_contiguous(mesh_name, op_name):
         assert blocks == [mesh.n_leaves] + [len(lv.ia) for lv in fact.levels]
 
 
+def test_mesh_and_plan_tables_are_read_only():
+    # factorizations on one mesh share its tables, so no caller may write into them
+    mesh = build_mesh(((0.0, 2.0), (0.0, 1.0)), 2, 1, p=6)
+    fact = build_factorization(mesh, shifted_laplace())
+    for table in (mesh.leaf_grid, mesh.owner_slots, fact.levels[0].ia):
+        with pytest.raises(ValueError):
+            table[0] = 0
+    plan = mesh.merge_plan
+    tables = [getattr(o, f.name) for o in (mesh, plan, *plan.levels) for f in dataclasses.fields(o)]
+    assert [a for a in tables if isinstance(a, np.ndarray) and a.flags.writeable] == []
+
+
+PLAN_MESHES = {  # a mesh and the spatial operator it is factored with at two dt
+    "1d": (lambda: build_mesh((0.0, 2.0), 7, p=9), PENALTY_OPERATORS["variable"]),
+    "4x3": (lambda: build_mesh(((0.0, 4.0), (0.0, 3.0)), 4, 3, p=9), laplace_operator()),
+    "5x3-variable-complex": (
+        lambda: build_mesh(((0.0, 5.0), (0.0, 3.0)), 5, 3, p=6),
+        EllipticOperator(c11=1.0, c22=1.0, c0=lambda x, y: 1 + x * x + 0.5j * y),
+    ),
+    "1x1": (lambda: build_mesh(((0.0, 1.0), (0.0, 1.0)), 1, 1, p=9), laplace_operator()),
+}
+
+
+@pytest.mark.parametrize("mesh_name", PLAN_MESHES)
+def test_factorizations_on_one_mesh_share_its_plan(mesh_name):
+    make_mesh, op = PLAN_MESHES[mesh_name]
+    mesh = make_mesh()
+    dts = (0.05, 0.2)
+    first, second = (build_factorization(mesh, op.shifted(1.0, dt)) for dt in dts)
+    # the second build reads the first's index tables: no copies
+    for name in ("leaf_interior_ids", "leaf_boundary_ids", "gamma_ids"):
+        assert getattr(second, name) is getattr(first, name)
+    assert len(second.levels) == len(first.levels)
+    for a, b in zip(first.levels, second.levels):
+        for name in ("ia", "ib", "ext", "boundary_ids", "interface_ids"):
+            assert getattr(b, name) is getattr(a, name)
+    # and each equals, bit for bit, a factorization on a freshly built mesh
+    f, g = random_data(mesh, np.random.default_rng(7), complex)
+    for dt, fact in zip(dts, (first, second)):
+        fresh = build_factorization(make_mesh(), op.shifted(1.0, dt))
+        assert fact.n_flux == fresh.n_flux and fact.condition == fresh.condition
+        assert len(fact.levels) == len(fresh.levels)
+        for a, b in zip(fact.levels, fresh.levels):
+            for name in ("inv_X", "S", "C"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        np.testing.assert_array_equal(fact.solve(f, g), fresh.solve(f, g))
+
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_apply_full_stack_matches_per_block(k, order):
