@@ -112,8 +112,9 @@ class Mesh:
         owner_slots: (2, N) flat positions in the leaf arrays of the
             leaves touching each node (a node on one leaf has it twice);
             computed on first use.
-        merge_plan: the merge tree and its index tables; computed on first
-            use, by the first factorization on the mesh.
+        merge_plan: the merge tree and its index tables, the only copy
+            that factorizations and the operator applier read; computed on
+            first use.
         interior_local / edge_local: flat local indices shared by all
             leaves; edges are ordered S, E, N, W, ascending along each edge.
     """

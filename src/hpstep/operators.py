@@ -266,7 +266,7 @@ def build_leaf_operators(mesh: Mesh, op: EllipticOperator) -> LeafOperatorSet:
 
 
 def gather_leaf_fields(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """Scatter a global field onto batched leaf arrays; corners get zero.
+    """Gather a global field onto batched leaf arrays; corners get zero.
 
     Accepts (N,) or (m, N); returns (nl, p, p), (m, nl, p, p) or the 1D
     analogues, C-contiguous. Corner zeros are fine for every consumer
@@ -317,7 +317,8 @@ class OperatorApplier:
     holds it. Coefficients are sampled once; `interior_apply` then
     evaluates A(u) at every interior node of the mesh by batched leaf
     differentiation. Every interior node has exactly one owning leaf, so
-    its value is copied straight from that leaf's array.
+    its value is copied straight from that leaf's array, at the ids of the
+    mesh's merge plan.
     """
 
     def __init__(self, mesh: Mesh, op: EllipticOperator):
@@ -326,8 +327,6 @@ class OperatorApplier:
         self.mesh = mesh
         coefs = _sample_leaves(op, mesh)
         st = mesh_stencil(mesh)
-        flat = mesh.leaf_grid.reshape(mesh.n_leaves, -1)
-        self._interior_ids = flat[:, mesh.interior_local].ravel()
         # present terms in `_TERMS` order: sign, coefficient, one 1-D product or None
         diffs = {"Dx": (diff_apply_x, st.Dx1), "Dxx": (diff_apply_x, st.Dx1 @ st.Dx1)}
         if mesh.dim == 2:
@@ -352,7 +351,7 @@ class OperatorApplier:
         lead = vals.shape[: vals.ndim - mesh.leaf_grid.ndim]
         vals = np.take(vals.reshape(lead + (mesh.n_leaves, -1)), mesh.interior_local, axis=-1)
         out = np.zeros(lead + (mesh.n_nodes,), dtype=vals.dtype)
-        put_rows(out.reshape(-1, mesh.n_nodes), self._interior_ids, vals)
+        put_rows(out.reshape(-1, mesh.n_nodes), mesh.merge_plan.leaf_interior_ids, vals)
         return out
 
 

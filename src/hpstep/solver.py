@@ -14,13 +14,14 @@ by block area, children first. The plan holds, per level, the children's
 positions, their interface and outer columns, and the node-id and
 flux-buffer slot tables the solve reads, and it checks the tree once. The
 first factorization on a mesh object computes it; every later one, of any
-operator, shares its read-only tables.
+operator, reads the same read-only tables. A factorization stores no index
+table of its own: its solve reads every one from the plan.
 
 The numeric phase is `build_factorization`: the leaf operators, then per
-level the children's edge-to-flux maps cut at the plan's columns. Each
-merge eliminates the shared interface by equating the one-sided
-edge-normal derivatives of the two children, which yields a dense
-interface operator
+level the children's edge-to-flux maps cut at the plan's columns, which
+leave three stacks per level. Each merge eliminates the shared interface
+by equating the one-sided edge-normal derivatives of the two children,
+which yields a dense interface operator
 
     X = T_left[33] - T_right[33]
 
@@ -31,14 +32,14 @@ making the merge orientation-free. A level's operators are stacked along
 a leading axis. With position-independent coefficients a level stores
 one copy, and a product with it is one GEMM over the rows of all its
 blocks; a full stack is one batched BLAS product over a contiguous
-(m, n, k) copy of the rows. Everything the build stores has one memory
-order, C: every slot and id table (one row per block) and every stack,
-shared or full.
+(m, n, k) copy of the rows. Everything a solve reads has one memory
+order, C: every slot and id table of the plan (one row per block) and
+every stack the build stores, shared or full.
 
 A solve takes and returns fields as rows, (N,) or (k, N), and reads
 them with `operators.take_rows(rows, table)`. The upward pass writes
 the particular outer edge fluxes of every block, leaves first, into one
-flat buffer, at slots the build has worked out. A level is two takes (its
+flat buffer, at slots the plan has worked out. A level is two takes (its
 interface fluxes), a product with the inverse, one take (the children's
 other outer fluxes), a product with the stacked flux correction and one
 slice store. The root has no parent, so it passes no outer fluxes up:
@@ -72,17 +73,11 @@ from .operators import guarded_inverse, put_rows, take_rows
 
 @dataclass
 class _Level:
-    """All merges of one block shape: operators stacked over the merges
-    (one copy when the leaf operators are shared), and the flux-buffer
-    slots and node ids of the mesh's merge plan, one row per block. The
-    solve reads every field."""
+    """The operators of all merges of one block shape, stacked over the
+    merges (one copy when the leaf operators are shared). The solve reads
+    every field, and reads the level's index tables from the matching
+    level of the mesh's merge plan."""
 
-    start: int  # first buffer slot of this level's outer fluxes
-    ia: np.ndarray = field(repr=False)  # buffer slots of the interface, left child
-    ib: np.ndarray = field(repr=False)  # same interface, right child
-    ext: np.ndarray = field(repr=False)  # children's other outer fluxes; none at the root
-    boundary_ids: np.ndarray = field(repr=False)  # (m, n_outer)
-    interface_ids: np.ndarray = field(repr=False)  # (m, n_interface)
     inv_X: np.ndarray = field(repr=False)
     S: np.ndarray = field(repr=False)  # interface response to outer data
     C: np.ndarray = field(repr=False)  # [T_left[1,3]; T_right[2,3]]; no rows at the root
@@ -90,17 +85,19 @@ class _Level:
 
 @dataclass
 class HpsFactorization:
-    """Reusable direct factorization of one operator on one mesh."""
+    """Reusable direct factorization of one operator on one mesh. It
+    stores only numbers; every index table is the mesh's merge plan's."""
 
     mesh: Mesh
     op: EllipticOperator
     leaf_ops: LeafOperatorSet = field(repr=False)
-    levels: list[_Level] = field(repr=False)  # by block area, children first
-    leaf_interior_ids: np.ndarray = field(repr=False)  # (nl, n_int)
-    leaf_boundary_ids: np.ndarray = field(repr=False)  # (nl, n_edge)
-    gamma_ids: np.ndarray = field(repr=False)  # ascending, the mesh's boundary order
-    n_flux: int  # length of the flux buffer
+    levels: list[_Level] = field(repr=False)  # as the plan's levels: by block area, children first
     condition: dict  # worst 1-norm condition number per block shape
+
+    @property
+    def gamma_ids(self) -> np.ndarray:
+        """Boundary node ids, ascending: the order of the Dirichlet data."""
+        return self.mesh.merge_plan.gamma_ids
 
     @property
     def dtype(self):
@@ -123,17 +120,19 @@ class HpsFactorization:
             penalty_field: current solution field whose derivative jumps
                 are penalized in the interface conditions, shape (N,) or
                 (k, N); requires dt.
+            dt: the time step whose reciprocal weighs the penalty fluxes.
 
         Returns:
             Field over all active nodes, (N,) or (k, N) like `load`.
             NaN or inf in the data is not screened and reaches the result.
         """
         n = self.mesh.n_nodes
+        plan = self.mesh.merge_plan
         if penalty_field is not None and dt is None:
             raise ValueError("penalty_field requires dt")
         f = _as_rows(load, n, "load")
         k = len(f)
-        g = _as_rows(dirichlet, self.gamma_ids.size, "dirichlet", k)
+        g = _as_rows(dirichlet, plan.gamma_ids.size, "dirichlet", k)
         pen = None if penalty_field is None else _as_rows(penalty_field, n, "penalty_field", k)
         dtype = np.result_type(self.dtype, *(a.dtype for a in (f, g, pen) if a is not None))
 
@@ -141,29 +140,29 @@ class HpsFactorization:
         # outer fluxes of every block into the buffer, and per level the
         # interface correction w
         lf = self.leaf_ops
-        z = _apply(lf.inv, take_rows(f, self.leaf_interior_ids))
-        buf = np.empty((k, self.n_flux), dtype=dtype)
-        n_leaf = self.leaf_boundary_ids.size
+        z = _apply(lf.inv, take_rows(f, plan.leaf_interior_ids))
+        buf = np.empty((k, plan.n_flux), dtype=dtype)
+        n_leaf = plan.leaf_boundary_ids.size
         buf[:, :n_leaf] = (z @ lf.Fi.T).reshape(k, n_leaf)
         if pen is not None:
-            hu = take_rows(pen, self.leaf_interior_ids) @ lf.Fi.T
-            hu = hu + take_rows(pen, self.leaf_boundary_ids) @ lf.Fb.T
+            hu = take_rows(pen, plan.leaf_interior_ids) @ lf.Fi.T
+            hu = hu + take_rows(pen, plan.leaf_boundary_ids) @ lf.Fb.T
             buf[:, :n_leaf] += (1.0 / dt) * hu.reshape(k, n_leaf)
         w = []
-        for lv in self.levels:
-            w.append(_apply(lv.inv_X, take_rows(buf, lv.ib) - take_rows(buf, lv.ia)))
-            h = take_rows(buf, lv.ext) + _apply(lv.C, w[-1])
-            buf[:, lv.start : lv.start + lv.ext.size] = h.reshape(k, -1)
+        for mp, lv in zip(plan.levels, self.levels):
+            w.append(_apply(lv.inv_X, take_rows(buf, mp.ib) - take_rows(buf, mp.ia)))
+            h = take_rows(buf, mp.ext) + _apply(lv.C, w[-1])
+            buf[:, mp.start : mp.start + mp.ext.size] = h.reshape(k, -1)
 
         # downward pass: every block's outer values are known once its
         # ancestors are done, which gives its interface values
         out = np.zeros((k, n), dtype=dtype)
-        put_rows(out, self.gamma_ids, g)
-        for lv, w_lv in zip(reversed(self.levels), reversed(w)):
-            outer = take_rows(out, lv.boundary_ids)
-            put_rows(out, lv.interface_ids, w_lv + _apply(lv.S, outer))
-        edge = take_rows(out, self.leaf_boundary_ids)
-        put_rows(out, self.leaf_interior_ids, z - _apply(lf.G, edge))
+        put_rows(out, plan.gamma_ids, g)
+        for mp, lv, w_lv in zip(reversed(plan.levels), reversed(self.levels), reversed(w)):
+            outer = take_rows(out, mp.boundary_ids)
+            put_rows(out, mp.interface_ids, w_lv + _apply(lv.S, outer))
+        edge = take_rows(out, plan.leaf_boundary_ids)
+        put_rows(out, plan.leaf_interior_ids, z - _apply(lf.G, edge))
         return out if np.ndim(load) == 2 else out[0]
 
 
@@ -230,30 +229,8 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
             Tp[:, :n1, :n1] += _cut(Tl, lp, idx1, idx1)
             Tp[:, n1:, n1:] += _cut(Tr, rp, idx2, idx2)
             T[mp.shape] = Tp
-        levels.append(
-            _Level(
-                start=mp.start,
-                ia=mp.ia,
-                ib=mp.ib,
-                ext=mp.ext,
-                boundary_ids=mp.boundary_ids,
-                interface_ids=mp.interface_ids,
-                inv_X=inv_X,
-                S=S,
-                C=C,
-            )
-        )
+        levels.append(_Level(inv_X, S, C))
         for child in mp.drop:
             del T[child]
 
-    return HpsFactorization(
-        mesh=mesh,
-        op=op,
-        leaf_ops=leaf_ops,
-        levels=levels,
-        leaf_interior_ids=plan.leaf_interior_ids,
-        leaf_boundary_ids=plan.leaf_boundary_ids,
-        gamma_ids=plan.gamma_ids,
-        n_flux=plan.n_flux,
-        condition=condition,
-    )
+    return HpsFactorization(mesh=mesh, op=op, leaf_ops=leaf_ops, levels=levels, condition=condition)

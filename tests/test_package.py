@@ -51,3 +51,19 @@ def test_every_mesh_field_is_read():
         if isinstance(n, ast.Attribute)
     }
     assert fields and not fields - read, f"nothing outside mesh.py reads Mesh.{sorted(fields - read)}"
+
+
+def test_every_merge_plan_field_is_read():
+    # a table the plan lays out but no factorization or solve reads is dead weight
+    tree = ast.parse((SRC / "mesh.py").read_text())
+    classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+    fields = {
+        (name, s.target.id)
+        for name in ("MergeLevel", "MergePlan")
+        for s in classes[name].body
+        if isinstance(s, ast.AnnAssign)
+    }
+    solver = ast.parse((SRC / "solver.py").read_text())
+    read = {n.attr for n in ast.walk(solver) if isinstance(n, ast.Attribute)}
+    unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+    assert fields and not unread, f"solver.py never reads {unread}"

@@ -284,9 +284,10 @@ def test_root_passes_no_fluxes_up():
     # nothing reads the root's outer fluxes: it has no slots and no flux correction
     mesh = build_mesh(((0.0, 2.0), (0.0, 1.0)), 5, 3, p=6)
     fact = build_factorization(mesh, shifted_laplace())
-    root = fact.levels[-1]
-    assert root.ext.size == 0 and root.C.shape[1] == 0
-    assert fact.n_flux == root.start
+    plan = mesh.merge_plan
+    root = plan.levels[-1]
+    assert root.ext.size == 0 and fact.levels[-1].C.shape[1] == 0
+    assert plan.n_flux == root.start
 
 
 def variable_factorization():
@@ -306,38 +307,36 @@ LAYOUT_MESHES = {
 def test_stored_tables_and_stacks_are_c_contiguous(mesh_name, op_name):
     # one memory order for everything the solve reads: every id and slot
     # table (one row per block) and every stack, shared or full, is C-ordered,
-    # so a plain np.take of a table hands the products C-ordered rows
+    # so a take through a table hands the products C-ordered rows
     mesh = LAYOUT_MESHES[mesh_name]()
     fact = build_factorization(mesh, PENALTY_OPERATORS[op_name].shifted(1.0, 0.05))
-    stored = {
-        "leaf_interior_ids": fact.leaf_interior_ids,
-        "leaf_boundary_ids": fact.leaf_boundary_ids,
-        "gamma_ids": fact.gamma_ids,
-        "leaf inv": fact.leaf_ops.inv,
-        "leaf G": fact.leaf_ops.G,
-    }
-    for i, lv in enumerate(fact.levels):
-        for f in dataclasses.fields(lv):
-            if isinstance(getattr(lv, f.name), np.ndarray):
-                stored[f"level {i} {f.name}"] = getattr(lv, f.name)
+    plan = mesh.merge_plan
+    holders = {"plan": plan}
+    holders |= {f"plan level {i}": lv for i, lv in enumerate(plan.levels)}
+    holders |= {f"level {i}": lv for i, lv in enumerate(fact.levels)}
+    stored = {"leaf inv": fact.leaf_ops.inv, "leaf G": fact.leaf_ops.G}
+    for where, obj in holders.items():
+        for f in dataclasses.fields(obj):
+            if isinstance(getattr(obj, f.name), np.ndarray):
+                stored[f"{where} {f.name}"] = getattr(obj, f.name)
     assert [name for name, a in stored.items() if not a.flags.c_contiguous] == []
     # the tables have rows to lay out, and the stacks are the kind the case names
-    assert max(len(lv.ia) for lv in fact.levels) > 1
+    assert max(len(lv.ia) for lv in plan.levels) > 1
     blocks = [len(fact.leaf_ops.inv)] + [len(lv.inv_X) for lv in fact.levels]
     if op_name == "constant":
         assert blocks == [1] * len(blocks)
     else:
-        assert blocks == [mesh.n_leaves] + [len(lv.ia) for lv in fact.levels]
+        assert blocks == [mesh.n_leaves] + [len(lv.ia) for lv in plan.levels]
 
 
 def test_mesh_and_plan_tables_are_read_only():
     # factorizations on one mesh share its tables, so no caller may write into them
     mesh = build_mesh(((0.0, 2.0), (0.0, 1.0)), 2, 1, p=6)
-    fact = build_factorization(mesh, shifted_laplace())
-    for table in (mesh.leaf_grid, mesh.owner_slots, fact.levels[0].ia):
+    build_factorization(mesh, shifted_laplace())
+    plan = mesh.merge_plan
+    for table in (mesh.leaf_grid, mesh.owner_slots, plan.levels[0].ia):
         with pytest.raises(ValueError):
             table[0] = 0
-    plan = mesh.merge_plan
     tables = [getattr(o, f.name) for o in (mesh, plan, *plan.levels) for f in dataclasses.fields(o)]
     assert [a for a in tables if isinstance(a, np.ndarray) and a.flags.writeable] == []
 
@@ -359,23 +358,53 @@ def test_factorizations_on_one_mesh_share_its_plan(mesh_name):
     mesh = make_mesh()
     dts = (0.05, 0.2)
     first, second = (build_factorization(mesh, op.shifted(1.0, dt)) for dt in dts)
-    # the second build reads the first's index tables: no copies
-    for name in ("leaf_interior_ids", "leaf_boundary_ids", "gamma_ids"):
-        assert getattr(second, name) is getattr(first, name)
-    assert len(second.levels) == len(first.levels)
-    for a, b in zip(first.levels, second.levels):
-        for name in ("ia", "ib", "ext", "boundary_ids", "interface_ids"):
-            assert getattr(b, name) is getattr(a, name)
+    # both read the one plan the first build laid out: no copies
+    plan = mesh.merge_plan
+    assert first.mesh is second.mesh is mesh
+    assert first.gamma_ids is second.gamma_ids is plan.gamma_ids
+    assert len(first.levels) == len(second.levels) == len(plan.levels)
     # and each equals, bit for bit, a factorization on a freshly built mesh
     f, g = random_data(mesh, np.random.default_rng(7), complex)
     for dt, fact in zip(dts, (first, second)):
         fresh = build_factorization(make_mesh(), op.shifted(1.0, dt))
-        assert fact.n_flux == fresh.n_flux and fact.condition == fresh.condition
+        assert plan.n_flux == fresh.mesh.merge_plan.n_flux and fact.condition == fresh.condition
         assert len(fact.levels) == len(fresh.levels)
         for a, b in zip(fact.levels, fresh.levels):
             for name in ("inv_X", "S", "C"):
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         np.testing.assert_array_equal(fact.solve(f, g), fresh.solve(f, g))
+
+
+def reachable_arrays(obj, skip):
+    """Every distinct array reachable from `obj` through lists, tuples,
+    dicts and instance attributes; objects in `skip` are not entered."""
+    seen = {id(s) for s in skip}
+    arrays, stack = [], [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            arrays.append(o)
+        elif isinstance(o, (list, tuple)):
+            stack.extend(o)
+        elif isinstance(o, dict):
+            stack.extend(o.values())
+        elif hasattr(o, "__dict__"):
+            stack.extend(vars(o).values())
+    return arrays
+
+
+@pytest.mark.parametrize("mesh_name", ["1d", "4x3", "5x3-variable-complex"])
+def test_factorization_holds_no_index_table(mesh_name):
+    # the mesh's merge plan is the one holder of index tables; the
+    # factorization stores only the numbers of its operators
+    make_mesh, op = PLAN_MESHES[mesh_name]
+    fact = build_factorization(make_mesh(), op.shifted(1.0, 0.1))
+    arrays = reachable_arrays(fact, skip=(fact.mesh,))
+    assert len(arrays) > 2 * len(fact.levels)
+    assert [a.dtype for a in arrays if a.dtype.kind in "biu"] == []
 
 
 @pytest.mark.parametrize("k", [1, 2])
