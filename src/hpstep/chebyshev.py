@@ -123,8 +123,9 @@ def leaf_stencil(p: int, hx: float, hy: float | None) -> LeafStencil:
 
 
 def diff_apply_x(Dx1: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """Differentiate batched (..., p, p) nodal arrays along x (last axis)."""
-    return np.matmul(fields, Dx1.T)
+    """Differentiate batched (..., p, p) or (..., p) nodal arrays along x (last
+    axis), as one GEMM over the flattened leading axes."""
+    return (fields.reshape(-1, fields.shape[-1]) @ Dx1.T).reshape(fields.shape)
 
 
 def diff_apply_y(Dy1: np.ndarray, fields: np.ndarray) -> np.ndarray:

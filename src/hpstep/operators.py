@@ -278,17 +278,17 @@ def gather_leaf_fields(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return vals
 
 
-def scatter_mean(mesh: Mesh, leaf_vals: np.ndarray) -> np.ndarray:
+def scatter_mean(mesh: Mesh, leaf_vals: np.ndarray, scale: float = 0.5) -> np.ndarray:
     """Average batched leaf values back to a global array.
 
-    Interface nodes receive the mean of their two one-sided values;
-    corner slots are ignored.
+    Interface nodes receive the mean of their two one-sided values (their
+    sum times `scale`; -0.5 gives the negated mean); corner slots are ignored.
     """
     flat = leaf_vals.reshape(leaf_vals.shape[: -mesh.leaf_grid.ndim] + (-1,))
     a, b = mesh.owner_slots
     out = take_rows(flat, a)
     out += take_rows(flat, b)
-    out *= 0.5
+    out *= scale
     return out
 
 
@@ -360,10 +360,9 @@ def advection(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     each leaf forms u_0 * d_x u + u_1 * d_y u with corners rebuilt by edge
     extrapolation (tangential derivatives at edge nodes need them), and
     shared nodes get the mean of their leaves' values."""
-    U = fill_corners(gather_leaf_fields(mesh, u))
+    U = fill_corners(take_rows(u, mesh.leaf_grid))  # every corner is rebuilt
     st = mesh_stencil(mesh)
     vals = diff_apply_x(st.Dx1, U)
     vals *= U[0]
     vals += U[1] * diff_apply_y(st.Dy1, U)
-    out = scatter_mean(mesh, vals)
-    return np.negative(out, out=out)
+    return scatter_mean(mesh, vals, -0.5)

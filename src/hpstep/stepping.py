@@ -21,6 +21,12 @@ The implicit part of the rate is lam * A(u) + forcing(t); `explicit`
 supplies the remaining term and activates the additive splitting. Both
 formulations reduce to the underlying diagonally implicit scheme when
 `explicit` is absent.
+
+A step keeps its stage rates in one C-ordered stack, filled in place:
+with an explicit term, stage j's explicit rate is row 2j and its
+implicit rate row 2j + 1; without one, row j is stage j's implicit rate.
+Every stage load and the final update is then u + w @ (rows so far), one
+BLAS GEMV with dt times the tableau weights laid out in `__init__`.
 """
 from __future__ import annotations
 
@@ -125,43 +131,32 @@ class InterfaceCompleter:
         out = np.array(field, dtype=dtype, copy=True)
         out[..., self._iface_ids] = 0.0
         out[..., self._boundary_ids] = boundary
-        p = mesh.p
         U = gather_leaf_fields(mesh, out)
         if mesh.dim == 1:
             if mesh.n1 > 1:
-                a = U @ self._dx[-1]
-                b = U @ self._dx[0]
-                rhs = b[..., 1:] - a[..., :-1]
+                rhs = U[..., 1:, :] @ self._dx[0] - U[..., :-1, :] @ self._dx[-1]
                 out[..., self._iface_ids] = self._chain_solve(self._ab_x, rhs, -1)
             return out
-        U = U.reshape(U.shape[: -3] + (mesh.n2, mesh.n1, p, p))
+        U = U.reshape(U.shape[: -3] + (mesh.n2, mesh.n1, mesh.p, mesh.p))
+        mid = slice(1, mesh.p - 1)  # the grid lines that cross interfaces
         if mesh.n1 > 1:
-            a = U[..., 1 : p - 1, :] @ self._dx[-1]
-            b = U[..., 1 : p - 1, :] @ self._dx[0]
-            rhs = b[..., 1:, :] - a[..., : mesh.n1 - 1, :]
+            rhs = U[..., 1:, mid, :] @ self._dx[0] - U[..., :-1, mid, :] @ self._dx[-1]
             out[..., self._ids_v] = self._chain_solve(self._ab_x, rhs, -2)
         if mesh.n2 > 1:
-            a = self._dy[-1] @ U[..., 1 : p - 1]
-            b = self._dy[0] @ U[..., 1 : p - 1]
-            rhs = b[..., 1:, :, :] - a[..., : mesh.n2 - 1, :, :]
+            rhs = self._dy[0] @ U[..., 1:, :, :, mid] - self._dy[-1] @ U[..., :-1, :, :, mid]
             out[..., self._ids_h] = self._chain_solve(self._ab_y, rhs, -3)
         return out
 
 
-def _combine(base: np.ndarray, dt: float, *sums) -> np.ndarray:
-    """base + dt * (S_1 + S_2 + ...), S_j = sum(w * f for w, f in zip(*sums[j])),
-    in place: each S_j adds its terms to zeros in one buffer, which rounds
-    exactly like that Python expression."""
-    dtype = np.result_type(base, *(f for _, fields in sums for f in fields))
-    total = None
-    for weights, fields in sums:
-        acc = np.zeros(np.shape(base), dtype)
-        for w, f in zip(weights, fields):
-            acc += w * f
-        total = acc if total is None else np.add(acc, total, out=acc)  # S_2 + S_1 == S_1 + S_2
-    total *= dt
-    total += base
-    return total
+def _stack_sum(w: np.ndarray, R: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """base + sum_j w[j] * R[j] over the first len(w) rows of the rate stack,
+    as one GEMV; the weights are real, so complex rows enter as float pairs."""
+    flat = R.reshape(len(R), -1)
+    if np.iscomplexobj(R):
+        flat = flat.view(R.real.dtype)
+    out = (w @ flat[: len(w)]).view(R.dtype).reshape(base.shape)
+    out += base
+    return out
 
 
 class ImexStepper:
@@ -204,6 +199,24 @@ class ImexStepper:
         self._gids = self.fact.gamma_ids
         self._nb_ids = np.nonzero(evo.mesh.node_class != BOUNDARY)[0]
         self.completer = InterfaceCompleter(evo.mesh) if formulation == "slopes" else None
+        self._rows = r = 1 if evo.explicit is None else 2  # rate-stack rows per stage
+
+        def weights(w_im, w_ex):  # dt times weights in rate-stack row order
+            return self.dt * (w_im if r == 1 else np.stack([w_ex, w_im], axis=-1).ravel())
+
+        A_im, A_ex = tableau.A_im, tableau.A_ex
+        self._w = [weights(A_im[i, :i], A_ex[i, :i]) for i in range(tableau.stages)]
+        # stages: u_s plus the explicit correction; the last implicit row is never formed
+        self._w_out = weights(tableau.b, tableau.b) if formulation == "slopes" else (
+            weights(np.zeros_like(tableau.b), A_im[-1] - A_ex[-1])[:-1])
+
+    def _stack(self, u: np.ndarray, *first: np.ndarray) -> np.ndarray:
+        """A step's rate stack, rows per stage x stages rows shaped like u,
+        holding stage 0's rates (`first`, explicit rate first)."""
+        R = np.empty((self._rows * self.tab.stages,) + u.shape, np.result_type(u, *first))
+        for row, rate in zip(R, first):
+            row[...] = rate
+        return R
 
     # -- sampling helpers ------------------------------------------------
 
@@ -233,60 +246,47 @@ class ImexStepper:
         return self.completer.complete(self._rate_interior(t, u), g)
 
     def _step_slopes(self, t: float, u: np.ndarray) -> np.ndarray:
-        evo, tab, dt = self.evo, self.tab, self.dt
-        imex = evo.explicit is not None
-        s = tab.stages
-        k = [None] * s
-        l = [None] * s
+        evo, tab, dt, r = self.evo, self.tab, self.dt, self._rows
         g = self._sample(evo.bc_rate, t, self._gids)
-        if imex:
-            l[0] = evo.explicit(t, u)
-            g = g - l[0][..., self._gids]
-        k[0] = self._first_slope(t, u, g)
+        first = [evo.explicit(t, u)] if r == 2 else []
+        if first:
+            g = g - first[0][..., self._gids]
+        R = self._stack(u, *first, self._first_slope(t, u, g))
         pen = u if self.corrected else None
-        for i in range(1, s):
+        for i in range(1, tab.stages):
             ti = t + tab.c[i] * dt
-            ex = [(tab.A_ex[i, :i], l[:i])] if imex else []
-            P = _combine(u, dt, (tab.A_im[i, :i], k[:i]), *ex)
+            P = _stack_sum(self._w[i], R, u)
             g = self._sample(evo.bc_rate, ti, self._gids)
-            if imex:
-                f2p = evo.explicit(ti, P)
-                g = g - f2p[..., self._gids]
-            k[i] = self.fact.solve(
-                self._rate_interior(ti, P), g, penalty_field=pen, dt=dt
-            )
-            if imex:
-                l[i] = evo.explicit(ti, P + dt * tab.gamma * k[i])
-        return _combine(u, dt, (tab.b, k), *([(tab.b, l)] if imex else []))
+            if r == 2:
+                g = g - evo.explicit(ti, P)[..., self._gids]
+            k = R[r * i + r - 1]
+            k[...] = self.fact.solve(self._rate_interior(ti, P), g, penalty_field=pen, dt=dt)
+            if r == 2:
+                R[r * i] = evo.explicit(ti, P + dt * tab.gamma * k)
+        return _stack_sum(self._w_out, R, u)
 
     # -- stage formulation -----------------------------------------------
 
     def _step_stages(self, t: float, u: np.ndarray) -> np.ndarray:
-        evo, tab, dt = self.evo, self.tab, self.dt
-        imex = evo.explicit is not None
+        evo, tab, dt, r = self.evo, self.tab, self.dt, self._rows
         s = tab.stages
-        F1 = [None] * s
-        F2 = [None] * s
-        F1[0] = self._rate_interior(t, u)
-        if imex:
-            F2[0] = evo.explicit(t, u)
+        R = self._stack(u, *([evo.explicit(t, u)] if r == 2 else []), self._rate_interior(t, u))
         ui = u
         for i in range(1, s):
             ti = t + tab.c[i] * dt
-            ex = [(tab.A_ex[i, :i], F2[:i])] if imex else []
-            load = _combine(u, dt, (tab.A_im[i, :i], F1[:i]), *ex)
+            load = _stack_sum(self._w[i], R, u)
             f = self._forcing_field(ti)
             rhs = load if f is None else load + dt * tab.gamma * f
             ui = self.fact.solve(rhs, self._sample(evo.bc, ti, self._gids))
-            if i < s - 1:
-                # valid at interiors; other slots reach only loads, read at interiors
-                F1[i] = (ui - load) * (1.0 / (dt * tab.gamma))
-            if imex:
-                F2[i] = evo.explicit(ti, ui)
-        if not imex:
+            if r == 2:
+                R[r * i] = evo.explicit(ti, ui)
+            if i < s - 1:  # valid at interiors, the only load slots a solve reads
+                F1 = np.subtract(ui, load, out=R[r * i + r - 1])
+                F1 *= 1.0 / (dt * tab.gamma)
+        if r == 1:
             return ui
         # boundary values keep g(t + c_s dt) of the last stage solve; c_s = 1
-        out = _combine(ui, dt, (tab.A_im[-1] - tab.A_ex[-1], F2))
+        out = _stack_sum(self._w_out, R, ui)
         out[..., self._gids] = ui[..., self._gids]
         return out
 

@@ -99,6 +99,25 @@ def test_batched_apply_matches_kron():
     )
 
 
+@pytest.mark.parametrize("p", [8, 12])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 5)])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_x_derivative_is_one_gemm_with_batched_bytes(p, lead, dim, dtype):
+    # the flattened GEMM gives the bytes of the per-leaf batched product
+    rng = np.random.default_rng(p)
+    Dx1 = leaf_stencil(p, 0.5, 0.25 if dim == 2 else None).Dx1
+    shape = lead + (p,) * dim
+    U = rng.standard_normal(shape).astype(dtype)
+    U += 1j * rng.standard_normal(shape) if dtype is complex else 0.0
+    got = diff_apply_x(Dx1, U)
+    assert got.shape == U.shape and got.dtype == U.dtype
+    np.testing.assert_array_equal(got, np.matmul(U, Dx1.T))
+    V = np.repeat(U, 2, axis=-1)[..., ::2]  # U's values, strided
+    assert not V.flags.c_contiguous
+    np.testing.assert_array_equal(diff_apply_x(Dx1, V), np.matmul(V, Dx1.T))
+
+
 def test_interp_matrix_reproduces_polynomials_and_nodes():
     x = cheb_nodes(9)
     t = np.array([-1.0, -0.3, 0.12, x[4], 0.99])

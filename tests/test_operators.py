@@ -267,6 +267,23 @@ def test_advection_smooth_field():
     np.testing.assert_allclose(advection(m, u), want, atol=1e-7)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_advection_bytes_match_zeroed_corner_form(dtype):
+    # fill_corners rebuilds every corner, so gathering without zeroing them
+    # and scaling the sum by -0.5 gives the bytes of the negated mean
+    m = mesh2d(3, 2, p=8, box=((0.0, 2.0), (0.0, 1.0)))
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((2, m.n_nodes)).astype(dtype)
+    u += 1j * rng.standard_normal((2, m.n_nodes)) if dtype is complex else 0.0
+    st = mesh_stencil(m)
+    U = fill_corners(gather_leaf_fields(m, u))
+    vals = diff_apply_x(st.Dx1, U) * U[0] + U[1] * diff_apply_y(st.Dy1, U)
+    want = -scatter_mean(m, vals)
+    got = advection(m, u)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 # -- the index plan: every take against a fancy-index reference ------------
 
 INDEX_MESHES = {

@@ -1,4 +1,6 @@
 """Stepper and interface-completion checks on small manufactured runs."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from hpstep.operators import EllipticOperator, laplace_operator
 from hpstep.oracle import OracleCompleter
 from hpstep.problems import burgers_crossing, burgers_rotating, heat_cosine, make_stepper
 from hpstep.problems import schrodinger_harmonic
-from hpstep.stepping import Evolution, ImexStepper, InterfaceCompleter, _combine
+from hpstep.stepping import Evolution, ImexStepper, InterfaceCompleter, _stack_sum
 from hpstep.studies import AveragedSlopeStepper
 from hpstep.tableaus import load_tableau
 
@@ -345,28 +347,108 @@ def test_corrected_kink_decays_over_many_steps():
 @pytest.mark.parametrize(
     "base,field", [(float, float), (complex, complex), (float, complex), (complex, float)]
 )
-@pytest.mark.parametrize("n_sums", [1, 2])
-def test_stage_sums_round_like_python_sums(base, field, n_sums):
-    # the in-place sums give the bytes of the expression they replace,
-    # signed zeros included
-    rng = np.random.default_rng(n_sums)
+@pytest.mark.parametrize("per_stage", [1, 2])
+def test_stage_sums_match_python_sums(base, field, per_stage):
+    # one GEMV over the rate stack against the Python sum it replaces, for
+    # stacks of implicit rates (1 row per stage) or of both kinds (2 rows);
+    # the stack holds the step's common dtype, as ImexStepper builds it
+    rng = np.random.default_rng(per_stage)
 
     def make(dtype):
         x = rng.standard_normal((2, 50)).astype(dtype)
         x += 1j * rng.standard_normal((2, 50)) if dtype is complex else 0.0
-        x[:, :5] = -0.0
         return x
 
     u = make(base)
-    sums = [(np.append(rng.standard_normal(3), 0.0), [make(field) for _ in range(4)])]
-    if n_sums == 2:
-        sums.append((rng.standard_normal(2), [make(field)] * 2))
-    total = sum(w * f for w, f in zip(*sums[0]))
-    for weights, fields in sums[1:]:
-        total = total + sum(w * f for w, f in zip(weights, fields))
-    want = u + 0.3 * total
-    got = _combine(u, 0.3, *sums)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    R = np.empty((8 * per_stage, 2, 50), np.result_type(base, field))
+    R[:] = [make(field) for _ in R]
+    for stages in range(1, 9):
+        w = rng.standard_normal(stages * per_stage)
+        want = u + sum(wj * f for wj, f in zip(w, R))
+        got = _stack_sum(w, R, u)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        # measured at most 5.4e-16 of max|result| over 3200 such sums
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def list_reference_step(st, t, u):
+    """One step written from the tableau with a Python list per kind of
+    rate and a Python sum per stage load: the form the rate stack replaces."""
+    evo, tab, dt = st.evo, st.tab, st.dt
+    mesh, gids = evo.mesh, st.fact.gamma_ids
+    imex = evo.explicit is not None
+
+    def boundary(f, ti):
+        return f(ti, mesh.x[gids], mesh.y[gids] if mesh.dim == 2 else None)
+
+    def stage_sum(base, w_im, imp, w_ex, exp):
+        out = base + dt * sum(w * f for w, f in zip(w_im, imp))
+        return out + dt * sum(w * f for w, f in zip(w_ex, exp)) if imex else out
+
+    s = tab.stages
+    if st.formulation == "slopes":
+        g = boundary(evo.bc_rate, t)
+        ex = [evo.explicit(t, u)] if imex else []
+        if imex:
+            g = g - ex[0][..., gids]
+        im = [st.completer.complete(st._rate_interior(t, u), g)]
+        for i in range(1, s):
+            ti = t + tab.c[i] * dt
+            P = stage_sum(u, tab.A_im[i, :i], im, tab.A_ex[i, :i], ex)
+            g = boundary(evo.bc_rate, ti)
+            if imex:
+                g = g - evo.explicit(ti, P)[..., gids]
+            pen = u if st.corrected else None
+            im.append(st.fact.solve(st._rate_interior(ti, P), g, penalty_field=pen, dt=dt))
+            if imex:
+                ex.append(evo.explicit(ti, P + dt * tab.gamma * im[i]))
+        return stage_sum(u, tab.b, im, tab.b, ex)
+    im = [st._rate_interior(t, u)]
+    ex = [evo.explicit(t, u)] if imex else []
+    ui = u
+    for i in range(1, s):
+        ti = t + tab.c[i] * dt
+        load = stage_sum(u, tab.A_im[i, :i], im, tab.A_ex[i, :i], ex)
+        f = st._forcing_field(ti)
+        ui = st.fact.solve(load if f is None else load + dt * tab.gamma * f, boundary(evo.bc, ti))
+        im.append((ui - load) / (dt * tab.gamma))
+        if imex:
+            ex.append(evo.explicit(ti, ui))
+    if not imex:
+        return ui
+    out = ui + dt * sum(w * f for w, f in zip(tab.A_im[-1] - tab.A_ex[-1], ex))
+    out[..., gids] = ui[..., gids]
+    return out
+
+
+STACK_CASES = {
+    "real": lambda: heat_cosine(n=3, p=12),
+    "real-explicit": lambda: with_explicit(
+        heat_cosine(n=3, p=12), lambda t, u: 0.5 * np.sin(3.0 * t + 1.0) * u * u
+    ),
+    "pair-explicit": lambda: burgers_rotating(n=3, p=8),
+    "complex": lambda: schrodinger_harmonic(n=3, p=8),
+    "complex-explicit": lambda: with_explicit(
+        schrodinger_harmonic(n=3, p=8), lambda t, u: -0.2j * np.abs(u) ** 2 * u
+    ),
+}
+
+
+def with_explicit(case, explicit):
+    return replace(case, evolution=replace(case.evolution, explicit=explicit))
+
+
+@pytest.mark.parametrize("formulation", ["slopes", "stages"])
+@pytest.mark.parametrize("name", list(STACK_CASES))
+def test_step_matches_list_reference(name, formulation):
+    case = STACK_CASES[name]()
+    st = make_stepper(case, case.t_end / 8, formulation=formulation)
+    t = 2.0 * st.dt
+    u = st.step(0.0, st.step(0.0, case.u0))  # a state with nonzero rates everywhere
+    want = list_reference_step(st, t, u)
+    got = st.step(t, u)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("formulation", ["slopes", "stages"])
