@@ -189,8 +189,6 @@ def load_config(path: str, overrides=()) -> RunConfig:
 def write_manifest(
     out: Path, cfg: RunConfig, command: str, files: list[str], condition: float | None = None
 ) -> None:
-    import scipy
-
     manifest = {
         "command": command,
         "config": cfg.to_dict(),
@@ -198,7 +196,6 @@ def write_manifest(
             "artifact": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "files": files,
     }

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .mesh import BOUNDARY, INTERIOR, Mesh
 from .operators import (
@@ -88,7 +87,7 @@ def oracle_solve(
     rhs = np.zeros(mesh.n_nodes, dtype=dtype)
     rhs[cls == INTERIOR] = np.asarray(load)[cls == INTERIOR]
     rhs[gamma] = data
-    return scipy.linalg.solve(system.matrix, rhs)
+    return np.linalg.solve(system.matrix, rhs)
 
 
 class OracleCompleter:

@@ -348,7 +348,7 @@ def test_run_outputs(tmp_path):
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"] == cfg.to_dict()
-    assert set(manifest["versions"]) == {"artifact", "python", "numpy", "scipy"}
+    assert set(manifest["versions"]) == {"artifact", "python", "numpy"}
 
 
 def test_csv_cells_write_numpy_floats_as_plain_numbers(tmp_path):

@@ -1,5 +1,8 @@
 """Source checks over the package's own modules."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,28 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hpstep"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+# a slopes step (so the interface completer runs), a dense oracle solve and
+# a desk config's CLI run cut to one step, then the scipy modules loaded
+RUNTIME_SCRIPT = """
+import sys
+import numpy as np
+from hpstep.cli import cmd_run, load_config
+from hpstep.mesh import BOUNDARY, build_mesh
+from hpstep.operators import laplace_operator
+from hpstep.oracle import assemble_global, oracle_solve
+from hpstep.problems import make_stepper, schrodinger_harmonic
+
+case = schrodinger_harmonic(n=2, p=6)
+stepper = make_stepper(case, 0.01, formulation="slopes")
+stepper.step(0.0, case.u0)
+mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), 2, 2, p=5)
+system = assemble_global(mesh, laplace_operator().shifted(1.0, 1.0))
+oracle_solve(system, np.ones(mesh.n_nodes), np.zeros(mesh.ids_of(BOUNDARY).size))
+cfg = load_config(sys.argv[1], ["t_end=0.4", "output_dir=" + sys.argv[2]])
+cmd_run(cfg)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
 
 
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
@@ -67,3 +92,16 @@ def test_every_merge_plan_field_is_read():
     read = {n.attr for n in ast.walk(solver) if isinstance(n, ast.Attribute)}
     unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
     assert fields and not unread, f"solver.py never reads {unread}"
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # the runtime needs numpy alone; scipy would bring a second BLAS runtime
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    config = ROOT / "configs" / "heat1d-order.json"
+    cmd = [sys.executable, "-c", RUNTIME_SCRIPT, str(config), str(tmp_path / "run")]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    *report, loaded = done.stdout.splitlines()
+    assert len(report) == 1 and report[0].startswith("heat1d-bc: 1 steps of 0.4 done")
+    assert loaded == "[]"

@@ -60,36 +60,62 @@ def test_completer_routes_agree(shape):
     np.testing.assert_allclose(b, a, atol=1e-11, rtol=1e-11)
 
 
+# (bounds, leaves per axis, p): the 1D and 2D meshes of the completion
+# tests, then the chain edge cases
+COMPLETION_MESHES = {
+    "2d": (((0.0, 2.0), (0.0, 1.0)), (3, 2), 12),
+    "1d": ((0.0, 1.0), (4,), 9),
+    "one-column": (((0.0, 2.0), (0.0, 1.0)), (1, 3), 12),  # empty x-chains
+    "one-row": (((0.0, 2.0), (0.0, 1.0)), (3, 1), 12),  # empty y-chains
+    "one-leaf-1d": ((0.0, 2.0), (1,), 12),
+    "long-chain-1d": ((0.0, 2.0), (200,), 5),
+}
+CHAIN_EDGE_CASES = ["one-column", "one-row", "one-leaf-1d", "long-chain-1d"]
+
+
+def completion_mesh(name):
+    bounds, leaves, p = COMPLETION_MESHES[name]
+    return build_mesh(bounds, *leaves, p=p)
+
+
+def complete_both(mesh, f):
+    """Chain and dense completions of f's interior and boundary values."""
+    args = (np.where(mesh.node_class == 0, f, 0.0), f[..., mesh.ids_of(BOUNDARY)])
+    return InterfaceCompleter(mesh).complete(*args), OracleCompleter(mesh).complete(*args)
+
+
 @pytest.mark.parametrize(
-    "completer,passthrough_atol",
-    [(OracleCompleter, 1e-12), (InterfaceCompleter, 0.0)],
-    ids=["oracle", "tridiagonal"],
+    "completer,passthrough_atol,mesh_name",
+    [(OracleCompleter, 1e-12, "2d"), (InterfaceCompleter, 0.0, "2d")]
+    + [(InterfaceCompleter, 0.0, name) for name in CHAIN_EDGE_CASES],
+    ids=["oracle", "tridiagonal", *CHAIN_EDGE_CASES],
 )
-def test_completer_matches_derivatives(completer, passthrough_atol):
+def test_completer_matches_derivatives(completer, passthrough_atol, mesh_name):
     # completing a smooth function's interior values must reproduce its
     # interface values at spectral accuracy
-    mesh = build_mesh(((0.0, 2.0), (0.0, 1.0)), 3, 2, p=12)
-    f = np.exp(0.4 * mesh.x) * np.sin(mesh.y + 0.3)
-    comp = completer(mesh)
-    out = comp.complete(
-        np.where(mesh.node_class == 0, f, 0.0), f[mesh.ids_of(BOUNDARY)]
-    )
+    mesh = completion_mesh(mesh_name)
+    y = mesh.x if mesh.dim == 1 else mesh.y
+    f = np.exp(0.4 * mesh.x) * np.sin(y + 0.3)
+    chains, dense = complete_both(mesh, f)
+    out = chains if completer is InterfaceCompleter else dense
     iface = mesh.node_class == INTERFACE
     np.testing.assert_allclose(out[iface], f[iface], atol=1e-9)
     # interior and boundary values pass through: untouched by the chains,
     # to rounding by the oracle's dense solve
     keep = mesh.node_class != INTERFACE
     np.testing.assert_allclose(out[keep], f[keep], rtol=0, atol=passthrough_atol)
+    np.testing.assert_allclose(chains, dense, rtol=0, atol=1e-12)
 
 
-def test_completer_multicomponent():
-    mesh = build_mesh((0.0, 1.0), 4, p=9)
-    f = np.stack([np.cos(2 * mesh.x), mesh.x**3])
-    for comp in (InterfaceCompleter(mesh), OracleCompleter(mesh)):
-        out = comp.complete(
-            np.where(mesh.node_class == 0, f, 0.0), f[:, mesh.ids_of(BOUNDARY)]
-        )
-        np.testing.assert_allclose(out, f, atol=1e-9)
+@pytest.mark.parametrize("mesh_name", ["1d", *CHAIN_EDGE_CASES])
+def test_completer_multicomponent(mesh_name):
+    mesh = completion_mesh(mesh_name)
+    y = 0.0 if mesh.dim == 1 else mesh.y
+    f = np.stack([np.cos(2 * mesh.x + y), mesh.x**3 - y**2])
+    chains, dense = complete_both(mesh, f)
+    np.testing.assert_allclose(chains, f, atol=1e-9)
+    np.testing.assert_allclose(dense, f, atol=1e-9)
+    np.testing.assert_allclose(chains, dense, rtol=0, atol=1e-12)
 
 
 # -- constructor guards --------------------------------------------------
