@@ -1,11 +1,13 @@
-"""Full-size reproduction runs, kept out of the test suite on purpose.
+"""Full-size cross-mesh table of the tilted-well oscillator at t=4, kept
+out of the test suite (about 10 s on a 2-core x86 host); its CI-sized
+equivalent lives in tests/test_acceptance.py.
 
-Each target takes minutes to hours on a workstation; the CI-sized
-equivalents live in tests/test_acceptance.py. Pick targets by name or
-run them all:
+    python scripts/full_scale.py
 
-    python scripts/full_scale.py asymmetric-table richardson-table
-    python scripts/full_scale.py all
+The full-size Richardson table of the harmonic oscillator is a sweep of
+a shipped config, written to runs/harmonic-extrapolation/:
+
+    hpstep sweep configs/harmonic-extrapolation.json --axis extrapolation-level --set formulation=slopes
 
 The full-size flow runs are plain configs, run by the CLI with its own
 error handling:
@@ -13,14 +15,17 @@ error handling:
     hpstep run configs/burgers-rotating-full.json
     hpstep run configs/burgers-cross-full.json
 """
-import argparse
+import os
 import sys
 
-from hpstep.studies import asymmetric_self_convergence, richardson_study
+# scripts/numbers.py would shadow the standard `numbers` module, which numpy imports
+_HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:] = [p for p in sys.path if os.path.abspath(p or os.curdir) != _HERE]
+
+from hpstep.studies import asymmetric_self_convergence  # noqa: E402 (after the path fix)
 
 
-def asymmetric_table() -> None:
-    """Cross-mesh error table at the canonical final time t=4."""
+def main() -> None:
     series = asymmetric_self_convergence(
         panel_counts=(2, 4, 8, 16),
         p=8,
@@ -35,32 +40,5 @@ def asymmetric_table() -> None:
         print(f"{n_panels:6d}  {err:.3e}  {rate}")
 
 
-def richardson_table() -> None:
-    """Extrapolation table for the oscillator on the full box."""
-    out = richardson_study(levels=5, base_steps=40, n=16, p=12, half=8.0)
-    print("steps   raw error    best extrapolated")
-    for i, count in enumerate(out["step_counts"]):
-        print(f"{count:6d}  {out['raw'][i]:.3e}  {out['errors'][i][i]:.3e}")
-
-
-TARGETS = {
-    "asymmetric-table": asymmetric_table,
-    "richardson-table": richardson_table,
-}
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "targets", nargs="+", choices=sorted(TARGETS) + ["all"]
-    )
-    args = parser.parse_args(argv)
-    names = sorted(TARGETS) if "all" in args.targets else args.targets
-    for name in names:
-        print(f"== {name} ==")
-        TARGETS[name]()
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

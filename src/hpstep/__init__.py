@@ -3,7 +3,7 @@ factorizations and additive Runge-Kutta time stepping."""
 
 __version__ = "0.1.0"
 
-from .analysis import RateFit, fit_rate, max_error, richardson, richardson_errors
+from .analysis import fit_rate, max_error, richardson, richardson_errors
 from .mesh import BOUNDARY, INTERFACE, INTERIOR, Mesh, build_mesh
 from .operators import EllipticOperator, OperatorApplier, laplace_operator
 from .oracle import assemble_global, oracle_solve
@@ -26,7 +26,6 @@ __all__ = [
     "Mesh",
     "OperatorApplier",
     "PROBLEMS",
-    "RateFit",
     "TransientCase",
     "assemble_global",
     "build_factorization",

@@ -7,8 +7,6 @@ corner values rebuilt by edge extrapolation first).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .chebyshev import cheb_nodes, fill_corners, interp_matrix
@@ -74,23 +72,14 @@ def max_error(
     return float(np.max(np.abs(u - want)))
 
 
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares convergence rate; `used` counts the leading points
-    kept after discarding a trailing error floor."""
-
-    rate: float
-    used: int
-    floored: bool
-
-
-def fit_rate(n: np.ndarray, errors: np.ndarray) -> RateFit:
+def fit_rate(n: np.ndarray, errors: np.ndarray) -> float:
     """Fit errors ~ C * n**(-rate) for a growing resolution parameter n.
 
     When the smallest error sits below 1e-10 the series has hit rounding
     noise, and every point within a factor 50 of that floor is excluded
-    from the fit so the plateau cannot drag the slope down. Larger errors are taken at face value, however slowly they
-    decay; a coarse three-point sweep carries no floor to detect.
+    from the fit so the plateau cannot drag the slope down. Larger errors
+    are taken at face value, however slowly they decay; a coarse
+    three-point sweep carries no floor to detect.
     """
     n = np.asarray(n, dtype=float)
     e = np.asarray(errors, dtype=float)
@@ -104,11 +93,7 @@ def fit_rate(n: np.ndarray, errors: np.ndarray) -> RateFit:
         if keep.sum() < 2:
             raise ValueError("too few points above the rounding floor")
     slope = np.polyfit(np.log(n[keep]), np.log(e[keep]), 1)[0]
-    return RateFit(
-        rate=float(-slope),
-        used=int(keep.sum()),
-        floored=bool(keep.sum() < e.size),
-    )
+    return float(-slope)
 
 
 def richardson(values, order: int) -> list[list]:

@@ -279,8 +279,7 @@ def _series_rows(series: Series, values=None) -> list[dict]:
         {"series": label, "axis": axis, "value": v, "error": e}
         for v, e in zip(values or series.values, series.errors)
     ]
-    rate = series.fit.rate if series.fit is not None else None
-    return rows + [{"series": label, "axis": axis, "rate": rate}]
+    return rows + [{"series": label, "axis": axis, "rate": series.rate}]
 
 
 def _advance(cfg: RunConfig, case: TransientCase, steps: int):

@@ -31,7 +31,6 @@ import numpy as np
 
 from .chebyshev import (
     LeafStencil,
-    cheb_nodes,
     diff_apply_x,
     diff_apply_y,
     fill_corners,
@@ -80,19 +79,10 @@ def _sample(coef: Coef, x: np.ndarray, y: np.ndarray | None):
 
 
 def leaf_coordinates(mesh: Mesh) -> tuple[np.ndarray, np.ndarray | None]:
-    """Batched leaf node coordinates, shape (nl, p, p) or (nl, p)."""
-    xi01 = (cheb_nodes(mesh.p) + 1.0) / 2.0
-    lines = [
-        np.linspace(a, b, n + 1)[:-1, None] + xi01[None, :] * h
-        for (a, b), n, h in zip(mesh.bounds, (mesh.n1, mesh.n2), (mesh.hx, mesh.hy))
-    ]
-    if mesh.dim == 1:
-        return lines[0], None
-    leaf = np.arange(mesh.n_leaves)
-    shape = (mesh.n_leaves, mesh.p, mesh.p)
-    X = np.broadcast_to(lines[0][leaf % mesh.n1, None, :], shape)
-    Y = np.broadcast_to(lines[1][leaf // mesh.n1, :, None], shape)
-    return X, Y
+    """Batched leaf node coordinates, shape (nl, p, p) or (nl, p); y is
+    None in 1D. A dropped corner slot (id -1) holds the last node's
+    coordinates, which no collocation row weighs."""
+    return tuple(None if c is None else c[mesh.leaf_grid] for c in (mesh.x, mesh.y))
 
 
 def _check_coefficients(coefs: dict) -> None:

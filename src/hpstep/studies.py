@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import RateFit, fit_rate, max_error, richardson, richardson_errors
+from .analysis import fit_rate, max_error, richardson, richardson_errors
 from .mesh import build_mesh
 from .operators import laplace_operator, scatter_mean
 from .problems import (
@@ -42,7 +42,7 @@ class Series:
     axis: str
     values: list
     errors: list
-    fit: RateFit | None = None
+    rate: float | None = None
     extra: dict = field(default_factory=dict)
 
 
@@ -51,16 +51,16 @@ def fit_series(label, axis, values, errors, *, strict=True, extra=None) -> Serie
 
     A series that cannot be fitted (fewer than two such points, or fewer
     than two above the rounding floor) raises, unless `strict` is false:
-    then it keeps `fit=None`.
+    then it keeps `rate=None`.
     """
     kept = [(v, e) for v, e in zip(values, errors) if e is not None]
     try:
-        fit = fit_rate(*np.array(kept, dtype=float).reshape(-1, 2).T)
+        rate = fit_rate(*np.array(kept, dtype=float).reshape(-1, 2).T)
     except ValueError:
         if strict:
             raise
-        fit = None
-    return Series(label, axis, list(values), list(errors), fit, extra or {})
+        rate = None
+    return Series(label, axis, list(values), list(errors), rate, extra or {})
 
 
 def advance(case: TransientCase, count: int, **stepper_kw):

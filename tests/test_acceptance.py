@@ -46,14 +46,14 @@ def test_criterion_02_order_reduction_study():
 
     got = {}
     for series, want in zip(slopes, (3, 4, 5)):
-        got[f"slopes q{want} global"] = series.fit.rate
-        assert series.fit.rate == pytest.approx(want, abs=0.4), series.label
+        got[f"slopes q{want} global"] = series.rate
+        assert series.rate == pytest.approx(want, abs=0.4), series.label
     for series, want in zip(single, (4, 6, 6)):
-        got[f"slopes q{series.extra['order']} step"] = series.fit.rate
-        assert series.fit.rate == pytest.approx(want, abs=0.5), series.label
+        got[f"slopes q{series.extra['order']} step"] = series.rate
+        assert series.rate == pytest.approx(want, abs=0.5), series.label
     for series in stages:
-        got[f"stages q{series.extra['order']} global"] = series.fit.rate
-        assert series.fit.rate <= 3.4, series.label
+        got[f"stages q{series.extra['order']} global"] = series.rate
+        assert series.rate <= 3.4, series.label
     assert elapsed < 60.0
     print(f"criterion 2: {got} in {elapsed:.1f}s")
 
@@ -73,7 +73,7 @@ def test_criterion_04_harmonic_convergence_rates():
     bands = {4: (1.5, 3.2), 6: (4.0, 6.5), 8: (6.5, 8.5)}
     rates = {}
     for p, (lo, hi) in bands.items():
-        rate = harmonic_resolution_sweep(p)["best"].fit.rate
+        rate = harmonic_resolution_sweep(p)["best"].rate
         rates[p] = rate
         assert lo <= rate <= hi, f"p={p} rate {rate:.2f} outside [{lo}, {hi}]"
     print(f"criterion 4: rates {rates} in {time.perf_counter() - t0:.0f}s")
@@ -133,12 +133,12 @@ def test_criterion_09_burgers_desk_scale():
     assert np.isfinite(stab["history"]).all()
     assert stab["overall_max"] <= 1.05 * stab["initial_max"]
     series = burgers_self_convergence()
-    assert series.fit.rate >= 3.0
+    assert series.rate >= 3.0
     for name in ("burgers-rotating-full.json", "burgers-cross-full.json"):
         cfg = load_config(str(CONFIG_DIR / name))
         assert cfg.mesh["n1"] == cfg.mesh["n2"] == 24 and cfg.mesh["p"] == 24
     print(f"criterion 9: peak/initial {stab['overall_max'] / stab['initial_max']:.4f},"
-          f" dt-halving rate {series.fit.rate:.2f}, full-scale configs present")
+          f" dt-halving rate {series.rate:.2f}, full-scale configs present")
 
 
 def test_criterion_10_complexity_report():

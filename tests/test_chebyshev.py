@@ -34,7 +34,7 @@ def test_nodes_ascending_and_symmetric():
 
 
 def test_nodes_rejects_degenerate():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 2 nodes, got p=1"):
         cheb_nodes(1)
 
 
@@ -156,5 +156,5 @@ def test_fill_corners_fills_in_place():
 def test_corner_fill_weights_shared_and_read_only():
     w_lo, w_hi = corner_fill_weights(9)
     assert corner_fill_weights(9)[0] is w_lo
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="read-only"):
         w_hi[0] = 0.0

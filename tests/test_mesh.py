@@ -70,18 +70,16 @@ def test_corner_slots_never_allocated():
 
 
 def test_shared_edge_nodes_coincide():
-    # the shared edge is stored once; rebuilding its coordinates from
-    # either neighbouring leaf must agree to roundoff
+    # the shared edge is stored once, so both neighbouring leaves read the
+    # same coordinates for it
     m = build_mesh(((0.0, 2.0), (0.0, 1.0)), 2, 1, p=9)
     left, right = m.leaf_grid[0], m.leaf_grid[1]
     shared_l = left[1:-1, -1]
     shared_r = right[1:-1, 0]
     np.testing.assert_array_equal(shared_l, shared_r)
     X, _ = leaf_coordinates(m)
-    from_left = X[0, 1, -1]
-    from_right = X[1, 1, 0]
-    assert abs(from_left - from_right) < 1e-14
-    np.testing.assert_allclose(m.x[shared_l], from_left, atol=1e-14)
+    np.testing.assert_array_equal(X[0, 1:-1, -1], X[1, 1:-1, 0])
+    np.testing.assert_array_equal(X[0, 1:-1, -1], m.x[shared_l])
 
 
 @pytest.mark.parametrize("n1,n2,p", SHAPES)
@@ -95,18 +93,17 @@ def test_ids_in_yx_order(n1, n2, p):
 
 @pytest.mark.parametrize("n1,n2,p", SHAPES)
 def test_leaf_coordinates_match_nodes(n1, n2, p):
-    # exact on leaf interiors; an edge node is placed from one of its two
-    # leaves, so the other leaf reproduces it to roundoff
+    # exact at every slot that holds a node; corner slots hold none
     m = shape_mesh(n1, n2, p)
     ids = m.leaf_grid.reshape(m.n_leaves, -1)
-    for leaf, nodal in zip(leaf_coordinates(m), (m.x, m.y)):
+    slots = np.concatenate([m.interior_local, m.edge_local])
+    coords = leaf_coordinates(m)
+    assert (coords[1] is None) == (m.y is None)
+    for leaf, nodal in zip(coords, (m.x, m.y)):
         if nodal is None:
             continue
         leaf = leaf.reshape(m.n_leaves, -1)
-        inner, edge = m.interior_local, m.edge_local
-        np.testing.assert_array_equal(leaf[:, inner], nodal[ids[:, inner]])
-        drift = np.abs(leaf[:, edge] - nodal[ids[:, edge]]).max()
-        assert drift <= 1e-14 * np.abs(nodal).max()
+        np.testing.assert_array_equal(leaf[:, slots], nodal[ids[:, slots]])
 
 
 def test_node_classes_2x2():
@@ -163,9 +160,9 @@ def test_single_leaf_has_no_interface():
 
 
 def test_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p=2 leaves no interior nodes"):
         build_mesh(((0.0, 1.0), (0.0, 1.0)), 2, 2, p=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"empty interval \[1.0, 0.0\]"):
         build_mesh((1.0, 0.0), 2, p=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one leaf per direction"):
         build_mesh(((0.0, 1.0), (0.0, 1.0)), 0, 2, p=5)

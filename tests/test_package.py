@@ -94,6 +94,53 @@ def test_every_merge_plan_field_is_read():
     assert fields and not unread, f"solver.py never reads {unread}"
 
 
+def _declared_names(cls: ast.ClassDef) -> set:
+    """A dataclass's fields and a class's public properties."""
+    def ids(decorators):  # `@dataclass(frozen=True)` names `dataclass` too
+        return {getattr(getattr(d, "func", d), "id", None) for d in decorators}
+
+    fields = {
+        s.target.id
+        for s in cls.body
+        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+    }
+    properties = {
+        s.name
+        for s in cls.body
+        if isinstance(s, ast.FunctionDef)
+        and not s.name.startswith("_")
+        and ids(s.decorator_list) & {"property", "cached_property"}
+    }
+    return properties | (fields if "dataclass" in ids(cls.decorator_list) else set())
+
+
+def test_every_field_and_property_is_read():
+    # a field or property that only tests read is dead weight; a name read
+    # through a string (`getattr(st, "Dxx")`) counts
+    declared = {
+        (cls.name, name)
+        for path in MODULES
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for name in _declared_names(cls)
+    }
+    program = [
+        path
+        for folder in ("src", "scripts", "perfbench")
+        for path in (ROOT / folder).rglob("*.py")
+        if not path.name.startswith("test_")
+    ]
+    read = set()
+    for path in program:
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                read.add(n.value)
+    unread = sorted(f"{cls}.{name}" for cls, name in declared if name not in read)
+    assert declared and not unread, f"only tests read {unread}"
+
+
 def test_runtime_loads_no_scipy(tmp_path):
     # the runtime needs numpy alone; scipy would bring a second BLAS runtime
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])

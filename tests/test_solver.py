@@ -220,7 +220,7 @@ def test_penalized_interface_condition(dim):
 def test_penalty_requires_dt():
     mesh = build_mesh((0.0, 1.0), 2, p=5)
     fact = build_factorization(mesh, shifted_laplace())
-    with pytest.raises(ValueError, match="dt"):
+    with pytest.raises(ValueError, match="penalty_field requires dt"):
         fact.solve(np.zeros(mesh.n_nodes), np.zeros(2), penalty_field=np.zeros(mesh.n_nodes))
 
 
@@ -335,7 +335,7 @@ def test_mesh_and_plan_tables_are_read_only():
     build_factorization(mesh, shifted_laplace())
     plan = mesh.merge_plan
     for table in (mesh.leaf_grid, mesh.owner_slots, plan.levels[0].ia):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
     tables = [getattr(o, f.name) for o in (mesh, plan, *plan.levels) for f in dataclasses.fields(o)]
     assert [a for a in tables if isinstance(a, np.ndarray) and a.flags.writeable] == []

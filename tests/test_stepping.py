@@ -123,7 +123,7 @@ def test_completer_multicomponent(mesh_name):
 
 def test_evolution_rejects_shifted_operator():
     mesh = build_mesh((0.0, 1.0), 2, p=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Evolution wants the bare spatial operator"):
         Evolution(
             mesh=mesh,
             operator=laplace_operator().shifted(1.0, 0.5),
@@ -139,10 +139,10 @@ def test_slopes_need_bc_rate():
         lam=-1.0,
         bc=zero_bc,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slope formulation needs bc_rate"):
         ImexStepper(evo, load_tableau(3), 0.1, formulation="slopes")
     ImexStepper(evo, load_tableau(3), 0.1, formulation="stages")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown formulation 'rk4'"):
         ImexStepper(evo, load_tableau(3), 0.1, formulation="rk4")
 
 

@@ -4,8 +4,12 @@ The heavyweight parameter sets live in the acceptance suite; here each
 driver runs on a small problem so structure and rough behavior stay
 covered by the regular test loop.
 """
+import contextlib
+import csv
 import importlib.util
 import inspect
+import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,7 @@ import pytest
 
 from hpstep import studies
 from hpstep.analysis import fit_rate, max_error
+from hpstep.cli import main
 from hpstep.problems import PROBLEMS, make_stepper
 from hpstep.studies import (
     advance,
@@ -82,15 +87,14 @@ def test_resolution_series_matches_a_hand_written_loop(setup):
     # a point without an error (the finest mesh itself) stays out of the fit
     kept = [(v, e) for v, e in zip(values, want) if e is not None]
     rate = fit_rate(np.array([v for v, _ in kept], dtype=float), np.array([e for _, e in kept]))
-    assert series.fit.rate == rate.rate
-    assert series.fit.used == len(kept)
+    assert series.rate == rate
 
 
 def test_fit_series_at_the_rounding_floor_raises_unless_lenient():
     values, errors = [5, 10, 20], [1.2e-13, 7.5e-15, 1.9e-14]
     with pytest.raises(ValueError, match="rounding floor"):
         fit_series("s", "steps", values, errors)
-    assert fit_series("s", "steps", values, errors, strict=False).fit is None
+    assert fit_series("s", "steps", values, errors, strict=False).rate is None
 
 
 def test_order_study_third_order_small():
@@ -98,7 +102,7 @@ def test_order_study_third_order_small():
     assert series.label == "slopes-q3-global"
     assert series.values == [5, 10, 20]
     assert len(series.errors) == 3
-    assert series.fit.rate == pytest.approx(3.0, abs=0.4)
+    assert series.rate == pytest.approx(3.0, abs=0.4)
 
 
 def test_order_study_single_step_mode():
@@ -189,28 +193,49 @@ def test_complexity_study_reports_positive_exponents():
     assert out["solve_exponent"] > 0
 
 
-def test_full_scale_targets_bind_to_the_study_signatures(monkeypatch):
-    # the script runs for hours, so each target stops at its first call
+def test_full_scale_table_binds_to_the_study_signature(monkeypatch):
+    # the full-size table takes about 10 s, so the script stops at its study call
     spec = importlib.util.spec_from_file_location(
         "full_scale", ROOT / "scripts" / "full_scale.py"
     )
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    signature = inspect.signature(script.asymmetric_self_convergence)
 
     class Bound(Exception):
         pass
 
-    def binding(name):
-        signature = inspect.signature(getattr(script, name))
+    def bind(*args, **kwargs):
+        signature.bind(*args, **kwargs)
+        raise Bound
 
-        def bind(*args, **kwargs):
-            signature.bind(*args, **kwargs)
-            raise Bound(name)
+    monkeypatch.setattr(script, "asymmetric_self_convergence", bind)
+    with pytest.raises(Bound):
+        script.main()
 
-        return bind
 
-    for name in ("asymmetric_self_convergence", "richardson_study"):
-        monkeypatch.setattr(script, name, binding(name))
-    for target in script.TARGETS.values():
-        with pytest.raises(Bound):
-            target()
+def test_extrapolation_sweep_is_the_richardson_study(tmp_path):
+    # the full-size Richardson table is this sweep of a shipped config;
+    # at desk size both routes give the same table
+    config = {
+        "experiment": "schrodinger-harmonic",
+        "mesh": {"n1": 4, "n2": 4, "p": 10},
+        "formulation": "slopes",
+        "q_rk": 3,
+        "dt": 2 * np.pi / 5,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = ["sweep", str(path), "--axis", "extrapolation-level", "--points", "3"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    with open(tmp_path / "out" / "extrapolation_table.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    table = [[float(row[f"extrap_{k}"]) for k in range(i + 1)] for i, row in enumerate(rows)]
+    assert table == richardson_study(levels=3, base_steps=5, n=4, p=10, half=8.0)["errors"]
+
+
+def test_resolution_series_rejects_unknown_reference():
+    with pytest.raises(ValueError, match="unknown reference kind 'oracle'"):
+        resolution_series("s", "steps", [5, 10], lambda count: None, "oracle")

@@ -30,9 +30,9 @@ def test_load_and_shape(q):
 
 
 def test_unknown_order_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no tableau of order 2; choose 3, 4 or 5"):
         load_tableau(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no tableau of order 6; choose 3, 4 or 5"):
         load_tableau(6)
 
 
@@ -67,7 +67,7 @@ def test_order_condition_count():
     c = np.zeros(1)
     for q, n in [(1, 1), (2, 2), (3, 4), (4, 8), (5, 17)]:
         assert order_condition_residuals(A, b, c, q).size == n
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"order conditions implemented for orders 1\.\.5"):
         order_condition_residuals(A, b, c, 6)
 
 
@@ -177,5 +177,5 @@ def test_validation_catches_perturbation():
     )
     from hpstep.tableaus import _validate
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tableau perturbed: explicit row sums differ from c"):
         _validate(bad)
