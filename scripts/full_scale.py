@@ -22,7 +22,8 @@ import sys
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:] = [p for p in sys.path if os.path.abspath(p or os.curdir) != _HERE]
 
-from hpstep.studies import asymmetric_self_convergence  # noqa: E402 (after the path fix)
+from hpstep.analysis import interval_rates  # noqa: E402 (after the path fix)
+from hpstep.studies import asymmetric_self_convergence  # noqa: E402
 
 
 def main() -> None:
@@ -35,7 +36,7 @@ def main() -> None:
         t_end=4.0,
     )
     print("panels  error        pair rate")
-    rates = [""] + [f"{r:.2f}" for r in series.extra["pair_rates"]]
+    rates = [""] + [f"{r:.2f}" for r in interval_rates(series.values, series.errors)]
     for n_panels, err, rate in zip(series.values, series.errors, rates):
         print(f"{n_panels:6d}  {err:.3e}  {rate}")
 

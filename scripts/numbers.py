@@ -1,4 +1,4 @@
-"""The final fields of the benchmark workloads and of the 1D heat case:
+"""The final fields of the benchmark workloads and of every shipped case:
 their SHA-256 and max|u|, and, against another revision, how far each moved.
 
     python scripts/numbers.py                          # writes numbers.json
@@ -13,12 +13,18 @@ The exit status is 1 when a field differs in shape or dtype, or drifts by
 more than MAX_DRIFT (1e-13) of its max|u|.
 
 Cases, each the last field of its run:
-    swirl               burgers-rotating 8x8 p=12, ARK5 stages, 80 steps to t=1
-    oscillator          schrodinger-harmonic 16x16 p=12, ARK3 slopes, 40 steps
-    poisson-1 .. -4     u - lap(u) = f on 32x32 p=8, seeds 1-4 as in perfbench,
-                        the 8 solves of each seed stacked
-    heat1d-bc-slopes    heat1d-bc at its defaults (dt=0.1, 20 steps, ARK3)
-    heat1d-bc-stages    the same in the stages formulation
+    swirl                    burgers-rotating 8x8 p=12, ARK5 stages, 80 steps to t=1
+    oscillator               schrodinger-harmonic 16x16 p=12, ARK3 slopes, 40 steps
+    poisson-1 .. -4          u - lap(u) = f on 32x32 p=8, seeds 1-4 as in perfbench,
+                             the 8 solves of each seed stacked
+    heat1d-bc-slopes         heat1d-bc at its defaults (dt=0.1, 20 steps, ARK3)
+    heat1d-bc-stages         the same in the stages formulation
+    heat1d-kink-corrected    heat1d-kink at its defaults, dt=0.1, 100 steps, as in
+                             `kink_study`
+    heat1d-kink-uncorrected  the same without the derivative-jump penalty
+    schrodinger-asymmetric   schrodinger-asymmetric at its defaults, 25 steps to t=1
+    burgers-cross            burgers-cross 8x8 p=12 at its dt=1/80, 3 steps (max|u| 13.8
+                             from 6.96); its 4th step reaches 5.6e7, its 5th is not finite
 """
 from __future__ import annotations
 
@@ -43,13 +49,18 @@ MAX_DRIFT = 1e-13
 ONE_THREAD = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def _stepped(problem, n, p, order, formulation, steps=None):
+def _stepped(problem, n, p, order, formulation, steps=None, *, dt=None, corrected=True):
+    """`steps` steps of `dt`, by default steps of the case's dt to its t_end."""
+
     def run():
         from hpstep.problems import PROBLEMS, make_stepper
 
         case = PROBLEMS[problem](n=n, p=p)
         count = steps if steps is not None else round(case.t_end / case.dt)
-        st = make_stepper(case, case.t_end / count, order=order, formulation=formulation)
+        st = make_stepper(
+            case, dt or case.t_end / count,
+            order=order, formulation=formulation, corrected=corrected,
+        )
         return st.run(0.0, case.u0, count)
 
     return run
@@ -81,6 +92,10 @@ CASES = {
     **{f"poisson-{seed}": _poisson(seed) for seed in range(1, 5)},
     "heat1d-bc-slopes": _stepped("heat1d-bc", 3, 20, 3, "slopes"),
     "heat1d-bc-stages": _stepped("heat1d-bc", 3, 20, 3, "stages"),
+    "heat1d-kink-corrected": _stepped("heat1d-kink", 2, 9, 3, "slopes", 100),
+    "heat1d-kink-uncorrected": _stepped("heat1d-kink", 2, 9, 3, "slopes", 100, corrected=False),
+    "schrodinger-asymmetric": _stepped("schrodinger-asymmetric", 8, 8, 3, "stages", 25),
+    "burgers-cross": _stepped("burgers-cross", 8, 12, 5, "stages", 3, dt=1.0 / 80),
 }
 
 
@@ -145,7 +160,7 @@ def main(argv=None) -> int:
     record = {"blas_threads": 1, "cases": {name: summary(u) for name, u in new.items()}}
     if args.against is None:
         for name, case in record["cases"].items():
-            print(f"{name:18s} {case['sha256'][:16]}  max|u| {case['max_abs']:.6g}")
+            print(f"{name:24s} {case['sha256'][:16]}  max|u| {case['max_abs']:.6g}")
     else:
         with tempfile.TemporaryDirectory() as tmp:
             old = fields(export(args.against, Path(tmp)), args.case)
@@ -153,7 +168,7 @@ def main(argv=None) -> int:
         for name in args.case:
             d = drift(new[name], old[name])
             record["cases"][name]["drift"] = d
-            print(f"{name:18s} {describe(d)}")
+            print(f"{name:24s} {describe(d)}")
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     drifts = [c["drift"] for c in record["cases"].values() if "drift" in c]
     return 1 if any(d is None or d > MAX_DRIFT for d in drifts) else 0

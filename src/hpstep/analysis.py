@@ -7,6 +7,8 @@ corner values rebuilt by edge extrapolation first).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .chebyshev import cheb_nodes, fill_corners, interp_matrix
@@ -94,6 +96,15 @@ def fit_rate(n: np.ndarray, errors: np.ndarray) -> float:
             raise ValueError("too few points above the rounding floor")
     slope = np.polyfit(np.log(n[keep]), np.log(e[keep]), 1)[0]
     return float(-slope)
+
+
+def interval_rates(n, errors) -> list[float]:
+    """The rate of errors ~ n**(-rate) over each interval between
+    neighbouring points of a ladder, unfitted."""
+    return [
+        math.log(errors[i] / errors[i + 1]) / math.log(n[i + 1] / n[i])
+        for i in range(len(errors) - 1)
+    ]
 
 
 def richardson(values, order: int) -> list[list]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .operators import laplace_operator, scatter_mean
 from .problems import (
     TransientCase,
     burgers_rotating,
+    decaying_sine_case,
     heat_cosine,
     heat_kink,
     make_stepper,
@@ -43,10 +44,9 @@ class Series:
     values: list
     errors: list
     rate: float | None = None
-    extra: dict = field(default_factory=dict)
 
 
-def fit_series(label, axis, values, errors, *, strict=True, extra=None) -> Series:
+def fit_series(label, axis, values, errors, *, strict=True) -> Series:
     """A `Series` whose rate is fitted over the points that carry an error.
 
     A series that cannot be fitted (fewer than two such points, or fewer
@@ -60,7 +60,7 @@ def fit_series(label, axis, values, errors, *, strict=True, extra=None) -> Serie
         if strict:
             raise
         rate = None
-    return Series(label, axis, list(values), list(errors), rate, extra or {})
+    return Series(label, axis, list(values), list(errors), rate)
 
 
 def advance(case: TransientCase, count: int, **stepper_kw):
@@ -71,7 +71,7 @@ def advance(case: TransientCase, count: int, **stepper_kw):
 
 def resolution_series(
     label, axis, values, run, reference="exact", *,
-    reference_run=None, strict=True, extra=None,
+    reference_run=None, strict=True,
 ) -> Series:
     """Run `run(value)` for every value of a refinement ladder and measure
     each final field against one reference; see `fit_series` for the fit.
@@ -96,7 +96,7 @@ def resolution_series(
         reference_run = run(2 * values[-1])
     errors = [_error(*run(v), reference, reference_run) for v in measured]
     errors += [None] * (len(values) - len(measured))
-    return fit_series(label, axis, values, errors, strict=strict, extra=extra)
+    return fit_series(label, axis, values, errors, strict=strict)
 
 
 def _error(case, u, reference, reference_run) -> float:
@@ -155,7 +155,6 @@ def order_study(
         resolution_series(
             f"{formulation}-q{q}-{kind}", "steps", step_counts,
             lambda count, q=q: run(count, q),
-            extra={"order": q, "formulation": formulation, "kind": kind},
         )
         for q in orders
     ]
@@ -210,12 +209,11 @@ def harmonic_resolution_sweep(
         form: resolution_series(
             f"p{p}-{form}", "panels", panel_counts,
             lambda n_panels, form=form: run(n_panels, form),
-            extra={"p": p, "formulation": form},
         )
         for form in formulations
     }
     best_errors = [min(errs) for errs in zip(*(s.errors for s in per_form.values()))]
-    best = fit_series(f"p{p}-best", "panels", panel_counts, best_errors, extra={"p": p})
+    best = fit_series(f"p{p}-best", "panels", panel_counts, best_errors)
     return {"per_form": per_form, "best": best}
 
 
@@ -241,17 +239,10 @@ def asymmetric_self_convergence(
             case.t_end = t_end
         return advance(case, n_steps, order=order)
 
-    series = resolution_series(
+    return resolution_series(
         f"asymmetric-p{p}", "panels", panel_counts, run, "finest",
-        reference_run=run(*reference), extra={"p": p, "order": order},
+        reference_run=run(*reference),
     )
-    errors = series.errors
-    series.extra["pair_rates"] = [
-        math.log(errors[i] / errors[i + 1])
-        / math.log(panel_counts[i + 1] / panel_counts[i])
-        for i in range(len(errors) - 1)
-    ]
-    return series
 
 
 # -- kink and interface-treatment studies --------------------------------
@@ -269,26 +260,6 @@ def kink_study(dt: float = 0.1, t_end: float = 10.0) -> dict:
             "drift_from_start": float(np.abs(u - case.u0).max()),
         }
     return out
-
-
-def decaying_sine_case(n: int = 8, p: int = 16) -> TransientCase:
-    """Heat flow of a single sine mode with homogeneous walls."""
-    mesh = build_mesh((0.0, math.pi), n, p=p)
-    evo = Evolution(
-        mesh=mesh,
-        operator=laplace_operator(),
-        lam=-1.0,
-        bc=lambda t, x, y: np.zeros_like(x),
-        bc_rate=lambda t, x, y: np.zeros_like(x),
-    )
-    return TransientCase(
-        evolution=evo,
-        u0=np.sin(mesh.x),
-        t_end=1.0,
-        order=3,
-        formulation="slopes",
-        exact=lambda t, x, y: np.exp(-t) * np.sin(x),
-    )
 
 
 class AveragedSlopeStepper(ImexStepper):
@@ -381,8 +352,7 @@ def burgers_self_convergence() -> Series:
     """
     case = burgers_rotating()
     return resolution_series(
-        "swirl-steps", "steps", (80, 160), lambda count: advance(case, count),
-        "halving", extra={"n": case.mesh.n1, "p": case.mesh.p, "ref_steps": 320},
+        "swirl-steps", "steps", (80, 160), lambda count: advance(case, count), "halving"
     )
 
 
@@ -392,33 +362,34 @@ def burgers_self_convergence() -> Series:
 def complexity_study(
     panel_counts=(4, 8, 16), p: int = 8, solves: int = 5
 ) -> dict:
-    """Build and solve wall times against problem size.
+    """Build and solve wall times against problem size: per size, the
+    fastest of five builds, each on a fresh mesh so that making its merge
+    plan is part of it, and of 5 * `solves` warm solves.
 
     Fitted exponents are informational; timing noise on small problems
     is real, so nothing here should be turned into a hard gate.
     """
-    sizes, build_s, solve_s = [], [], []
     op = laplace_operator().shifted(1.0, 1.0)
-    # the first build in a process pays lazy set-up: one untimed build, on a
-    # mesh of its own so that no timed build finds its merge plan made
-    n0 = panel_counts[0]
-    build_factorization(build_mesh(((0.0, 1.0), (0.0, 1.0)), n0, n0, p=p), op)
-    for n_panels in panel_counts:
-        mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), n_panels, n_panels, p=p)
-        t0 = time.perf_counter()
-        fact = build_factorization(mesh, op)
-        t1 = time.perf_counter()
-        rng = np.random.default_rng(0)
-        load = rng.standard_normal(mesh.n_nodes)
-        g = rng.standard_normal(fact.gamma_ids.size)
-        fact.solve(load, g)  # warm caches before timing
-        t2 = time.perf_counter()
-        for _ in range(solves):
-            fact.solve(load, g)
-        t3 = time.perf_counter()
-        sizes.append(mesh.n_nodes)
-        build_s.append(t1 - t0)
-        solve_s.append((t3 - t2) / solves)
+    sizes = [0] * len(panel_counts)
+    build_s = [math.inf] * len(panel_counts)
+    solve_s = [math.inf] * len(panel_counts)
+    # the sizes take turns over five rounds, so neither the first build's
+    # lazy set-up nor one host hiccup decides an exponent
+    for _ in range(5):
+        for i, n_panels in enumerate(panel_counts):
+            mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), n_panels, n_panels, p=p)
+            t0 = time.perf_counter()
+            fact = build_factorization(mesh, op)
+            build_s[i] = min(build_s[i], time.perf_counter() - t0)
+            rng = np.random.default_rng(0)
+            load = rng.standard_normal(mesh.n_nodes)
+            g = rng.standard_normal(fact.gamma_ids.size)
+            fact.solve(load, g)  # warm caches before timing
+            for _ in range(solves):
+                t0 = time.perf_counter()
+                fact.solve(load, g)
+                solve_s[i] = min(solve_s[i], time.perf_counter() - t0)
+            sizes[i] = mesh.n_nodes
     return {
         "panel_counts": list(panel_counts),
         "n_nodes": sizes,

@@ -6,15 +6,18 @@ explicit table sharing the same abscissae and quadrature weights. The
 three pairs embedded here are the classical order 3, 4 and 5 members of
 the Kennedy-Carpenter additive family, written as exact rationals.
 
-`load_tableau` revalidates every structural invariant on each call:
-row sums, order conditions through the design order, stiff accuracy,
-strict lower-triangularity of the explicit table, and decay of the
-implicit stability function far in the left half-plane. A transcription
-error in any coefficient trips at least one of these checks.
+`load_tableau` validates every structural invariant the first time a
+pair is asked for in a process: row sums, order conditions through the
+design order, stiff accuracy, strict lower-triangularity of the explicit
+table, and decay of the implicit stability function far in the left
+half-plane. A transcription error in any coefficient trips at least one
+of these checks. The pair is then cached with read-only arrays, so the
+checked coefficients are the ones every later caller steps with.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -34,6 +37,15 @@ class ImexTableau:
     @property
     def stages(self) -> int:
         return self.b.size
+
+
+def _pair(name: str, order: int, gamma: float, A_im, A_ex, b, c) -> ImexTableau:
+    """The pair with its coefficient lists as read-only arrays, so that a
+    table `load_tableau` has checked and cached cannot change later."""
+    arrays = [np.array(v) for v in (A_im, A_ex, b, c)]
+    for a in arrays:
+        a.flags.writeable = False
+    return ImexTableau(name, order, gamma, *arrays)
 
 
 def _ark3() -> ImexTableau:
@@ -62,15 +74,7 @@ def _ark3() -> ImexTableau:
         ],
     ]
     c = [0.0, 2 * g, 3 / 5, 1.0]
-    return ImexTableau(
-        name="additive-3(2)4",
-        order=3,
-        gamma=g,
-        A_im=np.array(A_im),
-        A_ex=np.array(A_ex),
-        b=np.array(b),
-        c=np.array(c),
-    )
+    return _pair("additive-3(2)4", 3, g, A_im, A_ex, b, c)
 
 
 def _ark4() -> ImexTableau:
@@ -121,15 +125,7 @@ def _ark4() -> ImexTableau:
         ],
     ]
     c = [0.0, 1 / 2, 83 / 250, 31 / 50, 17 / 20, 1.0]
-    return ImexTableau(
-        name="additive-4(3)6",
-        order=4,
-        gamma=g,
-        A_im=np.array(A_im),
-        A_ex=np.array(A_ex),
-        b=np.array(b),
-        c=np.array(c),
-    )
+    return _pair("additive-4(3)6", 4, g, A_im, A_ex, b, c)
 
 
 def _ark5() -> ImexTableau:
@@ -264,15 +260,7 @@ def _ark5() -> ImexTableau:
         3 / 5,
         1.0,
     ]
-    return ImexTableau(
-        name="additive-5(4)8",
-        order=5,
-        gamma=g,
-        A_im=np.array(A_im),
-        A_ex=np.array(A_ex),
-        b=np.array(b),
-        c=np.array(c),
-    )
+    return _pair("additive-5(4)8", 5, g, A_im, A_ex, b, c)
 
 
 _BUILDERS = {3: _ark3, 4: _ark4, 5: _ark5}
@@ -321,8 +309,10 @@ def stability_function(A: np.ndarray, b: np.ndarray, z) -> np.ndarray:
     return out if out.ndim else out[()]
 
 
+@cache
 def load_tableau(order: int) -> ImexTableau:
-    """Return the validated pair of the given design order (3, 4 or 5)."""
+    """Return the validated pair of the given design order (3, 4 or 5),
+    built and checked once per process."""
     try:
         tab = _BUILDERS[order]()
     except KeyError:

@@ -5,6 +5,7 @@ import pytest
 from hpstep.analysis import (
     MeshInterpolant,
     fit_rate,
+    interval_rates,
     max_error,
     richardson,
     richardson_errors,
@@ -115,6 +116,12 @@ def test_fit_rate_validation():
     with pytest.raises(ValueError, match="too few points above the rounding floor"):
         # everything sits inside the rounding plateau
         fit_rate(np.array([10, 20, 40]), np.array([3e-13, 1.2e-13, 1e-13]))
+
+
+def test_interval_rates_are_unfitted_neighbour_slopes():
+    # errors n**-2 from 2 to 4, then n**-3 from 4 to 8
+    assert interval_rates([2, 4, 8], [1.0, 0.25, 0.25 / 8]) == pytest.approx([2.0, 3.0], rel=1e-14)
+    assert interval_rates([2], [1.0]) == []
 
 
 def test_richardson_against_manual_arithmetic():

@@ -29,6 +29,15 @@ def test_load_and_shape(q):
     assert tab.gamma == GAMMAS[q]
 
 
+@pytest.mark.parametrize("q", ORDERS)
+def test_loaded_pair_is_cached_and_read_only(q):
+    tab = load_tableau(q)
+    assert load_tableau(q) is tab
+    for arr in (tab.A_im, tab.A_ex, tab.b, tab.c):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[-1] = 0.0
+
+
 def test_unknown_order_rejected():
     with pytest.raises(ValueError, match="no tableau of order 2; choose 3, 4 or 5"):
         load_tableau(2)
