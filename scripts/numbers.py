@@ -25,6 +25,8 @@ Cases, each the last field of its run:
     schrodinger-asymmetric   schrodinger-asymmetric at its defaults, 25 steps to t=1
     burgers-cross            burgers-cross 8x8 p=12 at its dt=1/80, 3 steps (max|u| 13.8
                              from 6.96); its 4th step reaches 5.6e7, its 5th is not finite
+    tableau-q3 .. -q5        the float arrays A_im, A_ex, b and c of each order's pair,
+                             concatenated; no other case steps the order-4 pair
 """
 from __future__ import annotations
 
@@ -86,6 +88,16 @@ def _poisson(seed, n=32, p=8, solves=8):
     return run
 
 
+def _tableau(order):
+    def run():
+        from hpstep.tableaus import load_tableau
+
+        tab = load_tableau(order)
+        return np.concatenate([tab.A_im.ravel(), tab.A_ex.ravel(), tab.b, tab.c])
+
+    return run
+
+
 CASES = {
     "swirl": _stepped("burgers-rotating", 8, 12, 5, "stages", 80),
     "oscillator": _stepped("schrodinger-harmonic", 16, 12, 3, "slopes", 40),
@@ -96,6 +108,7 @@ CASES = {
     "heat1d-kink-uncorrected": _stepped("heat1d-kink", 2, 9, 3, "slopes", 100, corrected=False),
     "schrodinger-asymmetric": _stepped("schrodinger-asymmetric", 8, 8, 3, "stages", 25),
     "burgers-cross": _stepped("burgers-cross", 8, 12, 5, "stages", 3, dt=1.0 / 80),
+    **{f"tableau-q{order}": _tableau(order) for order in (3, 4, 5)},
 }
 
 

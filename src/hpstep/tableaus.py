@@ -7,12 +7,14 @@ three pairs embedded here are the classical order 3, 4 and 5 members of
 the Kennedy-Carpenter additive family, written as exact rationals.
 
 `load_tableau` validates every structural invariant the first time a
-pair is asked for in a process: row sums, order conditions through the
-design order, stiff accuracy, strict lower-triangularity of the explicit
-table, and decay of the implicit stability function far in the left
-half-plane. A transcription error in any coefficient trips at least one
-of these checks. The pair is then cached with read-only arrays, so the
-checked coefficients are the ones every later caller steps with.
+pair is asked for in a process: row sums, the rooted-tree order
+conditions through the design order of each table and of the pair,
+stiff accuracy, strict lower-triangularity of the explicit table, and
+decay of the implicit stability function far in the left half-plane.
+Moves along the pair's remaining free parameters (5 directions of the
+order-4 explicit table) keep order q and pass them; only the numbers
+ledger's `tableau-q*` records see those. The pair is then cached
+read-only, so later callers step with the checked coefficients.
 """
 from __future__ import annotations
 
@@ -266,36 +268,33 @@ def _ark5() -> ImexTableau:
 _BUILDERS = {3: _ark3, 4: _ark4, 5: _ark5}
 
 
-def order_condition_residuals(A: np.ndarray, b: np.ndarray, c: np.ndarray, order: int):
-    """Residuals of the rooted-tree conditions through the given order."""
-    if order < 1 or order > 5:
-        raise ValueError("order conditions implemented for orders 1..5")
-    Ac = A @ c
-    res = [b.sum() - 1.0]
-    if order >= 2:
-        res.append(b @ c - 1 / 2)
-    if order >= 3:
-        res += [b @ c**2 - 1 / 3, b @ Ac - 1 / 6]
-    if order >= 4:
-        res += [
-            b @ c**3 - 1 / 4,
-            b @ (c * Ac) - 1 / 8,
-            b @ (A @ c**2) - 1 / 12,
-            b @ (A @ Ac) - 1 / 24,
-        ]
-    if order >= 5:
-        res += [
-            b @ c**4 - 1 / 5,
-            b @ (c**2 * Ac) - 1 / 10,
-            b @ (Ac * Ac) - 1 / 20,
-            b @ (c * (A @ c**2)) - 1 / 15,
-            b @ (c * (A @ Ac)) - 1 / 30,
-            b @ (A @ c**3) - 1 / 20,
-            b @ (A @ (c * Ac)) - 1 / 40,
-            b @ (A @ (A @ c**2)) - 1 / 60,
-            b @ (A @ (A @ Ac)) - 1 / 120,
-        ]
-    return np.array(res)
+def rooted_trees(order: int, tables: int) -> list[tuple]:
+    """Each rooted tree of 1..order vertices whose non-root vertices carry
+    one of `tables` tables: the sorted tuple of the root's (table, children)."""
+    def grow(kids):  # each tree with one vertex more
+        new = [kids + ((k, ()),) for k in range(tables)]
+        for i, (k, sub) in enumerate(kids):
+            new += [kids[:i] + ((k, g),) + kids[i + 1 :] for g in grow(sub)]
+        return [tuple(sorted(t)) for t in new]
+    trees, level = [()], {()}
+    for _ in range(order - 1):
+        level = {t for tree in level for t in grow(tree)}
+        trees += sorted(level)
+    return trees
+
+
+def order_condition_residuals(tables: list[np.ndarray], b: np.ndarray, order: int) -> np.ndarray:
+    """b.Phi(t) - 1/gamma(t) for each tree t of `rooted_trees(order, len(tables))`:
+    the order conditions of the additive method whose k-th term enters the
+    stages through tables[k] (Hairer, Norsett & Wanner, ODEs I, II.2, II.15)."""
+    def weight(kids):  # Phi(t), |t| and gamma(t) of the tree with these root children
+        phi, size, density = np.ones(b.size), 1, 1
+        for k, sub in kids:
+            p, n, g = weight(sub)
+            phi, size, density = phi * (tables[k] @ p), size + n, density * g
+        return phi, size, density * size
+    weights = (weight(t) for t in rooted_trees(order, len(tables)))
+    return np.array([b @ phi - 1 / density for phi, _, density in weights])
 
 
 def stability_function(A: np.ndarray, b: np.ndarray, z) -> np.ndarray:
@@ -322,13 +321,13 @@ def load_tableau(order: int) -> ImexTableau:
 
 
 def _conditions(tab: ImexTableau) -> list[tuple[str, float, float]]:
-    """The order conditions of both tables, stiff accuracy, a strictly
-    lower explicit table and damping far out on the negative axis, as
-    (name, value, bound); each holds when value <= bound."""
+    """The order conditions of each table and of the pair, stiff accuracy, a
+    strictly lower explicit table and damping far out on the negative axis,
+    as (name, value, bound); each holds when value <= bound."""
     q, A_im, A_ex, b = tab.order, tab.A_im, tab.A_ex, tab.b
     orders = [
-        (label, float(np.abs(order_condition_residuals(A, b, tab.c, q)).max()))
-        for label, A in (("implicit", A_im), ("explicit", A_ex))
+        (label, float(np.abs(order_condition_residuals(tables, b, q)).max()))
+        for label, tables in (("implicit", [A_im]), ("explicit", [A_ex]), ("coupled", [A_im, A_ex]))
     ]
     return [(f"q{q} {label} order conditions", r, 1e-12) for label, r in orders] + [
         (f"q{q} stiff accuracy", float(np.abs(A_im[-1] - b).max()), 0.0),

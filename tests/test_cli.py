@@ -514,5 +514,5 @@ def test_main_rejects_bad_config_with_exit_code(tmp_path, capsys, case):
 def test_main_verify_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
-    assert "57/57 checks passed" in out
+    assert "60/60 checks passed" in out
     assert "FAIL" not in out

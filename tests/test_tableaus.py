@@ -8,6 +8,7 @@ from hpstep.operators import EllipticOperator
 from hpstep.stepping import Evolution, ImexStepper
 from hpstep.tableaus import (
     ImexTableau,
+    _validate,
     load_tableau,
     order_condition_residuals,
     stability_function,
@@ -64,20 +65,79 @@ def test_structure(q):
 @pytest.mark.parametrize("q", ORDERS)
 def test_order_conditions_both_tables(q):
     tab = load_tableau(q)
-    for A in (tab.A_im, tab.A_ex):
-        res = order_condition_residuals(A, tab.b, tab.c, q)
+    for tables in ([tab.A_im], [tab.A_ex], [tab.A_im, tab.A_ex]):
+        res = order_condition_residuals(tables, tab.b, q)
         assert np.abs(res).max() < 1e-12
 
 
 def test_order_condition_count():
-    # 1 + 1 + 2 + 4 + 9 conditions through order five
+    # rooted trees through each order (1, 1, 2, 4, 9, 20 of each size); with
+    # two tables every non-root vertex carries either (1, 2, 7, 26, 107)
     b = np.array([1.0])
     A = np.zeros((1, 1))
-    c = np.zeros(1)
-    for q, n in [(1, 1), (2, 2), (3, 4), (4, 8), (5, 17)]:
-        assert order_condition_residuals(A, b, c, q).size == n
-    with pytest.raises(ValueError, match=r"order conditions implemented for orders 1\.\.5"):
-        order_condition_residuals(A, b, c, 6)
+    one = [(1, 1), (2, 2), (3, 4), (4, 8), (5, 17), (6, 37)]
+    pair = [(1, 1), (2, 3), (3, 10), (4, 36), (5, 143)]
+    for q, n in one:
+        assert order_condition_residuals([A], b, q).size == n
+    for q, n in pair:
+        assert order_condition_residuals([A, A], b, q).size == n
+    # the pair's trees that carry both tables: all but each table's own,
+    # which share the one-vertex tree
+    assert [n - 2 * dict(one)[q] + 1 for q, n in pair[2:]] == [3, 21, 110]
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_stage_order(q):
+    # the largest k with A c^(j-1) = c^j / j for every j <= k; the implicit
+    # tables' 2 bounds the order seen on problems with time-dependent forcing
+    tab = load_tableau(q)
+
+    def stage_order(A):
+        k = 0
+        while np.abs(A @ tab.c**k - tab.c ** (k + 1) / (k + 1)).max() < 1e-12:
+            k += 1
+        return k
+
+    assert (stage_order(tab.A_im), stage_order(tab.A_ex)) == (2, 1)
+
+
+def test_validation_catches_a_mutant_meeting_each_tables_own_conditions():
+    # Move the order-4 explicit table along the null space of its row sums
+    # and its own order conditions, then back onto them by Newton steps:
+    # only the conditions coupling it to the implicit table see the change.
+    tab = load_tableau(4)
+    rows, cols = np.tril_indices(tab.stages, -1)
+
+    def table(x):
+        A = np.zeros((tab.stages, tab.stages), dtype=x.dtype)
+        A[rows, cols] = x
+        return A
+
+    def own(x):
+        A = table(x)
+        return np.concatenate([A.sum(axis=1) - tab.c, order_condition_residuals([A], tab.b, 4)])
+
+    def pair(x):
+        return order_condition_residuals([tab.A_im, table(x)], tab.b, 4)
+
+    def jacobian(f, x, h=1e-30):  # complex step: exact for these polynomials
+        return np.array([f(x + 1j * h * e).imag / h for e in np.eye(x.size)]).T
+
+    x = tab.A_ex[rows, cols]
+    J_own, J_pair = jacobian(own, x), jacobian(pair, x)
+    assert x.size == 15 and np.linalg.matrix_rank(J_own) == 9
+    assert np.linalg.matrix_rank(np.vstack([J_own, J_pair])) == 10
+    null = np.linalg.svd(J_own)[2][9:]
+    # the null direction along which the pair's conditions move fastest
+    d = null.T @ np.linalg.svd(J_pair @ null.T)[2][0]
+    x = x + 0.01 * d / np.abs(d).max()
+    for _ in range(4):
+        x = x - np.linalg.lstsq(jacobian(own, x), own(x), rcond=None)[0]
+    assert np.abs(own(x)).max() < 1e-12
+    assert np.abs(pair(x)).max() > 1e-5
+    mutant = ImexTableau("mutant", 4, tab.gamma, tab.A_im, table(x), tab.b, tab.c)
+    with pytest.raises(ValueError, match="tableau mutant: q4 coupled order conditions at"):
+        _validate(mutant)
 
 
 @pytest.mark.parametrize("q", ORDERS)
@@ -184,7 +244,5 @@ def test_validation_catches_perturbation():
         b=tab.b,
         c=tab.c,
     )
-    from hpstep.tableaus import _validate
-
     with pytest.raises(ValueError, match="tableau perturbed: explicit row sums differ from c"):
         _validate(bad)
