@@ -1,6 +1,7 @@
 """Full-size cross-mesh table of the tilted-well oscillator at t=4, kept
-out of the test suite (about 10 s on a 2-core x86 host); its CI-sized
-equivalent lives in tests/test_acceptance.py.
+out of the test suite (about 10 s on a 2-core x86 host); its desk-sized
+equivalent is criterion 6 of `hpstep.studies.CLAIMS`, which `hpstep
+reproduce` prints.
 
     python scripts/full_scale.py
 
@@ -27,14 +28,7 @@ from hpstep.studies import asymmetric_self_convergence  # noqa: E402
 
 
 def main() -> None:
-    series = asymmetric_self_convergence(
-        panel_counts=(2, 4, 8, 16),
-        p=8,
-        reference=(16, 10),
-        order=5,
-        n_steps=100,
-        t_end=4.0,
-    )
+    series = asymmetric_self_convergence(n_steps=100, t_end=4.0)
     print("panels  error        pair rate")
     rates = [""] + [f"{r:.2f}" for r in interval_rates(series.values, series.errors)]
     for n_panels, err, rate in zip(series.values, series.errors, rates):

@@ -20,7 +20,7 @@ Cases, each the last field of its run:
     heat1d-bc-slopes         heat1d-bc at its defaults (dt=0.1, 20 steps, ARK3)
     heat1d-bc-stages         the same in the stages formulation
     heat1d-kink-corrected    heat1d-kink at its defaults, dt=0.1, 100 steps, as in
-                             `kink_study`
+                             criterion 3 of `hpstep.studies.CLAIMS`
     heat1d-kink-uncorrected  the same without the derivative-jump penalty
     schrodinger-asymmetric   schrodinger-asymmetric at its defaults, 25 steps to t=1
     burgers-cross            burgers-cross 8x8 p=12 at its dt=1/80, 3 steps (max|u| 13.8

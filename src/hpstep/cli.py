@@ -1,4 +1,5 @@
-"""Command line front end: run experiments, sweep an axis, verify.
+"""Command line front end: run experiments, sweep an axis, verify,
+reproduce the paper's desk-scale claims.
 
 Configs are JSON files; see `RunConfig` for the accepted fields. A sweep
 is one `studies.resolution_series` call (one `studies.extrapolation_table`
@@ -6,7 +7,9 @@ for the extrapolation axis) whose `Series` is written out unchanged. Every
 invocation that writes output also writes a `manifest.json` carrying
 the full normalized config and the code and library versions, so any
 CSV can be traced back to what produced it; `run` adds the worst 1-norm
-condition number of the factorization's inverted blocks.
+condition number of the factorization's inverted blocks. `reproduce`
+writes no files: it prints one `criterion N: <json>` line per entry of
+`studies.CLAIMS`.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 from . import __version__
 from .analysis import max_error
 from .problems import PROBLEMS, TransientCase, make_stepper, resolution_step_count
-from .studies import Series, advance, extrapolation_table, fit_series, resolution_series
+from .studies import CLAIMS, Series, advance, extrapolation_table, fit_series, resolution_series
 from .verification import oracle_equivalence_report, tableau_report
 
 FORMULATIONS = ("slopes", "stages")
@@ -365,6 +368,16 @@ def cmd_verify() -> int:
     return 1 if bad else 0
 
 
+def claim_line(criterion: int, record: dict) -> str:
+    """One claim's record as `hpstep reproduce` prints it."""
+    return f"criterion {criterion}: {json.dumps(record)}"
+
+
+def cmd_reproduce() -> None:
+    for criterion, claim in CLAIMS.items():
+        print(claim_line(criterion, claim()), flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hpstep", description="Spectral multidomain experiment runner."
@@ -386,17 +399,26 @@ def main(argv=None) -> int:
         "--points", type=int, default=5, help="resolutions per sweep"
     )
     sub.add_parser("verify")
+    sub.add_parser("reproduce")
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
             return cmd_verify()
+        if args.command == "reproduce":
+            cmd_reproduce()
+            return 0
         cfg = load_config(args.config, args.overrides)
-        if args.command == "run":
-            cmd_run(cfg)
-        else:
-            if args.points < 1:
-                raise ConfigError("points: must be at least 1")
-            cmd_sweep(cfg, args.axis, args.points)
+        if args.command == "sweep" and args.points < 1:
+            raise ConfigError("points: must be at least 1")
+        try:
+            if args.command == "run":
+                cmd_run(cfg)
+            else:
+                cmd_sweep(cfg, args.axis, args.points)
+        except MemoryError as exc:
+            mesh = "n1={n1} n2={n2} p={p}".format(**cfg.mesh)
+            print(f"error: mesh {mesh} does not fit in memory: {exc}", file=sys.stderr)
+            return 1
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

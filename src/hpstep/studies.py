@@ -1,12 +1,15 @@
-"""Experiment drivers shared by the command line and the acceptance tests.
+"""Experiment drivers and the paper's desk-scale claims.
 
-Each study builds its own cases, runs them and returns plain data
+Each driver builds its own cases, runs them and returns plain data
 (series of errors with fitted rates, tables, timings); serialization is
 left to the caller. Every convergence study, and every `hpstep sweep`,
 is one call to `resolution_series`, which runs a refinement ladder and
 measures it against the exact solution, the finest mesh or one extra
 halving of the step; `extrapolation_table` serves both step-doubling
 extrapolations.
+
+`CLAIMS` maps each acceptance criterion to a zero-argument function that
+states its desk parameters once and returns the numbers it is judged on.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import fit_rate, max_error, richardson, richardson_errors
+from .analysis import fit_rate, interval_rates, max_error, richardson, richardson_errors
 from .mesh import build_mesh
 from .operators import laplace_operator, scatter_mean
 from .problems import (
@@ -33,6 +36,7 @@ from .problems import (
 from .oracle import OracleCompleter
 from .solver import build_factorization
 from .stepping import Evolution, ImexStepper
+from .verification import oracle_equivalence_report, tableau_report
 
 
 @dataclass
@@ -124,108 +128,9 @@ def extrapolation_table(
     return richardson_errors(richardson(finals, order), exact)
 
 
-# -- time-order studies on the space-uniform diffusion case --------------
-
-
-def order_study(
-    orders=(3, 4, 5),
-    step_counts=(5, 10, 20, 40, 80, 160),
-    formulation: str = "slopes",
-    *,
-    n: int = 8,
-    p: int = 16,
-    single_step: bool = False,
-) -> list[Series]:
-    """Observed time orders on the problem with solution cos(t).
-
-    Global errors integrate to t_end; with `single_step` the error after
-    one step of size t_end / count is measured instead, which exposes the
-    local accuracy.
-    """
-    case = heat_cosine(n=n, p=p)
-    kind = "step" if single_step else "global"
-
-    def run(count, q):
-        if single_step:  # one step of size t_end / count
-            short = replace(case, t_end=case.t_end / count)
-            return advance(short, 1, order=q, formulation=formulation)
-        return advance(case, count, order=q, formulation=formulation)
-
-    return [
-        resolution_series(
-            f"{formulation}-q{q}-{kind}", "steps", step_counts,
-            lambda count, q=q: run(count, q),
-        )
-        for q in orders
-    ]
-
-
-def richardson_study(
-    levels: int = 5,
-    base_steps: int = 10,
-    *,
-    n: int = 10,
-    p: int = 12,
-    half: float = 6.0,
-) -> dict:
-    """Step-doubling extrapolation of the oscillator run in time.
-
-    The mesh is fixed and fine enough that the spatial error sits below
-    1e-8, so the extrapolation table exposes the time-error expansion
-    until it reaches that floor.
-    """
-    case = schrodinger_harmonic(n=n, p=p, half=half)
-    counts = [base_steps * 2**i for i in range(levels)]
-    errs = extrapolation_table(case, counts, case.order, "slopes")
-    return {
-        "order": case.order,
-        "step_counts": counts,
-        "errors": errs,
-        "raw": [row[0] for row in errs],
-        "diagonal": [row[-1] for row in errs],
-    }
-
-
-# -- spatial sweeps ------------------------------------------------------
-
-
-def harmonic_resolution_sweep(
-    p: int,
-    panel_counts=(16, 24, 32),
-    formulations=("stages", "slopes"),
-) -> dict:
-    """Error at one revolution of the oscillator phase versus panel count.
-
-    The step size follows the resolution rule of the case, so the time
-    error shrinks with the spatial one; each mesh runs under every
-    requested formulation and `best` takes the smaller error per mesh.
-    """
-
-    def run(n_panels, form):
-        case = schrodinger_harmonic(n=n_panels, p=p)
-        return advance(case, resolution_step_count(case, case.order), formulation=form)
-
-    per_form = {
-        form: resolution_series(
-            f"p{p}-{form}", "panels", panel_counts,
-            lambda n_panels, form=form: run(n_panels, form),
-        )
-        for form in formulations
-    }
-    best_errors = [min(errs) for errs in zip(*(s.errors for s in per_form.values()))]
-    best = fit_series(f"p{p}-best", "panels", panel_counts, best_errors)
-    return {"per_form": per_form, "best": best}
-
-
-def asymmetric_self_convergence(
-    panel_counts=(2, 4, 8, 16),
-    p: int = 8,
-    reference=(16, 10),
-    order: int = 5,
-    n_steps: int = 25,
-    t_end: float | None = None,
-) -> Series:
-    """Cross-mesh convergence for the tilted-well oscillator.
+def asymmetric_self_convergence(n_steps: int = 25, t_end: float | None = None) -> Series:
+    """Cross-mesh convergence for the tilted-well oscillator: 2, 4, 8 and
+    16 panels at p=8 against a 16x16 p=10 reference, order 5.
 
     All runs share the step count, so the common time error largely
     cancels and the differences against the fine reference are spatial.
@@ -233,33 +138,15 @@ def asymmetric_self_convergence(
     lives in the full-scale script).
     """
 
-    def run(n_panels, q=p):
-        case = schrodinger_asymmetric(n=n_panels, p=q)
+    def run(n_panels, p=8):
+        case = schrodinger_asymmetric(n=n_panels, p=p)
         if t_end is not None:
             case.t_end = t_end
-        return advance(case, n_steps, order=order)
+        return advance(case, n_steps, order=5)
 
     return resolution_series(
-        f"asymmetric-p{p}", "panels", panel_counts, run, "finest",
-        reference_run=run(*reference),
+        "asymmetric-p8", "panels", (2, 4, 8, 16), run, "finest", reference_run=run(16, 10)
     )
-
-
-# -- kink and interface-treatment studies --------------------------------
-
-
-def kink_study(dt: float = 0.1, t_end: float = 10.0) -> dict:
-    """Corrected versus uncorrected treatment of a derivative kink."""
-    out = {}
-    for corrected in (True, False):
-        case = heat_kink()
-        st = make_stepper(case, dt, corrected=corrected)
-        u = st.run(0.0, case.u0, round(t_end / dt))
-        out["corrected" if corrected else "uncorrected"] = {
-            "final_max": float(np.abs(u).max()),
-            "drift_from_start": float(np.abs(u - case.u0).max()),
-        }
-    return out
 
 
 class AveragedSlopeStepper(ImexStepper):
@@ -280,83 +167,6 @@ class AveragedSlopeStepper(ImexStepper):
         k1 = k1 if f is None else k1 + f
         k1[..., self._gids] = g
         return k1
-
-
-def averaged_instability(n: int = 8, p: int = 16, max_steps: int = 500) -> dict:
-    """Noise injection of the averaged first-stage interface treatment.
-
-    On decaying sine data the continuity-enforced first stage lets the
-    field relax to roundoff, while one-sided averaging (the "averaged"
-    run of `AveragedSlopeStepper`) keeps feeding a marginal interface
-    mode whose noise floor sits orders of magnitude higher; the end-norm
-    ratio records the separation. Runs take steps of 0.1 and stop early
-    if a norm passes 1e6. The tridiagonal route is checked on the way
-    against a stepper whose `completer` is the dense oracle's ("solve").
-    """
-    results = {}
-    case = decaying_sine_case(n=n, p=p)
-    oracle = make_stepper(case, 0.1, corrected=False)
-    oracle.completer = OracleCompleter(case.mesh)
-    steppers = {
-        "solve": oracle,
-        "tridiagonal": make_stepper(case, 0.1, corrected=False),
-        "averaged": AveragedSlopeStepper(case.evolution, oracle.tab, 0.1, corrected=False),
-    }
-    for method, st in steppers.items():
-        norms = [float(np.abs(case.u0).max())]
-
-        def watch(i, t, u):
-            m = float(np.abs(u).max())
-            norms.append(m)
-            return m > 1e6
-
-        st.run(0.0, case.u0, max_steps, callback=watch)
-        results[method] = {"norms": norms, "steps": len(norms) - 1}
-    a = np.array(results["solve"]["norms"])
-    b = np.array(results["tridiagonal"]["norms"])
-    k = min(a.size, b.size)
-    results["route_mismatch"] = float(np.abs(a[:k] - b[:k]).max())
-    end = results["averaged"]["norms"][-1]
-    ratio = np.inf
-    if np.isfinite(end) and a[-1] > 0:
-        ratio = end / a[-1]
-    results["growth_ratio"] = float(ratio)
-    return results
-
-
-# -- viscous advection ---------------------------------------------------
-
-
-def burgers_stability() -> dict:
-    """Sup-norm history of the rotating-swirl run over one time unit, at
-    the case's own step."""
-    case = burgers_rotating()
-    st = make_stepper(case, case.dt)
-    peak = float(np.abs(case.u0).max())
-    history = [peak]
-
-    def watch(i, t, u):
-        history.append(float(np.abs(u).max()))
-        return False
-
-    st.run(0.0, case.u0, round(case.t_end / case.dt), callback=watch)
-    return {"initial_max": peak, "overall_max": max(history), "history": history}
-
-
-def burgers_self_convergence() -> Series:
-    """Step-size convergence of the rotating-swirl run on a fixed mesh.
-
-    The advection split is explicit, so the 8x8 mesh caps the step at
-    about 1/40; the halving ladder therefore runs 80 and 160 steps and
-    measures both against one extra halving, 320.
-    """
-    case = burgers_rotating()
-    return resolution_series(
-        "swirl-steps", "steps", (80, 160), lambda count: advance(case, count), "halving"
-    )
-
-
-# -- cost scaling --------------------------------------------------------
 
 
 def complexity_study(
@@ -398,3 +208,167 @@ def complexity_study(
         "build_exponent": float(np.polyfit(np.log(sizes), np.log(build_s), 1)[0]),
         "solve_exponent": float(np.polyfit(np.log(sizes), np.log(solve_s), 1)[0]),
     }
+
+
+# -- the paper's desk-scale claims, one per acceptance criterion ----------
+
+
+def _report(checks) -> dict:
+    """How many checks ran, and the line of each that failed."""
+    return {"checks": len(checks), "failed": [c.line() for c in checks if not c.ok]}
+
+
+def _max_norms(stepper: ImexStepper, u0, steps: int, blowup: float = math.inf) -> list:
+    """max|u| of `u0` and after each step; the run stops once one passes
+    `blowup`."""
+    norms = [float(np.abs(u0).max())]
+
+    def watch(i, t, u):
+        norms.append(float(np.abs(u).max()))
+        return norms[-1] > blowup
+
+    stepper.run(0.0, u0, steps, callback=watch)
+    return norms
+
+
+def _oracle_equivalence() -> dict:
+    checks = oracle_equivalence_report()
+    return {**_report(checks), "worst": max(c.value for c in checks)}
+
+
+def _order_reduction() -> dict:
+    """Observed time orders on the problem with solution cos(t), at 5 to
+    160 steps. A global error integrates to t_end; a step error follows
+    one step of size t_end / count, which exposes the local accuracy."""
+    case = heat_cosine(n=8, p=16)
+
+    def rate(q, formulation, kind):
+        def run(count):
+            if kind == "step":
+                short = replace(case, t_end=case.t_end / count)
+                return advance(short, 1, order=q, formulation=formulation)
+            return advance(case, count, order=q, formulation=formulation)
+
+        counts = (5, 10, 20, 40, 80, 160)
+        return resolution_series(f"{formulation}-q{q}-{kind}", "steps", counts, run).rate
+
+    runs = [(q, "slopes", kind) for kind in ("global", "step") for q in (3, 4, 5)]
+    runs += [(q, "stages", "global") for q in (4, 5)]
+    return {f"{form} q{q} {kind}": rate(q, form, kind) for q, form, kind in runs}
+
+
+def _kink() -> dict:
+    """The heat kink after 100 steps of 0.1, relaxed by the derivative-jump
+    penalty and pinned without it."""
+    case = heat_kink()
+
+    def final(corrected):
+        return make_stepper(case, 0.1, corrected=corrected).run(0.0, case.u0, 100)
+
+    return {
+        "corrected_final_max": float(np.abs(final(True)).max()),
+        "uncorrected_drift": float(np.abs(final(False) - case.u0).max()),
+    }
+
+
+def _harmonic_rates() -> dict:
+    """The oscillator's error at one revolution of its phase against the
+    panel count 16, 24, 32, per leaf order p. The step follows the case's
+    resolution rule, so the time error shrinks with the spatial one; each
+    mesh runs in both formulations and the rate is fitted to the smaller
+    error per mesh."""
+    panels = (16, 24, 32)
+
+    def errors(p, formulation):
+        def run(n_panels):
+            case = schrodinger_harmonic(n=n_panels, p=p)
+            steps = resolution_step_count(case, case.order)
+            return advance(case, steps, formulation=formulation)
+
+        return resolution_series(f"p{p}-{formulation}", "panels", panels, run).errors
+
+    rates = {}
+    for p in (4, 6, 8):
+        best = [min(e) for e in zip(errors(p, "stages"), errors(p, "slopes"))]
+        rates[f"p={p}"] = fit_series(f"p{p}-best", "panels", panels, best).rate
+    return rates
+
+
+def _richardson() -> dict:
+    """Step-doubling extrapolation of the oscillator from 10 to 160 steps,
+    on a mesh that puts the spatial error below 1e-8. `gain` is the
+    thrice-extrapolated error at the finest level over the raw one."""
+    case = schrodinger_harmonic(n=10, p=12, half=6.0)
+    counts = [10 * 2**i for i in range(5)]
+    errs = extrapolation_table(case, counts, case.order, "slopes")
+    raw, diagonal = [row[0] for row in errs], [row[-1] for row in errs]
+    return {"step_counts": counts, "raw": raw, "diagonal": diagonal, "gain": errs[-1][3] / raw[-1]}
+
+
+def _asymmetric() -> dict:
+    series = asymmetric_self_convergence()
+    rates = interval_rates(series.values, series.errors)
+    return {"panels": series.values, "errors": series.errors, "last_rate": rates[-1]}
+
+
+def _tableaus() -> dict:
+    return _report(tableau_report())
+
+
+def _averaged_instability() -> dict:
+    """Up to 500 steps of 0.1 on decaying sine data, stopped early if a
+    norm passes 1e6. The continuity-enforced first stage lets the field
+    relax to roundoff, while one-sided averaging (`AveragedSlopeStepper`)
+    keeps feeding a marginal interface mode; `growth_ratio` is its end
+    norm over the continuity run's. The tridiagonal route is checked on
+    the way against a stepper whose `completer` is the dense oracle's."""
+    case = decaying_sine_case(n=8, p=16)
+    oracle = make_stepper(case, 0.1, corrected=False)
+    oracle.completer = OracleCompleter(case.mesh)
+    steppers = {
+        "solve": oracle,
+        "tridiagonal": make_stepper(case, 0.1, corrected=False),
+        "averaged": AveragedSlopeStepper(case.evolution, oracle.tab, 0.1, corrected=False),
+    }
+    norms = {m: _max_norms(st, case.u0, 500, blowup=1e6) for m, st in steppers.items()}
+    a, b = np.array(norms["solve"]), np.array(norms["tridiagonal"])
+    k = min(a.size, b.size)
+    end = norms["averaged"][-1]
+    return {
+        "steps": {m: len(n) - 1 for m, n in norms.items()},
+        "continuity_peak": max(norms["solve"]),
+        "growth_ratio": float(end / a[-1] if np.isfinite(end) and a[-1] > 0 else np.inf),
+        "route_mismatch": float(np.abs(a[:k] - b[:k]).max()),
+    }
+
+
+def _burgers() -> dict:
+    """The rotating swirl's max|u| over one time unit at its own step, then
+    its step-size convergence: the explicit advection split caps the 8x8
+    mesh's step at about 1/40, so the ladder runs 80 and 160 steps against
+    one extra halving, 320."""
+    case = burgers_rotating()
+    history = _max_norms(make_stepper(case, case.dt), case.u0, round(case.t_end / case.dt))
+    halving = resolution_series(
+        "swirl-steps", "steps", (80, 160), lambda count: advance(case, count), "halving"
+    )
+    return {
+        "steps": len(history) - 1,
+        "finite": bool(np.isfinite(history).all()),
+        "initial_max": history[0],
+        "overall_max": max(history),
+        "dt_halving_rate": halving.rate,
+    }
+
+
+def _complexity() -> dict:
+    """Informational: build and solve time against N at p=8."""
+    out = complexity_study(panel_counts=(4, 8, 16, 32))
+    return {key: out[key] for key in ("n_nodes", "build_exponent", "solve_exponent")}
+
+
+CLAIMS = {
+    1: _oracle_equivalence, 2: _order_reduction, 3: _kink, 4: _harmonic_rates,
+    5: _richardson, 6: _asymmetric, 7: _tableaus,
+    8: _averaged_instability, 9: _burgers, 10: _complexity,
+}

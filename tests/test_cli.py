@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpstep import cli
 from hpstep.cli import (
     FORMULATIONS,
     RESULT_COLUMNS,
@@ -328,6 +329,19 @@ def test_run_reports_overflow_at_its_step(tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("error: step "), err
 
 
+def test_run_reports_memory_error_naming_the_mesh(tmp_path, monkeypatch, capsys):
+    # stands in for numpy failing to allocate the p x p differentiation matrix
+    def too_large(**kw):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setitem(PROBLEMS, "heat1d-bc", too_large)
+    code = main(["run", str(heat_config(tmp_path)), "--set", "mesh.p=100000"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1, err
+    assert err[0].startswith("error: mesh n1=4 n2=0 p=100000 does not fit in memory: Unable")
+
+
 def test_run_outputs(tmp_path):
     cfg = load_config(str(heat_config(tmp_path)))
     out = cmd_run(cfg)
@@ -516,3 +530,27 @@ def test_main_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "60/60 checks passed" in out
     assert "FAIL" not in out
+
+
+def test_reproduce_prints_one_json_line_per_claim(tmp_path, monkeypatch, capsys):
+    records = {1: {"checks": 36, "failed": []}, 4: {"p=4": 2.83, "p=6": 5.35}}
+    monkeypatch.setattr(cli, "CLAIMS", {n: (lambda r=r: r) for n, r in records.items()})
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert [line.partition(": ")[0] for line in lines] == ["criterion 1", "criterion 4"]
+    assert [json.loads(line.partition(": ")[2]) for line in lines] == list(records.values())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reproduce_reports_a_failing_claim(monkeypatch, capsys):
+    def blows_up():
+        raise FloatingPointError("step 3 (t=0.3): field is not finite")
+
+    monkeypatch.setattr(cli, "CLAIMS", {1: lambda: {"checks": 1}, 2: blows_up})
+    assert main(["reproduce"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ['criterion 1: {"checks": 1}']
+    assert captured.err.splitlines() == ["error: step 3 (t=0.3): field is not finite"]

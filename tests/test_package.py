@@ -11,6 +11,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hpstep"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+# the code outside the tests, whose reads keep a name alive
+PROGRAM = [
+    path
+    for folder in ("src", "scripts", "perfbench")
+    for path in (ROOT / folder).rglob("*.py")
+    if not path.name.startswith("test_")
+]
 
 # a slopes step (so the interface completer runs), a dense oracle solve and
 # a desk config's CLI run cut to one step, then the scipy modules loaded
@@ -124,20 +131,33 @@ def test_every_field_and_property_is_read():
         if isinstance(cls, ast.ClassDef)
         for name in _declared_names(cls)
     }
-    program = [
-        path
-        for folder in ("src", "scripts", "perfbench")
-        for path in (ROOT / folder).rglob("*.py")
-        if not path.name.startswith("test_")
-    ]
     read = set()
-    for path in program:
+    for path in PROGRAM:
         for n in ast.walk(ast.parse(path.read_text())):
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
                 read.add(n.attr)
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
                 read.add(n.value)
     unread = sorted(f"{cls}.{name}" for cls, name in declared if name not in read)
+    assert declared and not unread, f"only tests read {unread}"
+
+
+def test_every_public_function_and_class_is_read():
+    # a public function or class that only tests call is dead weight; the
+    # package's `__all__` strings do not count as a read
+    declared = {
+        (path.stem, node.name)
+        for path in MODULES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    read = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for path in PROGRAM
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+    unread = sorted(f"{module}.{name}" for module, name in declared if name not in read)
     assert declared and not unread, f"only tests read {unread}"
 
 

@@ -1,6 +1,6 @@
 """Fast, reduced-size runs of the experiment drivers.
 
-The heavyweight parameter sets live in the acceptance suite; here each
+The desk-scale parameter sets live in `studies.CLAIMS`; here each
 driver runs on a small problem so structure and rough behavior stay
 covered by the regular test loop.
 """
@@ -18,19 +18,15 @@ import pytest
 from hpstep import studies
 from hpstep.analysis import fit_rate, interval_rates, max_error
 from hpstep.cli import main
-from hpstep.problems import PROBLEMS, make_stepper
+from hpstep.problems import PROBLEMS, make_stepper, schrodinger_harmonic
 from hpstep.studies import (
     advance,
-    averaged_instability,
     asymmetric_self_convergence,
     complexity_study,
     decaying_sine_case,
+    extrapolation_table,
     fit_series,
-    harmonic_resolution_sweep,
-    kink_study,
-    order_study,
     resolution_series,
-    richardson_study,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,75 +93,20 @@ def test_fit_series_at_the_rounding_floor_raises_unless_lenient():
     assert fit_series("s", "steps", values, errors, strict=False).rate is None
 
 
-def test_order_study_third_order_small():
-    (series,) = order_study(orders=(3,), step_counts=(5, 10, 20), n=4, p=12)
-    assert series.label == "slopes-q3-global"
-    assert series.values == [5, 10, 20]
-    assert len(series.errors) == 3
-    assert series.rate == pytest.approx(3.0, abs=0.4)
-
-
-def test_order_study_single_step_mode():
-    (series,) = order_study(
-        orders=(3,), step_counts=(5, 10), n=4, p=12, single_step=True
-    )
-    assert series.label == "slopes-q3-step"
-    # one step of the third-order scheme is fourth-order accurate
-    ratio = series.errors[0] / series.errors[1]
-    assert np.log2(ratio) == pytest.approx(4.0, abs=0.5)
-
-
-def test_richardson_study_small():
-    out = richardson_study(levels=3, base_steps=5, n=4, p=10, half=6.0)
-    assert out["step_counts"] == [5, 10, 20]
-    raw = out["raw"]
-    diag = out["diagonal"]
-    assert raw[0] > raw[1] > raw[2]
-    # extrapolation beats the raw run once a column is available
-    assert diag[1] < raw[1]
-    assert diag[2] < raw[2]
-
-
-def test_harmonic_sweep_structure():
-    out = harmonic_resolution_sweep(
-        4, panel_counts=(6, 8), formulations=("stages",)
-    )
-    stages = out["per_form"]["stages"]
-    best = out["best"]
-    assert stages.values == [6, 8]
-    assert best.errors == stages.errors
-    assert stages.errors[1] < stages.errors[0]
-
-
 def test_asymmetric_self_convergence_small(monkeypatch):
-    series = asymmetric_self_convergence(
-        panel_counts=(2, 4), p=6, reference=(8, 8), order=3, n_steps=6
-    )
-    assert series.errors[1] < series.errors[0]
-    rates = interval_rates(series.values, series.errors)
-    assert len(rates) == 1
-    assert rates[0] > 1.0
     # a `t_end` override reaches every run, the reference included
-    ends = []
+    runs = []
 
     def recording(case, count, **kw):
-        ends.append(case.t_end)
+        runs.append((case.t_end, count))
         return advance(case, count, **kw)
 
     monkeypatch.setattr(studies, "advance", recording)
-    short = asymmetric_self_convergence(
-        panel_counts=(2, 4), p=6, reference=(8, 8), order=3, n_steps=6, t_end=0.5
-    )
-    assert ends == [0.5] * 3
-    assert short.errors[1] < short.errors[0] and short.errors != series.errors
-
-
-def test_kink_study_modes_differ():
-    out = kink_study(dt=0.25, t_end=2.0)
-    # the uncorrected steady state is the kink itself
-    assert out["uncorrected"]["drift_from_start"] < 1e-10
-    # the corrected run relaxes it toward zero
-    assert out["corrected"]["final_max"] < out["uncorrected"]["final_max"]
+    series = asymmetric_self_convergence(n_steps=2, t_end=0.1)
+    assert runs == [(0.1, 2)] * 5
+    assert series.values == [2, 4, 8, 16]
+    assert all(b < a for a, b in zip(series.errors, series.errors[1:]))
+    assert min(interval_rates(series.values, series.errors)) > 1.0
 
 
 def test_decaying_sine_case_exact_solution():
@@ -175,15 +116,6 @@ def test_decaying_sine_case_exact_solution():
     st = make_stepper(case, 0.05, order=4, formulation="slopes")
     u = st.run(0.0, case.u0, 20)
     assert max_error(u, case.mesh, exact=case.exact, t=1.0) < 1e-7
-
-
-def test_averaged_instability_structure():
-    out = averaged_instability(n=4, p=10, max_steps=40)
-    assert out["route_mismatch"] < 1e-11
-    for method in ("solve", "tridiagonal", "averaged"):
-        assert out[method]["steps"] == 40
-        assert np.isfinite(out[method]["norms"]).all()
-    assert np.isfinite(out["growth_ratio"])
 
 
 def test_complexity_study_reports_positive_exponents():
@@ -217,7 +149,7 @@ def test_full_scale_table_binds_to_the_study_signature(monkeypatch):
 
 def test_extrapolation_sweep_is_the_richardson_study(tmp_path):
     # the full-size Richardson table is this sweep of a shipped config;
-    # at desk size both routes give the same table
+    # at desk size it writes `extrapolation_table`'s table
     config = {
         "experiment": "schrodinger-harmonic",
         "mesh": {"n1": 4, "n2": 4, "p": 10},
@@ -234,7 +166,8 @@ def test_extrapolation_sweep_is_the_richardson_study(tmp_path):
     with open(tmp_path / "out" / "extrapolation_table.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     table = [[float(row[f"extrap_{k}"]) for k in range(i + 1)] for i, row in enumerate(rows)]
-    assert table == richardson_study(levels=3, base_steps=5, n=4, p=10, half=8.0)["errors"]
+    case = schrodinger_harmonic(n=4, p=10)
+    assert table == extrapolation_table(case, [5, 10, 20], case.order, "slopes")
 
 
 def test_resolution_series_rejects_unknown_reference():
