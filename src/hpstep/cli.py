@@ -7,7 +7,10 @@ for the extrapolation axis) whose `Series` is written out unchanged. Every
 invocation that writes output also writes a `manifest.json` carrying
 the full normalized config and the code and library versions, so any
 CSV can be traced back to what produced it; `run` adds the worst 1-norm
-condition number of the factorization's inverted blocks. `reproduce`
+condition number of the factorization's inverted blocks and the bytes of
+every array it stores (`solver.factor_bytes`). The output directory is
+made when the first file is written, so a run or sweep that fails
+before it leaves none behind. `reproduce`
 writes no files: it prints one `criterion N: <json>` line per entry of
 `studies.CLAIMS`.
 """
@@ -26,6 +29,7 @@ import numpy as np
 from . import __version__
 from .analysis import max_error
 from .problems import PROBLEMS, TransientCase, make_stepper, resolution_step_count
+from .solver import factor_bytes
 from .studies import CLAIMS, Series, advance, extrapolation_table, fit_series, resolution_series
 from .verification import oracle_equivalence_report, tableau_report
 
@@ -189,9 +193,9 @@ def load_config(path: str, overrides=()) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def write_manifest(
-    out: Path, cfg: RunConfig, command: str, files: list[str], condition: float | None = None
-) -> None:
+def write_manifest(out: Path, cfg: RunConfig, command: str, files: list[str], **facts) -> None:
+    """manifest.json: the command, config, versions and files, then
+    `facts` (such as `condition`) as extra keys."""
     manifest = {
         "command": command,
         "config": cfg.to_dict(),
@@ -201,9 +205,8 @@ def write_manifest(
             "numpy": np.__version__,
         },
         "files": files,
+        **facts,
     }
-    if condition is not None:
-        manifest["condition"] = condition
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -222,7 +225,9 @@ def write_snapshot(path: Path, mesh, u: np.ndarray, t: float) -> None:
 
 
 def _write_csv(path: Path, columns, rows) -> None:
-    """One row per dict; a missing or None cell is written empty."""
+    """One row per dict; a missing or None cell is written empty. Every
+    command writes a CSV first, so this makes the output directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, columns)
         writer.writeheader()
@@ -235,7 +240,6 @@ def cmd_run(cfg: RunConfig) -> Path:
     steps = cfg.resolve_steps(case)
     dt = case.t_end / steps
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     stepper = make_stepper(case, dt, order=cfg.q_rk, formulation=cfg.formulation)
     t1 = time.perf_counter()
@@ -266,6 +270,7 @@ def cmd_run(cfg: RunConfig) -> Path:
         "run",
         ["results.csv", "snapshot_initial.npz", "snapshot_final.npz"],
         condition=max(stepper.fact.condition.values()),
+        factor_bytes=factor_bytes(stepper.fact),
     )
     err = row.get("final_error")
     print(f"{cfg.experiment}: {steps} steps of {dt:.6g} done", end="")
@@ -342,7 +347,6 @@ def _sweep_extrapolation(cfg: RunConfig, points: int, out: Path) -> list[dict]:
 def cmd_sweep(cfg: RunConfig, axis: str, points: int) -> Path:
     """Refine one axis `points` times; write the series and its rate."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     files = [f"sweep_{axis}.csv"]
     if axis == "dt":
         rows = _sweep_dt(cfg, points)

@@ -16,6 +16,22 @@ sample of the coefficients, and they form a stack with one block per
 leaf only in the columns that a sampled coefficient weighs; elsewhere
 one block stands for every leaf.
 
+A leaf's interior solution operator is stored in one of two forms
+behind one interface (`upward`, `downward`). In general it is the inverse
+of the leaf's interior block M_II and the map G = M_II^-1 M_IB from edge
+values, in the operator's own arithmetic. An operator of the form
+M = sigma I + i tau A, with sigma, tau and every coefficient of A real
+(every Schrodinger stage operator, s = tau / sigma), has a real leaf
+solution operator instead: since (I + isA)(I - isA) = I + s^2 A^2 is
+real,
+
+    M_II^-1 = P (I - i s A_II),    P = Re(M_II^-1) real,
+
+so P and Fi P are stored as float64 and the solve applies (I - i s A_II)
+with small 1-D derivative blocks (`InteriorShift`). P is the real part of
+the complex inverse, taken a few leaves at a time: forming it as
+(sigma (I + s^2 A_II^2))^-1 would square the block's condition number.
+
 Leaf corners hold no unknowns. For every term above, the collocation
 rows used by the solver have exactly zero weight on corner values, so
 the corner rows/columns can be dropped without approximation. A mixed
@@ -129,13 +145,15 @@ def collocate_interior(
 
     Args:
         cols: flat local node indices of the columns to keep.
-        coefs: a coefficient sample of `op` on `mesh` to reuse.
+        coefs: a coefficient sample of `op` on `mesh` to reuse, or its
+            sampled arrays cut to a run of leaves, whose rows are then
+            the only ones formed.
 
     Returns:
         Shape (nl, n_int, cols.size), or (1, n_int, cols.size) standing
         for every leaf when no sampled term weighs the kept columns: with
         constant coefficients, and for the edge columns when c0 is the
-        only sampled term.
+        only sampled term. nl is the sample's leaf count.
     """
     coefs = _sample_leaves(op, mesh) if coefs is None else coefs
     st = mesh_stencil(mesh)
@@ -156,12 +174,13 @@ def collocate_interior(
     block += op.sigma * eye
     if not sampled:
         return block[None]
-    A = np.empty((mesh.n_leaves,) + block.shape, dtype=dtype)
+    nl = len(sampled[0][0])
+    A = np.empty((nl,) + block.shape, dtype=dtype)
     A[:] = block
-    flat = A.reshape(mesh.n_leaves, -1)
+    flat = A.reshape(nl, -1)
     for c, sign, D in sampled:
         r, k = np.nonzero(D)
-        c = np.reshape(c, (mesh.n_leaves, -1))[:, ii[r]]
+        c = np.reshape(c, (nl, -1))[:, ii[r]]
         flat[:, r * cols.size + k] += c * (op.scale * sign * D[r, k])
     return A
 
@@ -176,28 +195,41 @@ def guarded_inverse(X: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     1-norm condition number among them.
 
     A C-ordered X is overwritten: its blocks are inverted a few megabytes
-    at a time, each group into its own place, and each group's column
-    sums are taken before and after, so no temporary as large as the
-    stack is made.
+    at a time (`_groups`), each group into its own place, and each
+    group's column sums are taken before and after, so no temporary as
+    large as the stack is made.
 
     Raises ValueError("singular <what>") when any block has a condition
     number of 1e14 or more, or one that is not finite.
     """
     X = np.ascontiguousarray(X)
     cond = np.empty(len(X))
-    step = max(1, (1 << 22) // X[0].nbytes)
+    for group in _groups(len(X), X[0].nbytes):
+        X[group], cond[group] = _inverse(X[group], what)
+    return X, _worst(cond, what)
+
+
+def _groups(n: int, block_nbytes: int) -> list[slice]:
+    """Runs of about 4 MB of blocks over a stack of n blocks."""
+    step = max(1, (1 << 22) // block_nbytes)
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
+def _inverse(blocks: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The inverses of a stack of blocks and their 1-norm condition numbers."""
+    norm = np.abs(blocks).sum(axis=-2).max(axis=-1)
     try:
-        for s in range(0, len(X), step):
-            group = X[s : s + step]
-            norm = np.abs(group).sum(axis=-2).max(axis=-1)
-            group[:] = np.linalg.inv(group)
-            cond[s : s + step] = norm * np.abs(group).sum(axis=-2).max(axis=-1)
+        inv = np.linalg.inv(blocks)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular {what}") from exc
+    return inv, norm * np.abs(inv).sum(axis=-2).max(axis=-1)
+
+
+def _worst(cond: np.ndarray, what: str) -> float:
     # NaN fails the test as well
     if not np.all(cond < 1e14):
         raise ValueError(f"singular {what}")
-    return X, float(cond.max())
+    return float(cond.max())
 
 
 def flux_matrix(mesh: Mesh) -> np.ndarray:
@@ -217,42 +249,220 @@ def flux_matrix(mesh: Mesh) -> np.ndarray:
     return np.where(horizontal[:, None], st.Dy[edge], st.Dx[edge])
 
 
+def apply_blocks(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each block's operator applied to its rows: (k, m, n) -> (k, m, r).
+
+    A shared stack (length one) multiplies the rows of every block in one
+    GEMM; a full stack (m, r, n), C-ordered like every stored stack, is
+    one batched BLAS product over a contiguous (m, n, k) copy of the rows.
+    A real full stack takes complex rows as float pairs, so it streams
+    as the float64 it is stored in.
+    """
+    if len(A) == 1:
+        return x @ A[0].T
+    cols = np.ascontiguousarray(x.transpose(1, 2, 0))
+    if A.dtype.kind == "f" and cols.dtype.kind == "c":
+        return (A @ cols.view(A.dtype)).view(cols.dtype).transpose(2, 0, 1)
+    return (A @ cols).transpose(2, 0, 1)
+
+
 @dataclass
-class LeafOperatorSet:
+class LeafOperators:
     """Interior solve and edge flux maps of every leaf, stacked.
 
-    `inv` and `G` have a leading axis over the leaves, of length one
-    when the coefficients are position-independent: the leaves are then
-    congruent and a single copy broadcasts over all of them. With
-    interior load f_I and edge values g, a leaf's interior solution is
-    u_I = inv @ f_I - G @ g, the edge flux of the homogeneous part is
-    (Fb - Fi @ G) @ g, and the flux of a field with interior values v_I
-    and edge values v_B is Fi @ v_I + Fb @ v_B; `Fi` and `Fb` are shared
-    by all leaves.
+    Stacks have a leading axis over the leaves, of length one when the
+    coefficients are position-independent: the leaves are then congruent
+    and a single copy broadcasts over all of them. The flux of a field
+    with interior values v_I and edge values v_B is Fi @ v_I + Fb @ v_B;
+    `Fi` and `Fb` are shared by all leaves. `edge_to_flux()` gives the
+    leaf edge-to-flux map Fb - Fi @ M_II^-1 M_IB, (nl or 1, n_edge,
+    n_edge), that the merges start from; `build_factorization` calls it
+    once and drops the map after the last parent.
+
+    A solve reads a form through two steps over (k, nl, .) rows:
+    `upward(f_I, flux)` writes into `flux` the edge fluxes of the
+    particular solution with interior load f_I (zero edge values) and
+    returns what `downward` needs of f_I; `downward(kept, e)` gives the
+    interior values for edge values e.
     """
 
-    inv: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_int)
-    G: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_edge)
     Fi: np.ndarray = field(repr=False)  # (n_edge, n_int)
     Fb: np.ndarray = field(repr=False)  # (n_edge, n_edge)
     condition: float  # worst 1-norm condition number of the blocks inverted
+
+
+@dataclass
+class LeafOperatorSet(LeafOperators):
+    """The general form: u_I = inv @ f_I - G @ e with inv = M_II^-1 and
+    G = inv @ M_IB, in the operator's arithmetic."""
+
+    inv: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_int)
+    G: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_edge)
 
     @property
     def shared(self) -> bool:
         return len(self.inv) == 1
 
+    @property
+    def dtype(self):
+        return self.inv.dtype
 
-def build_leaf_operators(mesh: Mesh, op: EllipticOperator) -> LeafOperatorSet:
-    """Factorize every leaf of the mesh for the given operator, as stacks."""
+    def upward(self, f_I: np.ndarray, flux: np.ndarray) -> np.ndarray:
+        z = apply_blocks(self.inv, f_I)
+        np.matmul(z, self.Fi.T, out=flux)
+        return z
+
+    def downward(self, z: np.ndarray, e: np.ndarray) -> np.ndarray:
+        return z - apply_blocks(self.G, e)
+
+    def edge_to_flux(self) -> np.ndarray:
+        return self.Fb - self.Fi @ self.G
+
+
+@dataclass
+class RealLeafOperatorSet(LeafOperators):
+    """The form of M = sigma I + i tau A with sigma, tau and A real:
+    u_I = P (I - i s A_II)(f_I - M_IB @ e), with P = Re(M_II^-1) and
+    Fi @ P stored as float64 and s = tau / sigma (module docstring)."""
+
+    P: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_int), float64
+    FiP: np.ndarray = field(repr=False)  # (nl or 1, n_edge, n_int), float64
+    M_IB: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_edge)
+    shift: "InteriorShift" = field(repr=False)
+    dtn: np.ndarray | None = field(repr=False)  # the build's edge-to-flux map, until taken
+
+    @property
+    def shared(self) -> bool:
+        return len(self.P) == 1
+
+    @property
+    def dtype(self):
+        return np.dtype(complex)
+
+    def upward(self, f_I: np.ndarray, flux: np.ndarray) -> np.ndarray:
+        flux[...] = apply_blocks(self.FiP, self.shift(f_I))
+        return f_I
+
+    def downward(self, f_I: np.ndarray, e: np.ndarray) -> np.ndarray:
+        return apply_blocks(self.P, self.shift(f_I - apply_blocks(self.M_IB, e)))
+
+    def edge_to_flux(self) -> np.ndarray:
+        """The map the build formed from the complex inverse, handed over
+        once: G is not stored, so it cannot be formed again."""
+        dtn, self.dtn = self.dtn, None
+        return dtn
+
+
+class InteriorShift:
+    """x -> (I - i s A_II) x on the interior values x of every leaf,
+    (..., nl or 1, n_int).
+
+    A_II is A's interior block: each term of `_TERMS` at interior rows
+    and columns, so edge values weigh nothing. On a leaf's (p-2)-node
+    interior lines every derivative is a 1-D block, D1[1:-1, 1:-1] or
+    (D1 @ D1)[1:-1, 1:-1] along x or y; c0 weighs the values themselves.
+    -s, each term's sign and a scalar coefficient are folded into its
+    block; a sampled coefficient is kept at the interior nodes. Complex
+    values enter the real blocks as float pairs.
+    """
+
+    def __init__(self, mesh: Mesh, coefs: dict, s: float):
+        st = mesh_stencil(mesh)
+        self._grid = (mesh.p - 2,) * mesh.dim
+        inner = slice(1, -1)
+        lines = {"Dx": ("x", st.Dx1), "Dxx": ("x", st.Dx1 @ st.Dx1)}
+        if mesh.dim == 2:
+            lines.update(Dy=("y", st.Dy1), Dyy=("y", st.Dy1 @ st.Dy1))
+        # (axis or None, real 1-D block or None, weight or None) per present term
+        self._terms = []
+        for name, sign, key in _TERMS:
+            if name not in coefs:
+                continue
+            c = coefs[name]
+            axis, B = lines.get(key, (None, None))
+            weight = -s * sign
+            if np.ndim(c):  # complex, as the values it weighs
+                nl = len(c)
+                c = np.reshape(c, (nl, -1))[:, mesh.interior_local]
+                weight = (weight * c).reshape((nl,) + self._grid).astype(complex)
+            else:
+                weight = weight * c
+            if B is not None:
+                B = B[inner, inner]
+                if not np.ndim(weight):
+                    B, weight = weight * B, None
+                if axis == "x":  # x runs along the last axis: interleaved pairs
+                    B = np.kron(B.T, np.eye(2))
+            self._terms.append((axis, B, weight))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        X = np.ascontiguousarray(x, dtype=complex).reshape(x.shape[:-1] + self._grid)
+        pairs = X.view(np.float64)
+        acc = None  # -s A_II x
+        for axis, B, weight in self._terms:
+            if axis is None:
+                term = X
+            elif axis == "x":
+                term = (pairs.reshape(-1, B.shape[0]) @ B).view(complex).reshape(X.shape)
+            else:
+                term = np.matmul(B, pairs).view(complex)
+            if weight is not None:
+                term = weight * term
+            if acc is None:  # every term is a new array
+                acc = term
+            else:
+                acc += term
+        acc *= 1j
+        acc += X
+        return acc.reshape(x.shape)
+
+
+def _imaginary_shift(op: EllipticOperator, coefs: dict) -> float | None:
+    """s = tau / sigma when the operator is sigma I + i tau A with sigma,
+    tau and every coefficient of A real and none of the three zero;
+    None otherwise."""
+    sigma, scale = complex(op.sigma), complex(op.scale)
+    if sigma.imag or not sigma.real or scale.real or not scale.imag or not coefs:
+        return None
+    if any(np.iscomplexobj(c) for c in coefs.values()):
+        return None
+    return scale.imag / sigma.real
+
+
+def build_leaf_operators(mesh: Mesh, op: EllipticOperator) -> LeafOperators:
+    """Factorize every leaf of the mesh for the given operator, as stacks:
+    a `RealLeafOperatorSet` when the operator is sigma I + i tau A with
+    everything real, a `LeafOperatorSet` otherwise."""
     F = flux_matrix(mesh)
     ii = mesh.interior_local
     bb = mesh.edge_local
     Fi = F[:, ii]
     Fb = F[:, bb]
     coefs = _sample_leaves(op, mesh)
-    inv, cond = guarded_inverse(collocate_interior(op, mesh, ii, coefs), "leaf interior block")
-    G = inv @ collocate_interior(op, mesh, bb, coefs)
-    return LeafOperatorSet(inv=inv, G=G, Fi=Fi, Fb=Fb, condition=cond)
+    s = _imaginary_shift(op, coefs)
+    what = "leaf interior block"
+    if s is None:
+        inv, cond = guarded_inverse(collocate_interior(op, mesh, ii, coefs), what)
+        G = inv @ collocate_interior(op, mesh, bb, coefs)
+        return LeafOperatorSet(Fi=Fi, Fb=Fb, condition=cond, inv=inv, G=G)
+    # the complex inverse, a few MB of leaves at a time: P is its real part,
+    # and each group's edge-to-flux map is formed from it as in the general form
+    M_IB = collocate_interior(op, mesh, bb, coefs)
+    nl = mesh.n_leaves if any(np.ndim(c) for c in coefs.values()) else 1
+    P = np.empty((nl, ii.size, ii.size))
+    FiP = np.empty((nl, bb.size, ii.size))
+    dtn = np.empty((nl, bb.size, bb.size), dtype=complex)
+    cond = np.empty(nl)
+    for group in _groups(nl, 16 * ii.size**2):
+        part = {name: c[group] if np.ndim(c) else c for name, c in coefs.items()}
+        inv, cond[group] = _inverse(collocate_interior(op, mesh, ii, part), what)
+        P[group] = inv.real
+        dtn[group] = Fb - Fi @ (inv @ (M_IB if len(M_IB) == 1 else M_IB[group]))
+        FiP[group] = Fi @ P[group]
+    return RealLeafOperatorSet(
+        Fi=Fi, Fb=Fb, condition=_worst(cond, what),
+        P=P, FiP=FiP, M_IB=M_IB, shift=InteriorShift(mesh, coefs, s), dtn=dtn,
+    )
 
 
 def gather_leaf_fields(mesh: Mesh, u: np.ndarray) -> np.ndarray:

@@ -19,9 +19,19 @@ table of its own: its solve reads every one from the plan.
 
 The numeric phase is `build_factorization`: the leaf operators, then per
 level the children's edge-to-flux maps cut at the plan's columns, which
-leave three stacks per level. Each merge eliminates the shared interface
-by equating the one-sided edge-normal derivatives of the two children,
-which yields a dense interface operator
+leave three stacks per level. The leaf operators come in two forms
+(`operators.build_leaf_operators`). In general a leaf stores the inverse
+of its interior block M_II and G = M_II^-1 M_IB. A Schrodinger stage
+operator M = sigma I + i tau A, with sigma, tau and A real, has
+M_II^-1 = P (I - i s A_II) with s = tau / sigma and P = Re(M_II^-1)
+real, so its leaves store P and Fi P as float64, half the bytes of the
+complex inverse and G. P is the real part of the complex inverse, not
+(sigma (I + s^2 A_II^2))^-1, whose condition number is the square of
+M_II's. Both forms start the merges from the same leaf edge-to-flux
+map, Fb - Fi M_II^-1 M_IB, so the merge levels do not depend on the
+form. Each merge eliminates the shared interface by equating the
+one-sided edge-normal derivatives of the two children, which yields a
+dense interface operator
 
     X = T_left[33] - T_right[33]
 
@@ -39,7 +49,12 @@ every stack the build stores, shared or full.
 A solve takes and returns fields as rows, (N,) or (k, N), and reads
 them with `operators.take_rows(rows, table)`. The upward pass writes
 the particular outer edge fluxes of every block, leaves first, into one
-flat buffer, at slots the plan has worked out. A level is two takes (its
+flat buffer, at slots the plan has worked out. The leaves' fluxes are
+written there by their form's `upward` step: Fi M_II^-1 f_I, which the
+real form computes as (Fi P)(I - i s A_II) f_I. Their interior values,
+at the end of the downward pass, are the `downward` step:
+M_II^-1 (f_I - M_IB e) for edge values e, in the real form
+P (I - i s A_II)(f_I - M_IB e). A level is two takes (its
 interface fluxes), a product with the inverse, one take (the children's
 other outer fluxes), a product with the stacked flux correction and one
 slice store. The root has no parent, so it passes no outer fluxes up:
@@ -67,8 +82,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import LEAF, Mesh
-from .operators import EllipticOperator, LeafOperatorSet, build_leaf_operators
-from .operators import guarded_inverse, put_rows, take_rows
+from .operators import EllipticOperator, LeafOperators, build_leaf_operators
+from .operators import apply_blocks, guarded_inverse, put_rows, take_rows
 
 
 @dataclass
@@ -90,7 +105,7 @@ class HpsFactorization:
 
     mesh: Mesh
     op: EllipticOperator
-    leaf_ops: LeafOperatorSet = field(repr=False)
+    leaf_ops: LeafOperators = field(repr=False)
     levels: list[_Level] = field(repr=False)  # as the plan's levels: by block area, children first
     condition: dict  # worst 1-norm condition number per block shape
 
@@ -101,7 +116,7 @@ class HpsFactorization:
 
     @property
     def dtype(self):
-        return self.leaf_ops.inv.dtype
+        return self.leaf_ops.dtype
 
     def solve(
         self,
@@ -140,18 +155,18 @@ class HpsFactorization:
         # outer fluxes of every block into the buffer, and per level the
         # interface correction w
         lf = self.leaf_ops
-        z = _apply(lf.inv, take_rows(f, plan.leaf_interior_ids))
         buf = np.empty((k, plan.n_flux), dtype=dtype)
         n_leaf = plan.leaf_boundary_ids.size
-        buf[:, :n_leaf] = (z @ lf.Fi.T).reshape(k, n_leaf)
+        flux = buf[:, :n_leaf].reshape(k, self.mesh.n_leaves, -1)
+        kept = lf.upward(take_rows(f, plan.leaf_interior_ids), flux)
         if pen is not None:
             hu = take_rows(pen, plan.leaf_interior_ids) @ lf.Fi.T
             hu = hu + take_rows(pen, plan.leaf_boundary_ids) @ lf.Fb.T
             buf[:, :n_leaf] += (1.0 / dt) * hu.reshape(k, n_leaf)
         w = []
         for mp, lv in zip(plan.levels, self.levels):
-            w.append(_apply(lv.inv_X, take_rows(buf, mp.ib) - take_rows(buf, mp.ia)))
-            h = take_rows(buf, mp.ext) + _apply(lv.C, w[-1])
+            w.append(apply_blocks(lv.inv_X, take_rows(buf, mp.ib) - take_rows(buf, mp.ia)))
+            h = take_rows(buf, mp.ext) + apply_blocks(lv.C, w[-1])
             buf[:, mp.start : mp.start + mp.ext.size] = h.reshape(k, -1)
 
         # downward pass: every block's outer values are known once its
@@ -160,9 +175,9 @@ class HpsFactorization:
         put_rows(out, plan.gamma_ids, g)
         for mp, lv, w_lv in zip(reversed(plan.levels), reversed(self.levels), reversed(w)):
             outer = take_rows(out, mp.boundary_ids)
-            put_rows(out, mp.interface_ids, w_lv + _apply(lv.S, outer))
+            put_rows(out, mp.interface_ids, w_lv + apply_blocks(lv.S, outer))
         edge = take_rows(out, plan.leaf_boundary_ids)
-        put_rows(out, plan.leaf_interior_ids, z - _apply(lf.G, edge))
+        put_rows(out, plan.leaf_interior_ids, lf.downward(kept, edge))
         return out if np.ndim(load) == 2 else out[0]
 
 
@@ -175,18 +190,6 @@ def _as_rows(arr, n: int, name: str, k: int | None = None) -> np.ndarray:
     if k is not None and len(a) != k:
         raise ValueError(f"{name} has {len(a)} rows, expected {k}")
     return a
-
-
-def _apply(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each block's operator applied to its rows: (k, m, n) -> (k, m, r).
-
-    A shared stack (length one) multiplies the rows of every block in one
-    GEMM; a full stack (m, r, n), C-ordered like every stored stack, is
-    one batched BLAS product over a contiguous (m, n, k) copy of the rows.
-    """
-    if len(A) == 1:
-        return x @ A[0].T
-    return (A @ np.ascontiguousarray(x.transpose(1, 2, 0))).transpose(2, 0, 1)
 
 
 def _cut(T: np.ndarray, pos: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -210,7 +213,7 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
     # allocations raised peak RSS by about 3 MB on a 16x16 p=12 mesh
     plan = mesh.merge_plan
     # edge-to-flux maps per block shape, dropped after the last parent
-    T = {LEAF: leaf_ops.Fb - leaf_ops.Fi @ leaf_ops.G}
+    T = {LEAF: leaf_ops.edge_to_flux()}
     condition = {LEAF: leaf_ops.condition}
     levels = []
     for mp in plan.levels:
@@ -234,3 +237,22 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
             del T[child]
 
     return HpsFactorization(mesh=mesh, op=op, leaf_ops=leaf_ops, levels=levels, condition=condition)
+
+
+def factor_bytes(fact: HpsFactorization) -> int:
+    """Bytes of every array a factorization stores: the leaf stacks and
+    flux maps and every level's stacks. An array that views another counts
+    its base, once; the mesh and its merge plan, which every factorization
+    on the mesh shares, are not counted."""
+    bases, todo = {}, [fact.leaf_ops, fact.levels]
+    while todo:
+        o = todo.pop()
+        if isinstance(o, np.ndarray):
+            while isinstance(o.base, np.ndarray):
+                o = o.base
+            bases[id(o)] = o.nbytes
+        elif isinstance(o, (list, tuple)):
+            todo.extend(o)
+        elif hasattr(o, "__dict__"):
+            todo.extend(vars(o).values())
+    return sum(bases.values())

@@ -25,6 +25,7 @@ from hpstep.cli import (
 )
 from hpstep.analysis import max_error
 from hpstep.problems import PROBLEMS, make_stepper
+from hpstep.solver import factor_bytes
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -340,6 +341,31 @@ def test_run_reports_memory_error_naming_the_mesh(tmp_path, monkeypatch, capsys)
     assert code == 1
     assert len(err) == 1, err
     assert err[0].startswith("error: mesh n1=4 n2=0 p=100000 does not fit in memory: Unable")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_stopped_while_building_leaves_no_directory(tmp_path, monkeypatch, capsys):
+    # the factorization is where a large mesh runs out of memory
+    def too_large(*args, **kw):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(cli, "make_stepper", too_large)
+    code = main(["run", str(heat_config(tmp_path))])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: mesh n1=4 n2=0 p=12 does not fit in memory")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_stopped_by_a_non_finite_step_leaves_no_directory(tmp_path, capsys):
+    # burgers-cross at its desk mesh and dt blows up in its 5th step
+    out = tmp_path / "cross"
+    desk = ["mesh.n1=8", "mesh.n2=8", "mesh.p=12", "dt=0.0125", f"output_dir={out}"]
+    sets = [a for s in desk for a in ("--set", s)]
+    code = main(["run", str(CONFIG_DIR / "burgers-cross-full.json"), *sets])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: step 5 "), err
+    assert not out.exists()
 
 
 def test_run_outputs(tmp_path):
@@ -376,6 +402,15 @@ def test_run_manifest_reports_condition(tmp_path):
     cfg = load_config(str(config), ["t_end=0.05", "output_dir=" + str(tmp_path / "out")])
     manifest = json.loads((cmd_run(cfg) / "manifest.json").read_text())
     assert np.isfinite(manifest["condition"]) and manifest["condition"] >= 1
+
+
+def test_run_manifest_reports_factor_bytes(tmp_path):
+    cfg = load_config(str(heat_config(tmp_path)))
+    manifest = json.loads((cmd_run(cfg) / "manifest.json").read_text())
+    case = cfg.build_case()
+    dt = case.t_end / cfg.resolve_steps(case)
+    stepper = make_stepper(case, dt, order=cfg.q_rk, formulation=cfg.formulation)
+    assert manifest["factor_bytes"] == factor_bytes(stepper.fact) > 0
 
 
 def test_run_deterministic_outside_timing_columns(tmp_path):

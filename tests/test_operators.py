@@ -162,9 +162,16 @@ def test_complex_shift_round_trip():
     assert M.dtype == complex
     f_int = M @ u.ravel()
     ops = build_leaf_operators(m, op)
+    # sigma I + i tau A with A real: the leaf solution operator is stored real
+    assert ops.P.dtype == ops.FiP.dtype == np.float64
     ii, bb = m.interior_local, m.edge_local
-    got = ops.inv[0] @ f_int - ops.G[0] @ u.ravel()[bb]
+    flux = np.empty((1, 1, bb.size), dtype=complex)
+    kept = ops.upward(f_int[None, None], flux)
+    got = ops.downward(kept, u.ravel()[bb][None, None])[0, 0]
     np.testing.assert_allclose(got, u.ravel()[ii], atol=1e-11)
+    # the particular flux plus the edge-to-flux map's is u's flux (measured: 1.3e-14)
+    got = flux[0, 0] + ops.edge_to_flux()[0] @ u.ravel()[bb]
+    np.testing.assert_allclose(got, flux_matrix(m) @ u.ravel(), atol=1e-11)
 
 
 def test_shared_factorization_detection():
@@ -496,6 +503,35 @@ def test_collocation_matches_dense_leaf_build(dim, sampled):
         got = np.broadcast_to(got, (m.n_leaves,) + got.shape[1:])
         ref = want[:, :, cols]
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def real_part(coef):
+    return (lambda *a: np.real(coef(*a))) if callable(coef) else float(np.real(coef))
+
+
+@pytest.mark.parametrize(
+    "dim,sampled",
+    [("1d", s) for s in ("none", "c11", "c1", "c0", "all")]
+    + [("2d", s) for s in ("none", "c11", "c22", "c1", "c2", "c0", "all")],
+)
+def test_interior_shift_matches_dense_interior_block(dim, sampled):
+    # (I - i s A_II) from 1-D blocks against the dense interior rows of A
+    m = COLLOCATION_MESHES[dim]()
+    names = ("c11", "c1", "c0") if dim == "1d" else tuple(COLLOCATION_COEFS)
+    terms = {n: real_part(COLLOCATION_COEFS[n][n == sampled or sampled == "all"]) for n in names}
+    bare = EllipticOperator(**terms)
+    ops = build_leaf_operators(m, bare.shifted(0.8, 0.24j))  # s = 0.3
+    ii = m.interior_local
+    A = np.array([dense_leaf_rows(m, bare, l)[np.ix_(ii, ii)] for l in range(m.n_leaves)])
+    assert not np.iscomplex(A).any()
+    rng = np.random.default_rng(3)
+    shape = (2, m.n_leaves, ii.size)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = x - 0.3j * np.einsum("lij,klj->kli", A.real, x)
+    got = ops.shift(x)
+    assert got.shape == x.shape
+    # measured: at most 7.3e-17 of |A| |x| over these cases
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(A).sum(axis=-1).max() * np.abs(x).max()
 
 
 @pytest.mark.parametrize("dim", list(COLLOCATION_MESHES))

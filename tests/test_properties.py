@@ -6,13 +6,17 @@ Meshes are 1D with 1-7 leaves, or 2D with 1-7 leaves along each axis
 drawn independently (so neither square nor powers of two); p is 4-9 and
 the data has one or two rows. `derandomize=True` fixes the examples, so
 a failure reproduces on every run.
+
+Operators sigma I + i tau A with A real take the real leaf form
+(`operators.RealLeafOperatorSet`); `test_real_leaf_solve_matches_oracle`
+draws them, with and without a penalty field.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpstep.mesh import BOUNDARY, build_mesh
-from hpstep.operators import EllipticOperator
+from hpstep.mesh import BOUNDARY, INTERFACE, build_mesh
+from hpstep.operators import EllipticOperator, RealLeafOperatorSet
 from hpstep.oracle import OracleCompleter, assemble_global, oracle_solve
 from hpstep.solver import build_factorization
 from hpstep.stepping import InterfaceCompleter
@@ -104,3 +108,54 @@ def test_penalty_route_is_linear(mesh, lead, seed):
     got = fact.solve(f, g, penalty_field=pen, dt=dt)
     want = fact.solve(f, g) + fact.solve(0 * f, 0 * g, penalty_field=pen, dt=dt)
     assert rel_err(got, want) <= 1e-12
+
+
+# real spatial parts of Schrodinger-like stage operators: a sampled
+# reaction term always, first-order terms, and one variable principal part
+IMAGINARY_SHIFT_PARTS = {
+    "reaction": EllipticOperator(c11=0.5, c22=0.5, c0=lambda x, y=0.0: 0.5 * (x * x + y * y)),
+    "advection": EllipticOperator(
+        c11=1.0, c22=1.0,
+        c1=lambda x, y=0.0: 0.5 * np.cos(x) + 0.2 * y, c2=0.3,
+        c0=lambda x, y=0.0: 1.0 - np.exp(-((x + 0.9 * y) ** 4)),
+    ),
+    "variable-c11": EllipticOperator(
+        c11=lambda x, y=0.0: 1.0 + 0.3 * np.sin(x + y), c22=0.5, c0=lambda x, y=0.0: x - y,
+    ),
+}
+
+
+@REFEREE
+@given(
+    mesh=meshes().filter(lambda m: m.n_leaves > 1),
+    part=st.sampled_from(sorted(IMAGINARY_SHIFT_PARTS)),
+    sigma=st.sampled_from([1.0, 0.5]),
+    tau=st.sampled_from([0.02, 0.3]),
+    lead=st.sampled_from([(), (2,)]),
+    penalized=st.booleans(),
+    seed=SEEDS,
+)
+def test_real_leaf_solve_matches_oracle(mesh, part, sigma, tau, lead, penalized, seed):
+    op = IMAGINARY_SHIFT_PARTS[part].shifted(sigma, 1j * tau)
+    fact = build_factorization(mesh, op)
+    assert isinstance(fact.leaf_ops, RealLeafOperatorSet)
+    n, n_gamma, dt = mesh.n_nodes, fact.gamma_ids.size, 0.1
+    rng = np.random.default_rng(seed)
+    f, g, pen = (a + 1j * b for a, b in zip(*(random_rows(rng, lead, n, n_gamma, n) for _ in "ri")))
+    pen = pen if penalized else None
+    got = fact.solve(f, g, penalty_field=pen, dt=dt)
+    # the oracle's interface rows are the flux jumps: a penalty sets them
+    # to -(1/dt) times the penalty field's
+    system = assemble_global(mesh, op)
+    iface = mesh.node_class == INTERFACE
+    want = []
+    for i, (fi, gi) in enumerate(zip(f.reshape(-1, n), g.reshape(-1, n_gamma))):
+        u = oracle_solve(system, fi, dirichlet=gi)
+        if pen is not None:
+            rhs = np.zeros(n, dtype=complex)
+            rhs[iface] = -(system.matrix[iface] @ pen.reshape(-1, n)[i]) / dt
+            u += np.linalg.solve(system.matrix, rhs)
+        want.append(u)
+    want = np.reshape(want, got.shape)
+    # measured: at most 5.7e-13 over 150 draws of these parts and meshes
+    assert np.abs(got - want).max() <= 1e-11 * max(1.0, np.abs(want).max())

@@ -9,12 +9,14 @@ from hpstep.mesh import BOUNDARY, INTERFACE, build_mesh
 from hpstep.operators import (
     EllipticOperator,
     LeafOperatorSet,
+    RealLeafOperatorSet,
     build_leaf_operators,
     gather_leaf_fields,
     laplace_operator,
 )
 from hpstep.oracle import assemble_global, oracle_solve
-from hpstep.solver import _apply, build_factorization
+from hpstep.operators import apply_blocks as _apply
+from hpstep.solver import build_factorization, factor_bytes
 
 
 def shifted_laplace():
@@ -70,6 +72,66 @@ def test_matches_oracle_variable_reaction(n1, n2):
     got = fact.solve(f, g)
     want = oracle_solve(assemble_global(mesh, op), f, dirichlet=g)
     assert np.abs(got - want).max() / np.abs(want).max() < 1e-9
+
+
+def schrodinger_stage(potential=lambda x, y: 0.5 * (x * x + y * y), tau=0.07):
+    """An ARK stage operator I + i tau A of i u_t = -(1/2) lap(u) + V u."""
+    return EllipticOperator(c11=0.5, c22=0.5, c0=potential).shifted(1.0, 1j * tau)
+
+
+NON_IMAGINARY_SHIFTS = {  # complex operators that keep the general leaf form
+    "non-quadrature-shift": EllipticOperator(
+        c11=1.0, c22=1.0, c0=lambda x, y: 1 + x * x + y * y
+    ).shifted(1.0, 0.3 + 0.2j),
+    "complex-coefficient": schrodinger_stage(potential=lambda x, y: x * x + 0.5j * y),
+}
+
+
+@pytest.mark.parametrize("name", NON_IMAGINARY_SHIFTS)
+def test_non_imaginary_shifts_keep_complex_leaves(name):
+    mesh = build_mesh(((-1.0, 2.0), (0.0, 1.0)), 3, 2, p=7)
+    op = NON_IMAGINARY_SHIFTS[name]
+    fact = build_factorization(mesh, op)
+    assert isinstance(fact.leaf_ops, LeafOperatorSet)
+    assert fact.leaf_ops.inv.dtype == fact.leaf_ops.G.dtype == complex
+    f, g = random_data(mesh, np.random.default_rng(8), complex)
+    want = oracle_solve(assemble_global(mesh, op), f, dirichlet=g)
+    assert np.abs(fact.solve(f, g) - want).max() / np.abs(want).max() < 1e-9
+
+
+def test_schrodinger_factorization_stores_float64_leaf_stacks():
+    mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 4, 4, p=8)
+    fact = build_factorization(mesh, schrodinger_stage())
+    leaf = fact.leaf_ops
+    assert isinstance(leaf, RealLeafOperatorSet) and fact.dtype == complex
+    stacks = {
+        name: a for name, a in vars(leaf).items()
+        if isinstance(a, np.ndarray) and a.ndim == 3 and len(a) > 1
+    }
+    # one stack per leaf: P and Fi P; the edge columns M_IB are shared
+    assert sorted(stacks) == ["FiP", "P"] and len(leaf.M_IB) == 1
+    assert {a.dtype for a in stacks.values()} == {np.dtype(np.float64)}
+    assert all(len(a) == mesh.n_leaves and a.flags.c_contiguous for a in stacks.values())
+    assert leaf.dtn is None  # the merges took it
+    # half the bytes of the general form's complex inverse and G
+    general = build_factorization(mesh, schrodinger_stage().shifted(1.0, 0.01 + 0.07j)).leaf_ops
+    assert leaf.P.nbytes + leaf.FiP.nbytes == (general.inv.nbytes + general.G.nbytes) // 2
+
+
+@pytest.mark.parametrize("case", ["real", "schrodinger"])
+def test_factor_bytes_counts_every_stored_array(case):
+    mesh = build_mesh(((-2.0, 2.0), (-1.0, 1.0)), 4, 2, p=7)
+    op = shifted_laplace() if case == "real" else schrodinger_stage()
+    fact = build_factorization(mesh, op)
+    leaf = fact.leaf_ops
+    names = ("inv", "G") if case == "real" else ("P", "FiP", "M_IB")
+    arrays = [getattr(leaf, n) for n in names + ("Fi", "Fb")]
+    if case == "schrodinger":  # the interior shift's 1-D blocks and sampled weights
+        arrays += [a for term in leaf.shift._terms for a in term if isinstance(a, np.ndarray)]
+    for lv in fact.levels:  # the root's empty C is a view of its inv_X
+        arrays += [lv.inv_X, lv.S] + ([lv.C] if lv.C.base is None else [])
+    assert len({id(a) for a in arrays}) == len(arrays)
+    assert factor_bytes(fact) == sum(a.nbytes for a in arrays)
 
 
 @pytest.mark.parametrize("n1", [1, 2, 5])
