@@ -122,17 +122,6 @@ def leaf_stencil(p: int, hx: float, hy: float | None) -> LeafStencil:
     return LeafStencil(Dx1=Dx1, Dy1=Dy1, Dx=Dx, Dy=Dy, Dxx=Dx @ Dx, Dyy=Dyy)
 
 
-def diff_apply_x(Dx1: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """Differentiate batched (..., p, p) or (..., p) nodal arrays along x (last
-    axis), as one GEMM over the flattened leading axes."""
-    return (fields.reshape(-1, fields.shape[-1]) @ Dx1.T).reshape(fields.shape)
-
-
-def diff_apply_y(Dy1: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """Differentiate batched (..., p, p) nodal arrays along y (second-to-last)."""
-    return np.matmul(Dy1, fields)
-
-
 @cache
 def corner_fill_weights(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Extrapolation weights from an edge's interior nodes to its endpoints.

@@ -28,9 +28,18 @@ real,
     M_II^-1 = P (I - i s A_II),    P = Re(M_II^-1) real,
 
 so P and Fi P are stored as float64 and the solve applies (I - i s A_II)
-with small 1-D derivative blocks (`InteriorShift`). P is the real part of
-the complex inverse, taken a few leaves at a time: forming it as
+with 1-D derivative blocks (`RealLeafOperatorSet.shift`). P is the real
+part of the complex inverse, taken a few leaves at a time: forming it as
 (sigma (I + s^2 A_II^2))^-1 would square the block's condition number.
+
+Every leaf derivative of a field is one kernel, `apply_lines`: a real
+1-D Chebyshev row block along x or y of batched leaf arrays. The applier
+takes the interior rows D[1:-1, :], the interior shift D[1:-1, 1:-1] and
+`edge_fluxes` the end rows D[0] and D[-1]. Complex values meet real
+operators as float pairs: viewed as float64, a complex array holds each
+value's real and imaginary parts side by side, so a real matrix applied
+to that view acts on both at once and streams as the float64 it is
+stored in (`apply_lines`, `apply_blocks`, the stepper's stage sums).
 
 Leaf corners hold no unknowns. For every term above, the collocation
 rows used by the solver have exactly zero weight on corner values, so
@@ -45,13 +54,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .chebyshev import (
-    LeafStencil,
-    diff_apply_x,
-    diff_apply_y,
-    fill_corners,
-    leaf_stencil,
-)
+from .chebyshev import LeafStencil, fill_corners, leaf_stencil
 from .mesh import Mesh
 
 Coef = Union[float, complex, Callable]
@@ -249,14 +252,96 @@ def flux_matrix(mesh: Mesh) -> np.ndarray:
     return np.where(horizontal[:, None], st.Dy[edge], st.Dx[edge])
 
 
+def apply_lines(B: np.ndarray, axis: str, U: np.ndarray) -> np.ndarray:
+    """A real 1-D row block B, (r, n), applied along one axis of batched
+    leaf arrays U: "x", the last axis, as one GEMM over the flattened
+    lines, or "y", the one before it, as one batched matmul. Complex U
+    enters as float pairs."""
+    pairs = U.dtype.kind == "c"
+    if pairs:
+        U = np.ascontiguousarray(U).view(np.float64)
+    if axis == "y":
+        out = np.matmul(B, U)
+    else:
+        BT = B.T
+        if pairs:  # B.T on interleaved (real, imaginary) pairs
+            BT = np.zeros((2 * B.shape[1], 2 * len(B)))
+            BT[0::2, 0::2] = BT[1::2, 1::2] = B.T
+        out = (U.reshape(-1, len(BT)) @ BT).reshape(U.shape[:-1] + (-1,))
+    return out.view(complex) if pairs else out
+
+
+class _LineTerms:
+    """A(v) at the nodes `rows` of every leaf, from leaf arrays v over the
+    nodes `cols` along each axis (slices of a leaf's p nodes). A term's
+    sign is folded into its 1-D block, and so is a real scalar coefficient
+    that is a power of two, which changes no rounding; any other
+    coefficient weighs the term's values, a sampled one at `rows`."""
+
+    def __init__(self, mesh: Mesh, coefs: dict, rows: slice, cols: slice):
+        st = mesh_stencil(mesh)
+        lines = {"Dx": ("x", st.Dx1), "Dxx": ("x", st.Dx1 @ st.Dx1)}
+        if mesh.dim == 2:
+            lines.update(Dy=("y", st.Dy1), Dyy=("y", st.Dy1 @ st.Dy1))
+        keep = slice(None) if rows == cols else rows  # `rows` within `cols`
+        self.grid = (len(range(mesh.p)[cols]),) * mesh.dim  # of the leaf arrays it takes
+        # (axis or None, 1-D block, index of the kept values, weight or None) per present term
+        self._terms = []
+        for name, sign, key in _TERMS:
+            if name not in coefs:
+                continue
+            weight = sign * coefs[name]
+            axis, B = lines.get(key, (None, None))
+            at = [keep] * mesh.dim
+            if axis is not None:
+                B = B[rows, cols]
+                at[-1 if axis == "x" else -2] = slice(None)
+            if np.ndim(weight):
+                weight = weight.reshape((len(weight),) + (mesh.p,) * mesh.dim)
+                weight = np.ascontiguousarray(weight[(slice(None),) + (rows,) * mesh.dim])
+            elif axis is not None and np.isrealobj(weight) and abs(np.frexp(weight)[0]) == 0.5:
+                B, weight = weight * B, None
+            self._terms.append((axis, B, (Ellipsis, *at), weight))
+        self._dtype = np.result_type(np.float64, *(w for *_, w in self._terms if w is not None))
+
+    def __call__(self, V: np.ndarray) -> np.ndarray:
+        dtype = np.result_type(V, self._dtype)
+        acc = None
+        for axis, B, at, weight in self._terms:
+            term = (V if axis is None else apply_lines(B, axis, V))[at]
+            if weight is not None:
+                term = weight * term
+            if acc is None:  # a term is a new array, or a view of one
+                acc = np.ascontiguousarray(term, dtype=dtype)
+            else:
+                acc += term
+        return acc
+
+
+def edge_fluxes(mesh: Mesh, u: np.ndarray) -> np.ndarray:
+    """Every leaf's edge-normal derivatives of a field, the numbers of
+    `flux_matrix` applied to its leaf values: (..., nl, n_edge) for
+    u (..., N), in S, E, N, W order (two end nodes in 1D). They are the
+    end rows D[0] and D[-1] of each axis's 1-D derivative."""
+    U = gather_leaf_fields(mesh, u)
+    st = mesh_stencil(mesh)
+    ends = [0, -1]
+    we = apply_lines(st.Dx1[ends], "x", U)  # (..., p, 2) in 2D
+    if mesh.dim == 1:
+        return we
+    sn = apply_lines(st.Dy1[ends], "y", U)  # (..., 2, p)
+    inner = slice(1, -1)
+    S, N, W, E = sn[..., 0, inner], sn[..., 1, inner], we[..., inner, 0], we[..., inner, 1]
+    return np.concatenate([S, E, N, W], axis=-1)
+
+
 def apply_blocks(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Each block's operator applied to its rows: (k, m, n) -> (k, m, r).
 
     A shared stack (length one) multiplies the rows of every block in one
     GEMM; a full stack (m, r, n), C-ordered like every stored stack, is
-    one batched BLAS product over a contiguous (m, n, k) copy of the rows.
-    A real full stack takes complex rows as float pairs, so it streams
-    as the float64 it is stored in.
+    one batched BLAS product over a contiguous (m, n, k) copy of the rows,
+    which a real stack takes as float pairs.
     """
     if len(A) == 1:
         return x @ A[0].T
@@ -328,7 +413,8 @@ class RealLeafOperatorSet(LeafOperators):
     P: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_int), float64
     FiP: np.ndarray = field(repr=False)  # (nl or 1, n_edge, n_int), float64
     M_IB: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_edge)
-    shift: "InteriorShift" = field(repr=False)
+    A_II: "_LineTerms" = field(repr=False)  # A on the (p-2)-node interior lines
+    s: float
     dtn: np.ndarray | None = field(repr=False)  # the build's edge-to-flux map, until taken
 
     @property
@@ -352,67 +438,13 @@ class RealLeafOperatorSet(LeafOperators):
         dtn, self.dtn = self.dtn, None
         return dtn
 
-
-class InteriorShift:
-    """x -> (I - i s A_II) x on the interior values x of every leaf,
-    (..., nl or 1, n_int).
-
-    A_II is A's interior block: each term of `_TERMS` at interior rows
-    and columns, so edge values weigh nothing. On a leaf's (p-2)-node
-    interior lines every derivative is a 1-D block, D1[1:-1, 1:-1] or
-    (D1 @ D1)[1:-1, 1:-1] along x or y; c0 weighs the values themselves.
-    -s, each term's sign and a scalar coefficient are folded into its
-    block; a sampled coefficient is kept at the interior nodes. Complex
-    values enter the real blocks as float pairs.
-    """
-
-    def __init__(self, mesh: Mesh, coefs: dict, s: float):
-        st = mesh_stencil(mesh)
-        self._grid = (mesh.p - 2,) * mesh.dim
-        inner = slice(1, -1)
-        lines = {"Dx": ("x", st.Dx1), "Dxx": ("x", st.Dx1 @ st.Dx1)}
-        if mesh.dim == 2:
-            lines.update(Dy=("y", st.Dy1), Dyy=("y", st.Dy1 @ st.Dy1))
-        # (axis or None, real 1-D block or None, weight or None) per present term
-        self._terms = []
-        for name, sign, key in _TERMS:
-            if name not in coefs:
-                continue
-            c = coefs[name]
-            axis, B = lines.get(key, (None, None))
-            weight = -s * sign
-            if np.ndim(c):  # complex, as the values it weighs
-                nl = len(c)
-                c = np.reshape(c, (nl, -1))[:, mesh.interior_local]
-                weight = (weight * c).reshape((nl,) + self._grid).astype(complex)
-            else:
-                weight = weight * c
-            if B is not None:
-                B = B[inner, inner]
-                if not np.ndim(weight):
-                    B, weight = weight * B, None
-                if axis == "x":  # x runs along the last axis: interleaved pairs
-                    B = np.kron(B.T, np.eye(2))
-            self._terms.append((axis, B, weight))
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(x, dtype=complex).reshape(x.shape[:-1] + self._grid)
-        pairs = X.view(np.float64)
-        acc = None  # -s A_II x
-        for axis, B, weight in self._terms:
-            if axis is None:
-                term = X
-            elif axis == "x":
-                term = (pairs.reshape(-1, B.shape[0]) @ B).view(complex).reshape(X.shape)
-            else:
-                term = np.matmul(B, pairs).view(complex)
-            if weight is not None:
-                term = weight * term
-            if acc is None:  # every term is a new array
-                acc = term
-            else:
-                acc += term
-        acc *= 1j
+    def shift(self, x: np.ndarray) -> np.ndarray:
+        """(I - i s A_II) x on the interior values x of every leaf,
+        (..., nl or 1, n_int); A_II's derivatives are 1-D blocks at interior
+        rows and columns, so edge values weigh nothing."""
+        X = np.ascontiguousarray(x, dtype=complex).reshape(x.shape[:-1] + self.A_II.grid)
+        acc = self.A_II(X)
+        acc *= -1j * self.s
         acc += X
         return acc.reshape(x.shape)
 
@@ -461,7 +493,7 @@ def build_leaf_operators(mesh: Mesh, op: EllipticOperator) -> LeafOperators:
         FiP[group] = Fi @ P[group]
     return RealLeafOperatorSet(
         Fi=Fi, Fb=Fb, condition=_worst(cond, what),
-        P=P, FiP=FiP, M_IB=M_IB, shift=InteriorShift(mesh, coefs, s), dtn=dtn,
+        P=P, FiP=FiP, M_IB=M_IB, A_II=_LineTerms(mesh, coefs, *(slice(1, -1),) * 2), s=s, dtn=dtn,
     )
 
 
@@ -515,41 +547,32 @@ class OperatorApplier:
 
     The operator must have sigma = 0 and scale = 1, as `stepping.Evolution`
     holds it. Coefficients are sampled once; `interior_apply` then
-    evaluates A(u) at every interior node of the mesh by batched leaf
-    differentiation. Every interior node has exactly one owning leaf, so
-    its value is copied straight from that leaf's array, at the ids of the
-    mesh's merge plan.
+    evaluates A(u) at every interior node of the mesh from the interior
+    rows D[1:-1, :] of each 1-D derivative (`_LineTerms`). Every interior
+    node has exactly one owning leaf, so its value is written straight to
+    its id in the mesh's merge plan.
     """
 
     def __init__(self, mesh: Mesh, op: EllipticOperator):
         if op.sigma != 0 or op.scale != 1:
             raise ValueError("OperatorApplier wants the bare operator: sigma = 0 and scale = 1")
         self.mesh = mesh
-        coefs = _sample_leaves(op, mesh)
-        st = mesh_stencil(mesh)
-        # present terms in `_TERMS` order: sign, coefficient, one 1-D product or None
-        diffs = {"Dx": (diff_apply_x, st.Dx1), "Dxx": (diff_apply_x, st.Dx1 @ st.Dx1)}
-        if mesh.dim == 2:
-            diffs.update(Dy=(diff_apply_y, st.Dy1), Dyy=(diff_apply_y, st.Dy1 @ st.Dy1))
-        self._terms = [(sign, coefs[n], diffs.get(k)) for n, sign, k in _TERMS if n in coefs]
+        self._op = op
+        self._interior = _LineTerms(mesh, _sample_leaves(op, mesh), slice(1, -1), slice(None))
 
     def leaf_values(self, u: np.ndarray) -> np.ndarray:
-        """Batched values of A(u) on leaf arrays. The interior slots are
-        valid, and so are the edge slots of a 1D mesh; 2D edge slots read
-        the zero corners."""
-        U = gather_leaf_fields(self.mesh, u)
-        vals = np.zeros(U.shape, np.result_type(U, *(coef for _, coef, _ in self._terms)))
-        for sign, coef, diff in self._terms:
-            term = coef * (U if diff is None else diff[0](diff[1], U))
-            (np.add if sign > 0 else np.subtract)(vals, term, out=vals)
-        return vals
+        """Batched values of A(u) on leaf arrays, from the full 1-D
+        derivatives. The interior slots are valid, and so are the edge
+        slots of a 1D mesh; 2D edge slots read the zero corners."""
+        every = slice(None)
+        terms = _LineTerms(self.mesh, _sample_leaves(self._op, self.mesh), every, every)
+        return terms(gather_leaf_fields(self.mesh, u))
 
     def interior_apply(self, u: np.ndarray) -> np.ndarray:
         """Global array holding operator values at interior ids, 0 elsewhere."""
         mesh = self.mesh
-        vals = self.leaf_values(u)
+        vals = self._interior(gather_leaf_fields(mesh, u))
         lead = vals.shape[: vals.ndim - mesh.leaf_grid.ndim]
-        vals = np.take(vals.reshape(lead + (mesh.n_leaves, -1)), mesh.interior_local, axis=-1)
         out = np.zeros(lead + (mesh.n_nodes,), dtype=vals.dtype)
         put_rows(out.reshape(-1, mesh.n_nodes), mesh.merge_plan.leaf_interior_ids, vals)
         return out
@@ -562,7 +585,7 @@ def advection(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     shared nodes get the mean of their leaves' values."""
     U = fill_corners(take_rows(u, mesh.leaf_grid))  # every corner is rebuilt
     st = mesh_stencil(mesh)
-    vals = diff_apply_x(st.Dx1, U)
+    vals = apply_lines(st.Dx1, "x", U)
     vals *= U[0]
-    vals += U[1] * diff_apply_y(st.Dy1, U)
+    vals += U[1] * apply_lines(st.Dy1, "y", U)
     return scatter_mean(mesh, vals, -0.5)

@@ -19,15 +19,9 @@ table of its own: its solve reads every one from the plan.
 
 The numeric phase is `build_factorization`: the leaf operators, then per
 level the children's edge-to-flux maps cut at the plan's columns, which
-leave three stacks per level. The leaf operators come in two forms
-(`operators.build_leaf_operators`). In general a leaf stores the inverse
-of its interior block M_II and G = M_II^-1 M_IB. A Schrodinger stage
-operator M = sigma I + i tau A, with sigma, tau and A real, has
-M_II^-1 = P (I - i s A_II) with s = tau / sigma and P = Re(M_II^-1)
-real, so its leaves store P and Fi P as float64, half the bytes of the
-complex inverse and G. P is the real part of the complex inverse, not
-(sigma (I + s^2 A_II^2))^-1, whose condition number is the square of
-M_II's. Both forms start the merges from the same leaf edge-to-flux
+leave three stacks per level. The leaf operators come in two forms, the
+general one and a real one for Schrodinger stage operators (`operators`
+module docstring); both start the merges from the same leaf edge-to-flux
 map, Fb - Fi M_II^-1 M_IB, so the merge levels do not depend on the
 form. Each merge eliminates the shared interface by equating the
 one-sided edge-normal derivatives of the two children, which yields a
@@ -49,20 +43,17 @@ every stack the build stores, shared or full.
 A solve takes and returns fields as rows, (N,) or (k, N), and reads
 them with `operators.take_rows(rows, table)`. The upward pass writes
 the particular outer edge fluxes of every block, leaves first, into one
-flat buffer, at slots the plan has worked out. The leaves' fluxes are
-written there by their form's `upward` step: Fi M_II^-1 f_I, which the
-real form computes as (Fi P)(I - i s A_II) f_I. Their interior values,
-at the end of the downward pass, are the `downward` step:
-M_II^-1 (f_I - M_IB e) for edge values e, in the real form
-P (I - i s A_II)(f_I - M_IB e). A level is two takes (its
-interface fluxes), a product with the inverse, one take (the children's
-other outer fluxes), a product with the stacked flux correction and one
-slice store. The root has no parent, so it passes no outer fluxes up:
-its slot table and flux correction are empty, and the buffer holds no
-slots for it. A penalty field's leaf fluxes, times 1/dt, are added into
-the leaf slots: blocks pass leaf fluxes up unchanged, so every interface
-jump then carries the penalty's. The downward pass sets interface values
-from each block's outer values, root first, then leaf interiors.
+flat buffer, at slots the plan has worked out; the leaves' form writes
+theirs (`upward`), and gives their interior values at the end of the
+downward pass (`downward`). A level is two takes (its interface
+fluxes), a product with the inverse, one take (the children's other
+outer fluxes), a product with the stacked flux correction and one slice
+store. The root has no parent, so it passes no outer fluxes up: its
+slot table and flux correction are empty, and the buffer holds no slots
+for it. A penalty, leaf edge fluxes, is added into the leaf slots:
+blocks pass leaf fluxes up unchanged, so every interface jump then
+carries the penalty's. The downward pass sets interface values from
+each block's outer values, root first, then leaf interiors.
 Factorizations are immutable; each solve allocates its own buffer, so
 concurrent solves against one factorization are safe.
 
@@ -73,10 +64,11 @@ flux continuity of the unknown with
 
 so that a time step whose stage weights sum to one cancels any
 derivative jump the evolving field has picked up; passing
-`penalty_field` (with `dt`) enables it.
+`penalty=operators.edge_fluxes(mesh, u) / dt` enables it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,12 +111,7 @@ class HpsFactorization:
         return self.leaf_ops.dtype
 
     def solve(
-        self,
-        load: np.ndarray,
-        dirichlet: np.ndarray,
-        *,
-        penalty_field: np.ndarray | None = None,
-        dt: float | None = None,
+        self, load: np.ndarray, dirichlet: np.ndarray, *, penalty: np.ndarray | None = None
     ) -> np.ndarray:
         """Solve for one or several right-hand sides.
 
@@ -132,24 +119,23 @@ class HpsFactorization:
             load: interior data, shape (N,) or (k, N); sets k for all inputs.
             dirichlet: boundary values by ascending node id, as in
                 `gamma_ids`, shape (n_gamma,) or (k, n_gamma).
-            penalty_field: current solution field whose derivative jumps
-                are penalized in the interface conditions, shape (N,) or
-                (k, N); requires dt.
-            dt: the time step whose reciprocal weighs the penalty fluxes.
+            penalty: leaf edge fluxes added to the particular fluxes of the
+                leaves, shape (nl, n_edge) or (k, nl, n_edge): the
+                `operators.edge_fluxes` of the field whose derivative
+                jumps are penalized, over dt.
 
         Returns:
             Field over all active nodes, (N,) or (k, N) like `load`.
             NaN or inf in the data is not screened and reaches the result.
         """
-        n = self.mesh.n_nodes
-        plan = self.mesh.merge_plan
-        if penalty_field is not None and dt is None:
-            raise ValueError("penalty_field requires dt")
-        f = _as_rows(load, n, "load")
+        mesh = self.mesh
+        plan = mesh.merge_plan
+        f = _as_rows(load, (mesh.n_nodes,), "load")
         k = len(f)
-        g = _as_rows(dirichlet, plan.gamma_ids.size, "dirichlet", k)
-        pen = None if penalty_field is None else _as_rows(penalty_field, n, "penalty_field", k)
-        dtype = np.result_type(self.dtype, *(a.dtype for a in (f, g, pen) if a is not None))
+        g = _as_rows(dirichlet, plan.gamma_ids.shape, "dirichlet", k)
+        if penalty is not None:
+            penalty = _as_rows(penalty, plan.leaf_boundary_ids.shape, "penalty", k)
+        dtype = np.result_type(self.dtype, *(a.dtype for a in (f, g, penalty) if a is not None))
 
         # upward pass: particular interior solutions z, the particular
         # outer fluxes of every block into the buffer, and per level the
@@ -157,12 +143,10 @@ class HpsFactorization:
         lf = self.leaf_ops
         buf = np.empty((k, plan.n_flux), dtype=dtype)
         n_leaf = plan.leaf_boundary_ids.size
-        flux = buf[:, :n_leaf].reshape(k, self.mesh.n_leaves, -1)
+        flux = buf[:, :n_leaf].reshape(k, mesh.n_leaves, -1)
         kept = lf.upward(take_rows(f, plan.leaf_interior_ids), flux)
-        if pen is not None:
-            hu = take_rows(pen, plan.leaf_interior_ids) @ lf.Fi.T
-            hu = hu + take_rows(pen, plan.leaf_boundary_ids) @ lf.Fb.T
-            buf[:, :n_leaf] += (1.0 / dt) * hu.reshape(k, n_leaf)
+        if penalty is not None:
+            buf[:, :n_leaf] += penalty
         w = []
         for mp, lv in zip(plan.levels, self.levels):
             w.append(apply_blocks(lv.inv_X, take_rows(buf, mp.ib) - take_rows(buf, mp.ia)))
@@ -171,7 +155,7 @@ class HpsFactorization:
 
         # downward pass: every block's outer values are known once its
         # ancestors are done, which gives its interface values
-        out = np.zeros((k, n), dtype=dtype)
+        out = np.zeros((k, mesh.n_nodes), dtype=dtype)
         put_rows(out, plan.gamma_ids, g)
         for mp, lv, w_lv in zip(reversed(plan.levels), reversed(self.levels), reversed(w)):
             outer = take_rows(out, mp.boundary_ids)
@@ -181,12 +165,14 @@ class HpsFactorization:
         return out if np.ndim(load) == 2 else out[0]
 
 
-def _as_rows(arr, n: int, name: str, k: int | None = None) -> np.ndarray:
-    """(n,) or (k, n) data as (k, n) rows, without a copy; k rows if k is given."""
+def _as_rows(arr, shape: tuple, name: str, k: int | None = None) -> np.ndarray:
+    """Data of `shape`, or k rows of it, as (k, size) rows, without a copy;
+    k rows if k is given."""
     a = np.asarray(arr)
-    if a.ndim not in (1, 2) or a.shape[-1] != n:
-        raise ValueError(f"{name}: expected shape ({n},) or (k, {n}), got {a.shape}")
-    a = a.reshape(-1, n)
+    if a.ndim - len(shape) not in (0, 1) or a.shape[a.ndim - len(shape) :] != shape:
+        inner = ", ".join(map(str, shape))
+        raise ValueError(f"{name}: expected shape {shape} or (k, {inner}), got {a.shape}")
+    a = a.reshape(-1, math.prod(shape))
     if k is not None and len(a) != k:
         raise ValueError(f"{name} has {len(a)} rows, expected {k}")
     return a

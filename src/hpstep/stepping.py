@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mesh import BOUNDARY, INTERFACE, Mesh
-from .operators import EllipticOperator, OperatorApplier, gather_leaf_fields, mesh_stencil
+from .operators import EllipticOperator, OperatorApplier, edge_fluxes, mesh_stencil, put_rows
 from .solver import build_factorization
 from .tableaus import ImexTableau
 
@@ -102,14 +102,14 @@ class InterfaceCompleter:
         self._iface_ids = mesh.ids_of(INTERFACE)
         p = mesh.p
         st = mesh_stencil(mesh)
-        self._dx = st.Dx1
-        self._inv_x = self._chain_inverse(self._dx, mesh.n1 - 1)
+        self._inv_x = self._chain_inverse(st.Dx1, mesh.n1 - 1)
+        self._ids_v = self._iface_ids  # in 1D, in chain order
         if mesh.dim == 2:
-            self._dy = st.Dy1
-            self._inv_y = self._chain_inverse(self._dy, mesh.n2 - 1)
+            self._inv_y = self._chain_inverse(st.Dy1, mesh.n2 - 1)
             lg = mesh.leaf_grid.reshape(mesh.n2, mesh.n1, p, p)
-            self._ids_v = lg[:, : mesh.n1 - 1, 1 : p - 1, p - 1]
-            self._ids_h = lg[: mesh.n2 - 1, :, p - 1, 1 : p - 1]
+            # flat, so that `put_rows` stores with a 1-D index
+            self._ids_v = lg[:, : mesh.n1 - 1, 1 : p - 1, p - 1].ravel()
+            self._ids_h = lg[: mesh.n2 - 1, :, p - 1, 1 : p - 1].ravel()
 
     @staticmethod
     def _chain_inverse(D: np.ndarray, n_unknown: int) -> np.ndarray:
@@ -122,42 +122,43 @@ class InterfaceCompleter:
 
     @staticmethod
     def _chain_solve(inv, rhs, axis):
-        # one matmul: the chain axis is the row axis, the axes after it the columns
+        # one real matmul: the chain axis is the row axis, the axes after it
+        # the columns, complex ones as float pairs
         shape = rhs.shape
         cols = rhs.reshape(shape[:axis] + (shape[axis], -1))
-        return (inv @ cols).reshape(shape)
+        return (inv @ cols.view(inv.dtype)).view(rhs.dtype).reshape(shape)
 
     def complete(self, field: np.ndarray, boundary: np.ndarray) -> np.ndarray:
         """Field with given interior/boundary data and matched interfaces.
 
         `boundary` is ordered by ascending global id of the outer
-        boundary nodes; interface slots of `field` are ignored.
+        boundary nodes; interface slots of `field` are ignored. Each
+        chain's right-hand side is a jump of the leaves' `edge_fluxes`.
         """
         mesh = self.mesh
         dtype = np.result_type(np.asarray(field).dtype, np.asarray(boundary).dtype)
         out = np.array(field, dtype=dtype, copy=True)
         out[..., self._iface_ids] = 0.0
         out[..., self._boundary_ids] = boundary
-        U = gather_leaf_fields(mesh, out)
-        if mesh.dim == 1:
-            if mesh.n1 > 1:
-                rhs = U[..., 1:, :] @ self._dx[0] - U[..., :-1, :] @ self._dx[-1]
-                out[..., self._iface_ids] = self._chain_solve(self._inv_x, rhs, -1)
-            return out
-        U = U.reshape(U.shape[: -3] + (mesh.n2, mesh.n1, mesh.p, mesh.p))
-        mid = slice(1, mesh.p - 1)  # the grid lines that cross interfaces
-        if mesh.n1 > 1:
-            rhs = U[..., 1:, mid, :] @ self._dx[0] - U[..., :-1, mid, :] @ self._dx[-1]
-            out[..., self._ids_v] = self._chain_solve(self._inv_x, rhs, -2)
+        flux = edge_fluxes(mesh, out)
+        if mesh.dim == 1:  # one grid line per leaf, with its W and E ends
+            W, E = np.moveaxis(flux[..., None], -2, 0)
+        else:
+            sides = flux.reshape(flux.shape[:-2] + (mesh.n2, mesh.n1, 4, -1))
+            S, E, N, W = np.moveaxis(sides, -2, 0)
+        rows = out.reshape(-1, mesh.n_nodes)
+        if mesh.n1 > 1:  # W of the right leaf minus E of the left
+            rhs = W[..., 1:, :] - E[..., :-1, :]
+            put_rows(rows, self._ids_v, self._chain_solve(self._inv_x, rhs, -2))
         if mesh.n2 > 1:
-            rhs = self._dy[0] @ U[..., 1:, :, :, mid] - self._dy[-1] @ U[..., :-1, :, :, mid]
-            out[..., self._ids_h] = self._chain_solve(self._inv_y, rhs, -3)
+            rhs = S[..., 1:, :, :] - N[..., :-1, :, :]
+            put_rows(rows, self._ids_h, self._chain_solve(self._inv_y, rhs, -3))
         return out
 
 
 def _stack_sum(w: np.ndarray, R: np.ndarray, base: np.ndarray) -> np.ndarray:
     """base + sum_j w[j] * R[j] over the first len(w) rows of the rate stack,
-    as one GEMV; the weights are real, so complex rows enter as float pairs."""
+    as one GEMV with the real weights (float pairs: `operators` docstring)."""
     flat = R.reshape(len(R), -1)
     if np.iscomplexobj(R):
         flat = flat.view(R.real.dtype)
@@ -259,7 +260,7 @@ class ImexStepper:
         if first:
             g = g - first[0][..., self._gids]
         R = self._stack(u, *first, self._first_slope(t, u, g))
-        pen = u if self.corrected else None
+        pen = (1.0 / dt) * edge_fluxes(evo.mesh, u) if self.corrected else None
         for i in range(1, tab.stages):
             ti = t + tab.c[i] * dt
             P = _stack_sum(self._w[i], R, u)
@@ -267,7 +268,7 @@ class ImexStepper:
             if r == 2:
                 g = g - evo.explicit(ti, P)[..., self._gids]
             k = R[r * i + r - 1]
-            k[...] = self.fact.solve(self._rate_interior(ti, P), g, penalty_field=pen, dt=dt)
+            k[...] = self.fact.solve(self._rate_interior(ti, P), g, penalty=pen)
             if r == 2:
                 R[r * i] = evo.explicit(ti, P + dt * tab.gamma * k)
         return _stack_sum(self._w_out, R, u)

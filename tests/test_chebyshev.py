@@ -7,12 +7,11 @@ from hpstep.chebyshev import (
     cheb_diff_matrix,
     cheb_nodes,
     corner_fill_weights,
-    diff_apply_x,
-    diff_apply_y,
     fill_corners,
     interp_matrix,
     leaf_stencil,
 )
+from hpstep.operators import apply_lines
 
 SQRT2_HALF = np.sqrt(2.0) / 2.0
 
@@ -92,10 +91,10 @@ def test_batched_apply_matches_kron():
     U = rng.standard_normal((4, p, p))
     flat = U.reshape(4, p * p)
     np.testing.assert_allclose(
-        diff_apply_x(st.Dx1, U).reshape(4, -1), flat @ st.Dx.T, atol=1e-12
+        apply_lines(st.Dx1, "x", U).reshape(4, -1), flat @ st.Dx.T, atol=1e-12
     )
     np.testing.assert_allclose(
-        diff_apply_y(st.Dy1, U).reshape(4, -1), flat @ st.Dy.T, atol=1e-12
+        apply_lines(st.Dy1, "y", U).reshape(4, -1), flat @ st.Dy.T, atol=1e-12
     )
 
 
@@ -104,18 +103,25 @@ def test_batched_apply_matches_kron():
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_x_derivative_is_one_gemm_with_batched_bytes(p, lead, dim, dtype):
-    # the flattened GEMM gives the bytes of the per-leaf batched product
+    # a real field: the flattened GEMM gives the bytes of the per-leaf
+    # batched product; a complex one is two real fields side by side, as
+    # float pairs, whose GEMM may sum in another order (a few ulps)
     rng = np.random.default_rng(p)
     Dx1 = leaf_stencil(p, 0.5, 0.25 if dim == 2 else None).Dx1
     shape = lead + (p,) * dim
     U = rng.standard_normal(shape).astype(dtype)
     U += 1j * rng.standard_normal(shape) if dtype is complex else 0.0
-    got = diff_apply_x(Dx1, U)
-    assert got.shape == U.shape and got.dtype == U.dtype
-    np.testing.assert_array_equal(got, np.matmul(U, Dx1.T))
     V = np.repeat(U, 2, axis=-1)[..., ::2]  # U's values, strided
     assert not V.flags.c_contiguous
-    np.testing.assert_array_equal(diff_apply_x(Dx1, V), np.matmul(V, Dx1.T))
+    for W in (U, V):
+        got = apply_lines(Dx1, "x", W)
+        assert got.shape == U.shape and got.dtype == U.dtype
+        if dtype is float:
+            np.testing.assert_array_equal(got, np.matmul(W, Dx1.T))
+        else:
+            want = np.matmul(W.real, Dx1.T) + 1j * np.matmul(W.imag, Dx1.T)
+            scale = np.abs(Dx1).sum(axis=1).max() * np.abs(U).max()
+            assert np.abs(got - want).max() <= 1e-15 * scale
 
 
 def test_interp_matrix_reproduces_polynomials_and_nodes():

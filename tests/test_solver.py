@@ -11,6 +11,7 @@ from hpstep.operators import (
     LeafOperatorSet,
     RealLeafOperatorSet,
     build_leaf_operators,
+    edge_fluxes,
     gather_leaf_fields,
     laplace_operator,
 )
@@ -127,7 +128,8 @@ def test_factor_bytes_counts_every_stored_array(case):
     names = ("inv", "G") if case == "real" else ("P", "FiP", "M_IB")
     arrays = [getattr(leaf, n) for n in names + ("Fi", "Fb")]
     if case == "schrodinger":  # the interior shift's 1-D blocks and sampled weights
-        arrays += [a for term in leaf.shift._terms for a in term if isinstance(a, np.ndarray)]
+        terms = leaf.A_II._terms
+        arrays += [a for _, B, _, w in terms for a in (B, w) if a is not None]
     for lv in fact.levels:  # the root's empty C is a view of its inv_X
         arrays += [lv.inv_X, lv.S] + ([lv.C] if lv.C.base is None else [])
     assert len({id(a) for a in arrays}) == len(arrays)
@@ -183,11 +185,12 @@ def test_multi_rhs_matches_stacked_single(mesh_name, variable, route):
     P = rng.standard_normal((3, mesh.n_nodes)) if route != "plain" else None
     if route == "penalty-only":  # the penalty field alone drives the solve
         F, G = np.zeros_like(F), np.zeros_like(G)
-    got = fact.solve(F, G, penalty_field=P, dt=0.1)
+    pen = None if P is None else edge_fluxes(mesh, P) / 0.1
+    got = fact.solve(F, G, penalty=pen)
     assert got.shape == (3, mesh.n_nodes)
     scale = np.abs(got).max() if P is not None else 1.0  # penalty jumps carry 1/dt
     for i in range(3):
-        want = fact.solve(F[i], G[i], penalty_field=None if P is None else P[i], dt=0.1)
+        want = fact.solve(F[i], G[i], penalty=None if P is None else edge_fluxes(mesh, P[i]) / 0.1)
         np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12 * scale)
 
 
@@ -198,8 +201,8 @@ def test_solve_rejects_mismatched_rows():
     G = np.zeros((3, fact.gamma_ids.size))
     with pytest.raises(ValueError, match="dirichlet has 2 rows, expected 3"):
         fact.solve(F, G[:2])
-    with pytest.raises(ValueError, match="penalty_field has 1 rows, expected 3"):
-        fact.solve(F, G, penalty_field=np.zeros(mesh.n_nodes), dt=0.1)
+    with pytest.raises(ValueError, match="penalty has 1 rows, expected 3"):
+        fact.solve(F, G, penalty=edge_fluxes(mesh, np.zeros(mesh.n_nodes)) / 0.1)
     with pytest.raises(ValueError, match="load: expected shape"):
         fact.solve(np.zeros(mesh.n_nodes + 1), G[0])
     with pytest.raises(ValueError, match="dirichlet: expected shape"):
@@ -267,7 +270,7 @@ def test_penalized_interface_condition(dim):
     fact = build_factorization(mesh, op)
     f = np.zeros(mesh.n_nodes)
     g = np.zeros(fact.gamma_ids.size)
-    sol = fact.solve(f, g, penalty_field=kink, dt=dt)
+    sol = fact.solve(f, g, penalty=edge_fluxes(mesh, kink) / dt)
     leaf_ops = build_leaf_operators(mesh, op)
     jump_sol = leaf_flux_jumps(mesh, leaf_ops, sol)
     jump_pen = leaf_flux_jumps(mesh, leaf_ops, kink)
@@ -275,15 +278,16 @@ def test_penalized_interface_condition(dim):
     np.testing.assert_allclose(jump_sol[mid], -jump_pen[mid] / dt, rtol=1e-10)
     # and a smooth penalty field leaves the solve essentially unchanged
     plain = fact.solve(f, g)
-    pen = fact.solve(f, g, penalty_field=smooth, dt=dt)
+    pen = fact.solve(f, g, penalty=edge_fluxes(mesh, smooth) / dt)
     assert np.abs(plain - pen).max() < 1e-8
 
 
-def test_penalty_requires_dt():
+def test_penalty_takes_edge_fluxes_not_a_field():
+    # the penalty is the leaves' edge fluxes over dt, not a nodal field
     mesh = build_mesh((0.0, 1.0), 2, p=5)
     fact = build_factorization(mesh, shifted_laplace())
-    with pytest.raises(ValueError, match="penalty_field requires dt"):
-        fact.solve(np.zeros(mesh.n_nodes), np.zeros(2), penalty_field=np.zeros(mesh.n_nodes))
+    with pytest.raises(ValueError, match=r"penalty: expected shape \(2, 2\) or \(k, 2, 2\)"):
+        fact.solve(np.zeros(mesh.n_nodes), np.zeros(2), penalty=np.zeros(mesh.n_nodes))
 
 
 PENALTY_MESHES = {
@@ -316,9 +320,10 @@ def test_penalty_route_is_linear(mesh_name, op_name):
     pen = rng.standard_normal(mesh.n_nodes)
     if op_name == "complex-penalty":
         pen = pen + 1j * rng.standard_normal(mesh.n_nodes)
-    got = fact.solve(f, g, penalty_field=pen, dt=dt)
+    flux = edge_fluxes(mesh, pen) / dt
+    got = fact.solve(f, g, penalty=flux)
     assert got.dtype == pen.dtype
-    want = fact.solve(f, g) + fact.solve(0 * f, 0 * g, penalty_field=pen, dt=dt)
+    want = fact.solve(f, g) + fact.solve(0 * f, 0 * g, penalty=flux)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 

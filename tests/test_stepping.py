@@ -6,7 +6,7 @@ import pytest
 
 from hpstep.chebyshev import leaf_stencil
 from hpstep.mesh import BOUNDARY, INTERFACE, build_mesh
-from hpstep.operators import EllipticOperator, laplace_operator
+from hpstep.operators import EllipticOperator, edge_fluxes, laplace_operator
 from hpstep.oracle import OracleCompleter
 from hpstep.problems import burgers_crossing, burgers_rotating, heat_cosine, make_stepper
 from hpstep.problems import schrodinger_harmonic
@@ -424,8 +424,8 @@ def list_reference_step(st, t, u):
             g = boundary(evo.bc_rate, ti)
             if imex:
                 g = g - evo.explicit(ti, P)[..., gids]
-            pen = u if st.corrected else None
-            im.append(st.fact.solve(st._rate_interior(ti, P), g, penalty_field=pen, dt=dt))
+            pen = edge_fluxes(mesh, u) / dt if st.corrected else None
+            im.append(st.fact.solve(st._rate_interior(ti, P), g, penalty=pen))
             if imex:
                 ex.append(evo.explicit(ti, P + dt * tab.gamma * im[i]))
         return stage_sum(u, tab.b, im, tab.b, ex)
