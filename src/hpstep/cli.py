@@ -10,8 +10,9 @@ CSV can be traced back to what produced it; `run` adds the worst 1-norm
 condition number of the factorization's inverted blocks and the bytes of
 every array it stores (`solver.factor_bytes`). The output directory is
 made when the first file is written, so a run or sweep that fails
-before it leaves none behind. `reproduce`
-writes no files: it prints one `criterion N: <json>` line per entry of
+before it, or in a write, leaves none behind; an output directory that
+could not be written is refused before the build. `reproduce` writes
+no files: it prints one `criterion N: <json>` line per entry of
 `studies.CLAIMS`.
 """
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import shutil
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -155,15 +158,18 @@ class RunConfig:
 
     def resolve_steps(self, case: TransientCase) -> int:
         """Whole number of steps covering [0, t_end]."""
-        if self.dt_rule == "resolution":
-            return resolution_step_count(case, self.resolve_order(case))
         dt = self.dt if self.dt is not None else case.dt
-        if dt is None:
+        if dt is None and self.dt_rule is None:
             raise ConfigError(
                 f"dt: experiment {self.experiment!r} has no default step; "
                 "give dt or dt_rule"
             )
-        return max(1, round(case.t_end / dt))
+        try:
+            if self.dt_rule == "resolution":
+                return resolution_step_count(case, self.resolve_order(case))
+            return max(1, round(case.t_end / dt))
+        except OverflowError:  # t_end / dt is inf
+            raise ConfigError(f"t_end: {case.t_end!r} over dt is too many steps") from None
 
 
 def load_config(path: str, overrides=()) -> RunConfig:
@@ -222,6 +228,20 @@ def write_snapshot(path: Path, mesh, u: np.ndarray, t: float) -> None:
         y=mesh.y if mesh.dim == 2 else np.zeros(0),
         field=np.asarray(u),
     )
+
+
+def _dir_to_make(path: str) -> Path | None:
+    """The first directory that writing into `path` makes, None when it
+    is there already. Raises ConfigError unless `path`, or its nearest
+    existing ancestor, is a directory this process may write into."""
+    at, made = Path(path).absolute(), None
+    while not os.path.exists(at):
+        at, made = at.parent, at
+    if not at.is_dir():
+        raise ConfigError(f"output_dir: {at} is not a directory")
+    if not os.access(at, os.W_OK | os.X_OK):
+        raise ConfigError(f"output_dir: {at} is not writable")
+    return made
 
 
 def _write_csv(path: Path, columns, rows) -> None:
@@ -414,6 +434,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.overrides)
         if args.command == "sweep" and args.points < 1:
             raise ConfigError("points: must be at least 1")
+        made = _dir_to_make(cfg.output_dir)
         try:
             if args.command == "run":
                 cmd_run(cfg)
@@ -422,6 +443,12 @@ def main(argv=None) -> int:
         except MemoryError as exc:
             mesh = "n1={n1} n2={n2} p={p}".format(**cfg.mesh)
             print(f"error: mesh {mesh} does not fit in memory: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:  # a write failed: what this run made goes
+            if made is not None:
+                shutil.rmtree(made, ignore_errors=True)
+            where, why = exc.filename or cfg.output_dir, exc.strerror or exc
+            print(f"error: output_dir: cannot write {where}: {why}", file=sys.stderr)
             return 1
         return 0
     except ConfigError as exc:

@@ -16,20 +16,21 @@ sample of the coefficients, and they form a stack with one block per
 leaf only in the columns that a sampled coefficient weighs; elsewhere
 one block stands for every leaf.
 
-A leaf's interior solution operator is stored in one of two forms
-behind one interface (`upward`, `downward`). In general it is the inverse
-of the leaf's interior block M_II and the map G = M_II^-1 M_IB from edge
-values, in the operator's own arithmetic. An operator of the form
-M = sigma I + i tau A, with sigma, tau and every coefficient of A real
-(every Schrodinger stage operator, s = tau / sigma), has a real leaf
-solution operator instead: since (I + isA)(I - isA) = I + s^2 A^2 is
-real,
+Every leaf is built in one pass over runs of about 4 MB of leaves
+(`build_leaf_operators`), which inverts their interior blocks M_II and
+forms from each inverse the edge-to-flux map Fb - Fi M_II^-1 M_IB that
+the merges start from; the build hands it over once
+(`LeafOperators.edge_to_flux`). Each leaf form keeps a stack P: in
+general M_II^-1, beside G = M_II^-1 M_IB, in the operator's arithmetic.
+An operator M = sigma I + i tau A with sigma, tau and every coefficient
+of A real (every Schrodinger stage operator, s = tau / sigma) has a real
+leaf solution operator instead: since (I + isA)(I - isA) = I + s^2 A^2
+is real,
 
     M_II^-1 = P (I - i s A_II),    P = Re(M_II^-1) real,
 
-so P and Fi P are stored as float64 and the solve applies (I - i s A_II)
-with 1-D derivative blocks (`RealLeafOperatorSet.shift`). P is the real
-part of the complex inverse, taken a few leaves at a time: forming it as
+so P and Fi P are kept as float64 and the solve applies (I - i s A_II)
+with 1-D derivative blocks (`RealLeafOperatorSet.shift`). Forming P as
 (sigma (I + s^2 A_II^2))^-1 would square the block's condition number.
 
 Every leaf derivative of a field is one kernel, `apply_lines`: a real
@@ -91,23 +92,11 @@ def laplace_operator() -> EllipticOperator:
     return EllipticOperator(c11=1.0, c22=1.0)
 
 
-def _sample(coef: Coef, x: np.ndarray, y: np.ndarray | None):
-    if callable(coef):
-        return coef(x) if y is None else coef(x, y)
-    return coef
-
-
 def leaf_coordinates(mesh: Mesh) -> tuple[np.ndarray, np.ndarray | None]:
     """Batched leaf node coordinates, shape (nl, p, p) or (nl, p); y is
     None in 1D. A dropped corner slot (id -1) holds the last node's
     coordinates, which no collocation row weighs."""
     return tuple(None if c is None else c[mesh.leaf_grid] for c in (mesh.x, mesh.y))
-
-
-def _check_coefficients(coefs: dict) -> None:
-    for name in ("c11", "c22"):
-        if np.min(np.real(coefs[name])) < 0:
-            raise ValueError(f"negative principal coefficient {name} sampled on a leaf")
 
 
 def _sample_leaves(op: EllipticOperator, mesh: Mesh) -> dict:
@@ -119,9 +108,13 @@ def _sample_leaves(op: EllipticOperator, mesh: Mesh) -> dict:
     are left out.
     """
     x, y = (None, None) if op.is_constant else leaf_coordinates(mesh)
-    names = ("c11", "c22", "c1", "c2", "c0")
-    coefs = {name: _sample(getattr(op, name), x, y) for name in names}
-    _check_coefficients(coefs)
+    coefs = {}
+    for name in ("c11", "c22", "c1", "c2", "c0"):
+        c = getattr(op, name)
+        coefs[name] = (c(x) if y is None else c(x, y)) if callable(c) else c
+    for name in ("c11", "c22"):
+        if np.min(np.real(coefs[name])) < 0:
+            raise ValueError(f"negative principal coefficient {name} sampled on a leaf")
     keep = ("c11", "c1", "c0") if mesh.dim == 1 else ("c11", "c22", "c1", "c2", "c0")
     return {name: coefs[name] for name in keep if np.ndim(coefs[name]) or coefs[name] != 0}
 
@@ -353,16 +346,13 @@ def apply_blocks(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LeafOperators:
-    """Interior solve and edge flux maps of every leaf, stacked.
+    """Interior solve of every leaf, stacked, and its edge-to-flux map.
 
     Stacks have a leading axis over the leaves, of length one when the
     coefficients are position-independent: the leaves are then congruent
-    and a single copy broadcasts over all of them. The flux of a field
-    with interior values v_I and edge values v_B is Fi @ v_I + Fb @ v_B;
-    `Fi` and `Fb` are shared by all leaves. `edge_to_flux()` gives the
-    leaf edge-to-flux map Fb - Fi @ M_II^-1 M_IB, (nl or 1, n_edge,
-    n_edge), that the merges start from; `build_factorization` calls it
-    once and drops the map after the last parent.
+    and a single copy broadcasts over all of them. `edge_to_flux()` hands
+    over, once, the map Fb - Fi M_II^-1 M_IB, (nl or 1, n_edge, n_edge),
+    with Fi and Fb the interior and edge columns of `flux_matrix`.
 
     A solve reads a form through two steps over (k, nl, .) rows:
     `upward(f_I, flux)` writes into `flux` the edge fluxes of the
@@ -371,37 +361,36 @@ class LeafOperators:
     interior values for edge values e.
     """
 
-    Fi: np.ndarray = field(repr=False)  # (n_edge, n_int)
-    Fb: np.ndarray = field(repr=False)  # (n_edge, n_edge)
+    P: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_int): M_II^-1 or its real part
+    dtype: np.dtype  # of the solution values
     condition: float  # worst 1-norm condition number of the blocks inverted
+    dtn: np.ndarray | None = field(repr=False)  # the edge-to-flux map, until taken
+
+    @property
+    def shared(self) -> bool:
+        return len(self.P) == 1
+
+    def edge_to_flux(self) -> np.ndarray | None:
+        """The map the build formed, handed over once: None after."""
+        dtn, self.dtn = self.dtn, None
+        return dtn
 
 
 @dataclass
 class LeafOperatorSet(LeafOperators):
-    """The general form: u_I = inv @ f_I - G @ e with inv = M_II^-1 and
-    G = inv @ M_IB, in the operator's arithmetic."""
+    """The general form: u_I = P @ f_I - G @ e with P = M_II^-1 and
+    G = P @ M_IB, in the operator's arithmetic."""
 
-    inv: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_int)
+    Fi: np.ndarray = field(repr=False)  # (n_edge, n_int), the interior flux columns
     G: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_edge)
 
-    @property
-    def shared(self) -> bool:
-        return len(self.inv) == 1
-
-    @property
-    def dtype(self):
-        return self.inv.dtype
-
     def upward(self, f_I: np.ndarray, flux: np.ndarray) -> np.ndarray:
-        z = apply_blocks(self.inv, f_I)
+        z = apply_blocks(self.P, f_I)
         np.matmul(z, self.Fi.T, out=flux)
         return z
 
     def downward(self, z: np.ndarray, e: np.ndarray) -> np.ndarray:
         return z - apply_blocks(self.G, e)
-
-    def edge_to_flux(self) -> np.ndarray:
-        return self.Fb - self.Fi @ self.G
 
 
 @dataclass
@@ -410,20 +399,10 @@ class RealLeafOperatorSet(LeafOperators):
     u_I = P (I - i s A_II)(f_I - M_IB @ e), with P = Re(M_II^-1) and
     Fi @ P stored as float64 and s = tau / sigma (module docstring)."""
 
-    P: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_int), float64
     FiP: np.ndarray = field(repr=False)  # (nl or 1, n_edge, n_int), float64
     M_IB: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_edge)
     A_II: "_LineTerms" = field(repr=False)  # A on the (p-2)-node interior lines
     s: float
-    dtn: np.ndarray | None = field(repr=False)  # the build's edge-to-flux map, until taken
-
-    @property
-    def shared(self) -> bool:
-        return len(self.P) == 1
-
-    @property
-    def dtype(self):
-        return np.dtype(complex)
 
     def upward(self, f_I: np.ndarray, flux: np.ndarray) -> np.ndarray:
         flux[...] = apply_blocks(self.FiP, self.shift(f_I))
@@ -431,12 +410,6 @@ class RealLeafOperatorSet(LeafOperators):
 
     def downward(self, f_I: np.ndarray, e: np.ndarray) -> np.ndarray:
         return apply_blocks(self.P, self.shift(f_I - apply_blocks(self.M_IB, e)))
-
-    def edge_to_flux(self) -> np.ndarray:
-        """The map the build formed from the complex inverse, handed over
-        once: G is not stored, so it cannot be formed again."""
-        dtn, self.dtn = self.dtn, None
-        return dtn
 
     def shift(self, x: np.ndarray) -> np.ndarray:
         """(I - i s A_II) x on the interior values x of every leaf,
@@ -464,37 +437,35 @@ def _imaginary_shift(op: EllipticOperator, coefs: dict) -> float | None:
 def build_leaf_operators(mesh: Mesh, op: EllipticOperator) -> LeafOperators:
     """Factorize every leaf of the mesh for the given operator, as stacks:
     a `RealLeafOperatorSet` when the operator is sigma I + i tau A with
-    everything real, a `LeafOperatorSet` otherwise."""
+    everything real, a `LeafOperatorSet` otherwise, in one pass over
+    runs of leaves (`_groups`)."""
     F = flux_matrix(mesh)
-    ii = mesh.interior_local
-    bb = mesh.edge_local
-    Fi = F[:, ii]
-    Fb = F[:, bb]
+    ii, bb = mesh.interior_local, mesh.edge_local
+    Fi, Fb = F[:, ii], F[:, bb]
     coefs = _sample_leaves(op, mesh)
     s = _imaginary_shift(op, coefs)
-    what = "leaf interior block"
-    if s is None:
-        inv, cond = guarded_inverse(collocate_interior(op, mesh, ii, coefs), what)
-        G = inv @ collocate_interior(op, mesh, bb, coefs)
-        return LeafOperatorSet(Fi=Fi, Fb=Fb, condition=cond, inv=inv, G=G)
-    # the complex inverse, a few MB of leaves at a time: P is its real part,
-    # and each group's edge-to-flux map is formed from it as in the general form
     M_IB = collocate_interior(op, mesh, bb, coefs)
     nl = mesh.n_leaves if any(np.ndim(c) for c in coefs.values()) else 1
-    P = np.empty((nl, ii.size, ii.size))
-    FiP = np.empty((nl, bb.size, ii.size))
-    dtn = np.empty((nl, bb.size, bb.size), dtype=complex)
+    dtype = M_IB.dtype  # the operator's, and the inverse's
+    real = s is not None
+    P = np.empty((nl, ii.size, ii.size), dtype=float if real else dtype)
+    # the second stack: Fi @ P for the real form, G for the general one
+    K = np.empty((nl, bb.size, ii.size) if real else (nl, ii.size, bb.size), dtype=P.dtype)
+    dtn = np.empty((nl, bb.size, bb.size), dtype=dtype)
     cond = np.empty(nl)
-    for group in _groups(nl, 16 * ii.size**2):
+    what = "leaf interior block"
+    for group in _groups(nl, dtype.itemsize * ii.size**2):
         part = {name: c[group] if np.ndim(c) else c for name, c in coefs.items()}
         inv, cond[group] = _inverse(collocate_interior(op, mesh, ii, part), what)
-        P[group] = inv.real
-        dtn[group] = Fb - Fi @ (inv @ (M_IB if len(M_IB) == 1 else M_IB[group]))
-        FiP[group] = Fi @ P[group]
-    return RealLeafOperatorSet(
-        Fi=Fi, Fb=Fb, condition=_worst(cond, what),
-        P=P, FiP=FiP, M_IB=M_IB, A_II=_LineTerms(mesh, coefs, *(slice(1, -1),) * 2), s=s, dtn=dtn,
-    )
+        G = inv @ (M_IB if len(M_IB) == 1 else M_IB[group])
+        dtn[group] = Fb - Fi @ G
+        P[group] = inv.real if real else inv
+        K[group] = Fi @ P[group] if real else G
+    base = dict(P=P, dtype=dtype, condition=_worst(cond, what), dtn=dtn)
+    if not real:
+        return LeafOperatorSet(**base, Fi=Fi, G=K)
+    A_II = _LineTerms(mesh, coefs, *(slice(1, -1),) * 2)
+    return RealLeafOperatorSet(**base, FiP=K, M_IB=M_IB, A_II=A_II, s=s)
 
 
 def gather_leaf_fields(mesh: Mesh, u: np.ndarray) -> np.ndarray:

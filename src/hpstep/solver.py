@@ -19,11 +19,11 @@ table of its own: its solve reads every one from the plan.
 
 The numeric phase is `build_factorization`: the leaf operators, then per
 level the children's edge-to-flux maps cut at the plan's columns, which
-leave three stacks per level. The leaf operators come in two forms, the
-general one and a real one for Schrodinger stage operators (`operators`
-module docstring); both start the merges from the same leaf edge-to-flux
-map, Fb - Fi M_II^-1 M_IB, so the merge levels do not depend on the
-form. Each merge eliminates the shared interface by equating the
+leave three stacks per level. The leaves, in the general form or a real
+one for Schrodinger stage operators (`operators` module docstring), hand
+over one leaf edge-to-flux map, Fb - Fi M_II^-1 M_IB, formed from the
+inverse of each leaf's interior block (`edge_to_flux`), so the merge
+levels do not depend on the form. Each merge eliminates the shared interface by equating the
 one-sided edge-normal derivatives of the two children, which yields a
 dense interface operator
 
@@ -226,8 +226,8 @@ def build_factorization(mesh: Mesh, op: EllipticOperator) -> HpsFactorization:
 
 
 def factor_bytes(fact: HpsFactorization) -> int:
-    """Bytes of every array a factorization stores: the leaf stacks and
-    flux maps and every level's stacks. An array that views another counts
+    """Bytes of every array a factorization stores: the leaf form's arrays
+    and every level's stacks. An array that views another counts
     its base, once; the mesh and its merge plan, which every factorization
     on the mesh shares, are not counted."""
     bases, todo = {}, [fact.leaf_ops, fact.levels]

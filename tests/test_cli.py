@@ -1,8 +1,10 @@
 """Config handling, output formats and the small command flows."""
 import contextlib
 import csv
+import errno
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +368,46 @@ def test_run_stopped_by_a_non_finite_step_leaves_no_directory(tmp_path, capsys):
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: step 5 "), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_output_dir_under_a_file_exits_2_before_the_build(tmp_path, monkeypatch, capsys, command):
+    def not_reached(*args, **kw):
+        raise AssertionError("built a stepper for an output directory it cannot write")
+
+    monkeypatch.setattr(cli, "make_stepper", not_reached)
+    monkeypatch.setattr(cli, "advance", not_reached)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv = [command, str(heat_config(tmp_path, output_dir=str(blocker / "out")))]
+    code = main(argv + (["--axis", "dt"] if command == "sweep" else []))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert err == [f"error: output_dir: {blocker} is not a directory"]
+
+
+def test_failed_write_exits_1_and_leaves_no_directory(tmp_path, monkeypatch, capsys):
+    # the results are written first, then the snapshots; the disk fills between
+    def disk_full(path, *args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(cli, "write_snapshot", disk_full)
+    out = tmp_path / "made" / "out"
+    code = main(["run", str(heat_config(tmp_path, output_dir=str(out)))])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == [f"error: output_dir: cannot write {out / 'snapshot_initial.npz'}: "
+                   "No space left on device"]
+    assert not (tmp_path / "made").exists() and tmp_path.exists()
+
+
+@pytest.mark.parametrize("rule", [{}, {"dt": None, "dt_rule": "resolution"}], ids=["dt", "rule"])
+def test_step_count_overflow_exits_2_naming_t_end_and_dt(tmp_path, capsys, rule):
+    code = main(["run", str(heat_config(tmp_path, t_end=1e308, **rule))])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: t_end: 1e+308 ") and " dt " in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_outputs(tmp_path):

@@ -22,6 +22,7 @@ from hpstep.operators import (
     mesh_stencil,
     scatter_mean,
 )
+from hpstep.operators import _groups
 
 
 def mesh2d(n1=1, n2=1, p=8, box=((0.0, 1.0), (0.0, 1.0))):
@@ -137,7 +138,7 @@ def test_leaf_solve_reproduces_polynomial(m, op, exact):
     ii, bb = m.interior_local, m.edge_local
     for l in range(m.n_leaves):
         u = exact(*points(m, l)).ravel()
-        u_int = ops.inv[l] @ (f[l] @ u) - ops.G[l] @ u[bb]
+        u_int = ops.P[l] @ (f[l] @ u) - ops.G[l] @ u[bb]
         np.testing.assert_allclose(u_int, u[ii], atol=1e-10)
 
 
@@ -151,7 +152,7 @@ def test_dtn_of_harmonic_polynomial():
     g = u.ravel()[m.edge_local]
     F = flux_matrix(m)
     want = (F @ u.ravel())  # directional derivative rows of the exact field
-    T = ops.Fb - ops.Fi @ ops.G[0]
+    T = ops.edge_to_flux()[0]
     np.testing.assert_allclose(T @ g, want, atol=1e-9)
 
 
@@ -182,7 +183,7 @@ def test_shared_factorization_detection():
     varying = EllipticOperator(c11=1.0, c22=1.0, c0=lambda x, y: x)
     ops = build_leaf_operators(m, varying)
     assert not ops.shared
-    assert len(ops.inv) == len(ops.G) == m.n_leaves
+    assert len(ops.P) == len(ops.G) == m.n_leaves
     assert not np.array_equal(ops.G[0], ops.G[3])
 
 
@@ -243,6 +244,42 @@ def test_guarded_inverse_matches_one_batched_inverse():
     inv, _ = guarded_inverse(X.transpose(0, 2, 1).copy().transpose(0, 2, 1), "test stack")
     assert inv.flags.c_contiguous
     np.testing.assert_array_equal(inv, want)
+
+
+GROUPED_BUILDS = {  # variable coefficients, so every leaf has its own blocks
+    "real": EllipticOperator(c11=1.0, c22=1.0, c1=0.3, c0=lambda x, y: 1 + x * x + y),
+    "complex": EllipticOperator(
+        c11=1.0, c22=1.0, c0=lambda x, y: 1 + x * x + y * y
+    ).shifted(1.0, 0.3 + 0.2j),
+    "imaginary-shift": EllipticOperator(
+        c11=0.5, c22=0.5, c0=lambda x, y: 0.5 * (x * x + y * y)
+    ).shifted(1.0, 0.07j),
+}
+
+
+@pytest.mark.parametrize("name", GROUPED_BUILDS)
+def test_grouped_leaf_build_matches_whole_stack(name):
+    # the build inverts a few MB of leaves at a time and forms G and the
+    # edge-to-flux map per run: each equals the whole stack's, bit for bit
+    m = mesh2d(12, 10, p=12, box=((-2.0, 2.0), (-1.0, 1.0)))
+    op = GROUPED_BUILDS[name]
+    ii, bb = m.interior_local, m.edge_local
+    M_II = collocate_interior(op, m, ii)
+    assert len(_groups(m.n_leaves, M_II[0].nbytes)) >= 2
+    inv, cond = guarded_inverse(M_II, "test stack")
+    G = inv @ collocate_interior(op, m, bb)
+    F = flux_matrix(m)
+    Fi, Fb = F[:, ii], F[:, bb]
+    ops = build_leaf_operators(m, op)
+    if name == "imaginary-shift":  # the real form keeps Re(inv) and Fi @ Re(inv)
+        np.testing.assert_array_equal(ops.P, inv.real)
+        np.testing.assert_array_equal(ops.FiP, Fi @ inv.real)
+    else:
+        np.testing.assert_array_equal(ops.P, inv)
+        np.testing.assert_array_equal(ops.G, G)
+    assert ops.condition == cond
+    np.testing.assert_array_equal(ops.edge_to_flux(), Fb - Fi @ G)
+    assert ops.edge_to_flux() is None  # handed over once
 
 
 def test_gather_scatter_round_trip():
@@ -557,4 +594,4 @@ def test_sampled_identity_term_leaves_edge_columns_shared(dim):
     assert len(collocate_interior(op, m, m.edge_local)) == 1
     assert len(collocate_interior(op, m, m.interior_local)) == m.n_leaves
     ops = build_leaf_operators(m, op)
-    assert len(ops.inv) == len(ops.G) == m.n_leaves
+    assert len(ops.P) == len(ops.G) == m.n_leaves

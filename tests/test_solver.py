@@ -10,8 +10,8 @@ from hpstep.operators import (
     EllipticOperator,
     LeafOperatorSet,
     RealLeafOperatorSet,
-    build_leaf_operators,
     edge_fluxes,
+    flux_matrix,
     gather_leaf_fields,
     laplace_operator,
 )
@@ -94,7 +94,7 @@ def test_non_imaginary_shifts_keep_complex_leaves(name):
     op = NON_IMAGINARY_SHIFTS[name]
     fact = build_factorization(mesh, op)
     assert isinstance(fact.leaf_ops, LeafOperatorSet)
-    assert fact.leaf_ops.inv.dtype == fact.leaf_ops.G.dtype == complex
+    assert fact.leaf_ops.P.dtype == fact.leaf_ops.G.dtype == complex
     f, g = random_data(mesh, np.random.default_rng(8), complex)
     want = oracle_solve(assemble_global(mesh, op), f, dirichlet=g)
     assert np.abs(fact.solve(f, g) - want).max() / np.abs(want).max() < 1e-9
@@ -116,7 +116,7 @@ def test_schrodinger_factorization_stores_float64_leaf_stacks():
     assert leaf.dtn is None  # the merges took it
     # half the bytes of the general form's complex inverse and G
     general = build_factorization(mesh, schrodinger_stage().shifted(1.0, 0.01 + 0.07j)).leaf_ops
-    assert leaf.P.nbytes + leaf.FiP.nbytes == (general.inv.nbytes + general.G.nbytes) // 2
+    assert leaf.P.nbytes + leaf.FiP.nbytes == (general.P.nbytes + general.G.nbytes) // 2
 
 
 @pytest.mark.parametrize("case", ["real", "schrodinger"])
@@ -125,8 +125,8 @@ def test_factor_bytes_counts_every_stored_array(case):
     op = shifted_laplace() if case == "real" else schrodinger_stage()
     fact = build_factorization(mesh, op)
     leaf = fact.leaf_ops
-    names = ("inv", "G") if case == "real" else ("P", "FiP", "M_IB")
-    arrays = [getattr(leaf, n) for n in names + ("Fi", "Fb")]
+    names = ("P", "G", "Fi") if case == "real" else ("P", "FiP", "M_IB")
+    arrays = [getattr(leaf, n) for n in names]
     if case == "schrodinger":  # the interior shift's 1-D blocks and sampled weights
         terms = leaf.A_II._terms
         arrays += [a for _, B, _, w in terms for a in (B, w) if a is not None]
@@ -178,7 +178,7 @@ def test_multi_rhs_matches_stacked_single(mesh_name, variable, route):
     else:
         op = shifted_laplace()
     fact = build_factorization(mesh, op)
-    assert len(fact.leaf_ops.inv) == (mesh.n_leaves if variable else 1)
+    assert len(fact.leaf_ops.P) == (mesh.n_leaves if variable else 1)
     rng = np.random.default_rng(4)
     F = rng.standard_normal((3, mesh.n_nodes))
     G = rng.standard_normal((3, fact.gamma_ids.size))
@@ -229,15 +229,17 @@ def test_solution_interpolates_smooth_data():
     assert errs[1] < 1e-4 * errs[0]
 
 
-def leaf_flux_jumps(mesh, leaf_ops: LeafOperatorSet, field):
+def leaf_flux_jumps(mesh, field):
     """Max interface jump of one-sided edge-normal derivatives."""
+    F = flux_matrix(mesh)
+    Fi, Fb = F[:, mesh.interior_local], F[:, mesh.edge_local]
     flat = mesh.leaf_grid.reshape(mesh.n_leaves, -1)
     jump = np.zeros(mesh.n_nodes)
     seen = np.zeros(mesh.n_nodes, dtype=bool)
     for l in range(mesh.n_leaves):
         ii = flat[l, mesh.interior_local]
         bb = flat[l, mesh.edge_local]
-        flux = leaf_ops.Fi @ field[ii] + leaf_ops.Fb @ field[bb]
+        flux = Fi @ field[ii] + Fb @ field[bb]
         sel = mesh.node_class[bb] == INTERFACE
         ids = bb[sel]
         vals = flux[sel]
@@ -271,9 +273,8 @@ def test_penalized_interface_condition(dim):
     f = np.zeros(mesh.n_nodes)
     g = np.zeros(fact.gamma_ids.size)
     sol = fact.solve(f, g, penalty=edge_fluxes(mesh, kink) / dt)
-    leaf_ops = build_leaf_operators(mesh, op)
-    jump_sol = leaf_flux_jumps(mesh, leaf_ops, sol)
-    jump_pen = leaf_flux_jumps(mesh, leaf_ops, kink)
+    jump_sol = leaf_flux_jumps(mesh, sol)
+    jump_pen = leaf_flux_jumps(mesh, kink)
     mid = mesh.ids_of(INTERFACE)
     np.testing.assert_allclose(jump_sol[mid], -jump_pen[mid] / dt, rtol=1e-10)
     # and a smooth penalty field leaves the solve essentially unchanged
@@ -381,7 +382,7 @@ def test_stored_tables_and_stacks_are_c_contiguous(mesh_name, op_name):
     holders = {"plan": plan}
     holders |= {f"plan level {i}": lv for i, lv in enumerate(plan.levels)}
     holders |= {f"level {i}": lv for i, lv in enumerate(fact.levels)}
-    stored = {"leaf inv": fact.leaf_ops.inv, "leaf G": fact.leaf_ops.G}
+    stored = {"leaf P": fact.leaf_ops.P, "leaf G": fact.leaf_ops.G}
     for where, obj in holders.items():
         for f in dataclasses.fields(obj):
             if isinstance(getattr(obj, f.name), np.ndarray):
@@ -389,7 +390,7 @@ def test_stored_tables_and_stacks_are_c_contiguous(mesh_name, op_name):
     assert [name for name, a in stored.items() if not a.flags.c_contiguous] == []
     # the tables have rows to lay out, and the stacks are the kind the case names
     assert max(len(lv.ia) for lv in plan.levels) > 1
-    blocks = [len(fact.leaf_ops.inv)] + [len(lv.inv_X) for lv in fact.levels]
+    blocks = [len(fact.leaf_ops.P)] + [len(lv.inv_X) for lv in fact.levels]
     if op_name == "constant":
         assert blocks == [1] * len(blocks)
     else:
@@ -479,7 +480,7 @@ def test_factorization_holds_no_index_table(mesh_name):
 def test_apply_full_stack_matches_per_block(k, order):
     fact = variable_factorization()
     rng = np.random.default_rng(k)
-    for A in [fact.leaf_ops.inv, fact.leaf_ops.G] + [lv.C for lv in fact.levels if len(lv.C) > 1]:
+    for A in [fact.leaf_ops.P, fact.leaf_ops.G] + [lv.C for lv in fact.levels if len(lv.C) > 1]:
         m, _, n = A.shape
         x = rng.standard_normal((k, m, n)) + 1j * rng.standard_normal((k, m, n))
         x = np.asarray(x, order=order)  # F order: the block axis moves fastest
@@ -493,7 +494,7 @@ def test_apply_full_stack_matches_per_block(k, order):
 def test_apply_shared_stack_is_one_gemm(k):
     fact = build_factorization(build_mesh(((0.0, 2.0), (0.0, 2.0)), 2, 2, p=6), shifted_laplace())
     rng = np.random.default_rng(0)
-    stacks = [fact.leaf_ops.inv, fact.leaf_ops.G]
+    stacks = [fact.leaf_ops.P, fact.leaf_ops.G]
     stacks += [getattr(lv, name) for lv in fact.levels for name in ("inv_X", "S", "C")]
     for A in stacks:
         assert len(A) == 1
