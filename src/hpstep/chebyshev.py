@@ -3,7 +3,10 @@
 Provides 1D extreme-point grids, spectral differentiation matrices built
 from barycentric weights, and the leaf stencil used on 1D and 2D leaf
 boxes. Node ordering is ascending in each coordinate; 2D flattening is
-row-major with y outer and x inner.
+row-major with y outer and x inner. A leaf is a tensor-product grid, so
+each of its derivatives is a 1-D block along one axis: the stencil keeps
+only those, O(p^2) numbers, and places a 2-D matrix's rows from them
+(`LeafStencil.rows`).
 """
 from __future__ import annotations
 
@@ -87,39 +90,41 @@ def interp_matrix(x_src: np.ndarray, x_tgt: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LeafStencil:
-    """Collocation matrices for one leaf box.
-
-    In 2D, Dx1/Dy1 act along a single coordinate of a (p, p) nodal array;
-    the kron-assembled Dx, Dy, Dxx, Dyy act on the row-major flattening
-    (y outer, x inner). In 1D, Dx1 and Dx are the same p-by-p matrix and
-    every y field is None. Second derivatives are matrix products of first
-    derivatives, so they inherit the same null space.
-    """
+    """The 1-D differentiation blocks of one leaf box: Dx1 and Dy1 act
+    along one coordinate of a (p, p) nodal array (in 1D, of the p nodes,
+    and the y blocks are None), and Dxx1 and Dyy1 are their squares."""
 
     Dx1: np.ndarray = field(repr=False)
     Dy1: np.ndarray | None = field(repr=False)
-    Dx: np.ndarray = field(repr=False)
-    Dy: np.ndarray | None = field(repr=False)
-    Dxx: np.ndarray = field(repr=False)
-    Dyy: np.ndarray | None = field(repr=False)
+    Dxx1: np.ndarray = field(repr=False)
+    Dyy1: np.ndarray | None = field(repr=False)
+
+    def rows(self, key: str, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The 2-D derivative of the 1-D block `key` ("Dx1", "Dy1", "Dxx1"
+        or "Dyy1") at flat local rows and columns: the block's entry where
+        a row node and a column node share an x-line (x-derivatives) or a
+        y-line (y-derivatives), zero elsewhere; in 1D, the block's own rows."""
+        B = getattr(self, key)
+        p, n = len(B), len(rows)
+        ry, rx = np.divmod(rows, p)
+        lines = np.zeros((n, p, p))  # each row over the (y, x) nodes of a leaf
+        if "y" in key:
+            lines[np.arange(n), :, rx] = B[ry]  # along the row node's y-line
+        else:
+            lines[np.arange(n), ry, :] = B[rx]  # along its x-line
+        return lines.reshape(n, p * p)[:, cols]
 
 
 @cache
 def leaf_stencil(p: int, hx: float, hy: float | None) -> LeafStencil:
-    """The differentiation stencil for an hx-by-hy leaf, or for a 1D leaf
-    of width hx when hy is None; built once per argument triple."""
+    """The differentiation blocks of an hx-by-hy leaf, or of a 1D leaf of
+    width hx when hy is None; built once per argument triple."""
     if hx <= 0 or (hy is not None and hy <= 0):
         raise ValueError(f"leaf size must be positive, got {hx}x{hy}")
     D = cheb_diff_matrix(p)
     Dx1 = D * (2.0 / hx)
-    Dx, Dy1, Dy, Dyy = Dx1, None, None, None
-    if hy is not None:
-        Dy1 = D * (2.0 / hy)
-        eye = np.eye(p)
-        Dx = np.kron(eye, Dx1)
-        Dy = np.kron(Dy1, eye)
-        Dyy = Dy @ Dy
-    return LeafStencil(Dx1=Dx1, Dy1=Dy1, Dx=Dx, Dy=Dy, Dxx=Dx @ Dx, Dyy=Dyy)
+    Dy1 = None if hy is None else D * (2.0 / hy)
+    return LeafStencil(Dx1=Dx1, Dy1=Dy1, Dxx1=Dx1 @ Dx1, Dyy1=None if hy is None else Dy1 @ Dy1)
 
 
 @cache

@@ -53,6 +53,11 @@ RESULT_COLUMNS = (
     "step_seconds",
 )
 SWEEP_COLUMNS = ("series", "axis", "value", "error", "rate")
+# the most steps a run or sweep point may plan; the shipped configs plan at most 400
+MAX_STEPS = 10**7
+# the most nodes along one axis of a mesh, n1 leaves of p: 2**48 nodes in 2D
+# are 2 PB per float array, beyond any memory but within numpy's size limit
+MAX_AXIS_NODES = 2**24
 
 
 class ConfigError(ValueError):
@@ -121,6 +126,8 @@ class RunConfig:
             raise ConfigError("mesh.n1: need at least one leaf")
         if self.mesh["p"] < 4:
             raise ConfigError("mesh.p: need at least 4 nodes per leaf side")
+        if self.mesh["n1"] * self.mesh["p"] > MAX_AXIS_NODES:
+            raise ConfigError(f"mesh: n1 * p is more than {MAX_AXIS_NODES} nodes along an axis")
         if self.formulation is not None and self.formulation not in FORMULATIONS:
             raise ConfigError(
                 f"formulation: {self.formulation!r} not in {FORMULATIONS}"
@@ -156,8 +163,9 @@ class RunConfig:
     def resolve_order(self, case: TransientCase) -> int:
         return self.q_rk if self.q_rk is not None else case.order
 
-    def resolve_steps(self, case: TransientCase) -> int:
-        """Whole number of steps covering [0, t_end]."""
+    def resolve_steps(self, case: TransientCase, doublings: int = 0) -> int:
+        """Whole number of steps covering [0, t_end], doubled `doublings`
+        times; refused above MAX_STEPS, as such a run would not finish."""
         dt = self.dt if self.dt is not None else case.dt
         if dt is None and self.dt_rule is None:
             raise ConfigError(
@@ -166,10 +174,14 @@ class RunConfig:
             )
         try:
             if self.dt_rule == "resolution":
-                return resolution_step_count(case, self.resolve_order(case))
-            return max(1, round(case.t_end / dt))
-        except OverflowError:  # t_end / dt is inf
-            raise ConfigError(f"t_end: {case.t_end!r} over dt is too many steps") from None
+                steps = resolution_step_count(case, self.resolve_order(case)) << doublings
+            else:
+                steps = max(1, round(case.t_end / dt)) << doublings
+        except (OverflowError, ZeroDivisionError):  # t_end / dt is inf, or h**(p/q) is 0
+            steps = MAX_STEPS + 1
+        if steps > MAX_STEPS:
+            raise ConfigError(f"t_end: {case.t_end!r} over dt is more than {MAX_STEPS} steps")
+        return steps
 
 
 def load_config(path: str, overrides=()) -> RunConfig:
@@ -319,7 +331,9 @@ def _sweep_dt(cfg: RunConfig, points: int) -> list[dict]:
     """Halve the step; without a known solution, measure against one
     extra halving."""
     case = cfg.build_case()
-    counts = [cfg.resolve_steps(case) * 2**i for i in range(points)]
+    counts = [cfg.resolve_steps(case, i) for i in range(points)]
+    if case.exact is None:  # the reference run halves the step once more
+        cfg.resolve_steps(case, points)
     series = resolution_series(
         f"{cfg.experiment}-dt", "dt", counts, lambda count: _advance(cfg, case, count),
         "exact" if case.exact is not None else "halving", strict=False,
@@ -353,7 +367,7 @@ def _sweep_extrapolation(cfg: RunConfig, points: int, out: Path) -> list[dict]:
             "axis: extrapolation-level needs an experiment with a known "
             "solution (heat1d-bc or schrodinger-harmonic)"
         )
-    counts = [cfg.resolve_steps(case) * 2**i for i in range(points)]
+    counts = [cfg.resolve_steps(case, i) for i in range(points)]
     errs = extrapolation_table(case, counts, cfg.resolve_order(case), cfg.formulation)
     columns = ["level", "steps"] + [f"extrap_{k}" for k in range(points)]
     table = [dict(zip(columns, [i, c, *row])) for i, (c, row) in enumerate(zip(counts, errs))]

@@ -36,11 +36,13 @@ with 1-D derivative blocks (`RealLeafOperatorSet.shift`). Forming P as
 Every leaf derivative of a field is one kernel, `apply_lines`: a real
 1-D Chebyshev row block along x or y of batched leaf arrays. The applier
 takes the interior rows D[1:-1, :], the interior shift D[1:-1, 1:-1] and
-`edge_fluxes` the end rows D[0] and D[-1]. Complex values meet real
-operators as float pairs: viewed as float64, a complex array holds each
-value's real and imaginary parts side by side, so a real matrix applied
-to that view acts on both at once and streams as the float64 it is
-stored in (`apply_lines`, `apply_blocks`, the stepper's stage sums).
+`edge_fluxes` the end rows D[0] and D[-1]; the collocation and flux rows
+are placed from the same entries (`LeafStencil.rows`). Complex values
+meet real operators as float pairs: viewed as float64, a complex array
+holds each value's real and imaginary parts side by side, so a real
+matrix applied to that view acts on both at once and streams as the
+float64 it is stored in (`apply_lines`, `apply_blocks`, the stepper's
+stage sums).
 
 Leaf corners hold no unknowns. For every term above, the collocation
 rows used by the solver have exactly zero weight on corner values, so
@@ -51,6 +53,7 @@ none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -119,13 +122,13 @@ def _sample_leaves(op: EllipticOperator, mesh: Mesh) -> dict:
     return {name: coefs[name] for name in keep if np.ndim(coefs[name]) or coefs[name] != 0}
 
 
-# coefficient, sign and matrix (a stencil field or the identity "I") of
-# every term of A, in the order the terms are summed
+# coefficient, sign and 1-D block (a `LeafStencil` field, or the identity
+# "I") of every term of A, in the order the terms are summed
 _TERMS = (
-    ("c11", -1.0, "Dxx"),
-    ("c22", -1.0, "Dyy"),
-    ("c1", 1.0, "Dx"),
-    ("c2", 1.0, "Dy"),
+    ("c11", -1.0, "Dxx1"),
+    ("c22", -1.0, "Dyy1"),
+    ("c1", 1.0, "Dx1"),
+    ("c2", 1.0, "Dy1"),
     ("c0", 1.0, "I"),
 )
 
@@ -161,7 +164,7 @@ def collocate_interior(
     for name, sign, key in _TERMS:
         if name in coefs:
             c = coefs[name]
-            D = eye if key == "I" else getattr(st, key)[np.ix_(ii, cols)]
+            D = eye if key == "I" else st.rows(key, ii, cols)
             if not np.ndim(c):
                 block += c * (sign * D)
             elif D.any():
@@ -238,11 +241,12 @@ def flux_matrix(mesh: Mesh) -> np.ndarray:
     columns of these rows are identically zero.
     """
     st = mesh_stencil(mesh)
-    edge = mesh.edge_local
-    if mesh.dim == 1:
-        return st.Dx[edge]
-    horizontal = np.repeat([True, False, True, False], mesh.p - 2)  # S, E, N, W
-    return np.where(horizontal[:, None], st.Dy[edge], st.Dx[edge])
+    edge, every = mesh.edge_local, np.arange(mesh.leaf_grid[0].size)
+    F = st.rows("Dx1", edge, every)
+    if mesh.dim == 2:
+        horizontal = np.repeat([True, False, True, False], mesh.p - 2)  # S, E, N, W
+        F[horizontal] = st.rows("Dy1", edge[horizontal], every)
+    return F
 
 
 def apply_lines(B: np.ndarray, axis: str, U: np.ndarray) -> np.ndarray:
@@ -273,9 +277,6 @@ class _LineTerms:
 
     def __init__(self, mesh: Mesh, coefs: dict, rows: slice, cols: slice):
         st = mesh_stencil(mesh)
-        lines = {"Dx": ("x", st.Dx1), "Dxx": ("x", st.Dx1 @ st.Dx1)}
-        if mesh.dim == 2:
-            lines.update(Dy=("y", st.Dy1), Dyy=("y", st.Dy1 @ st.Dy1))
         keep = slice(None) if rows == cols else rows  # `rows` within `cols`
         self.grid = (len(range(mesh.p)[cols]),) * mesh.dim  # of the leaf arrays it takes
         # (axis or None, 1-D block, index of the kept values, weight or None) per present term
@@ -284,10 +285,10 @@ class _LineTerms:
             if name not in coefs:
                 continue
             weight = sign * coefs[name]
-            axis, B = lines.get(key, (None, None))
-            at = [keep] * mesh.dim
-            if axis is not None:
-                B = B[rows, cols]
+            axis, B, at = None, None, [keep] * mesh.dim
+            if key != "I":
+                axis = "y" if "y" in key else "x"
+                B = getattr(st, key)[rows, cols]
                 at[-1 if axis == "x" else -2] = slice(None)
             if np.ndim(weight):
                 weight = weight.reshape((len(weight),) + (mesh.p,) * mesh.dim)
@@ -297,10 +298,16 @@ class _LineTerms:
             self._terms.append((axis, B, (Ellipsis, *at), weight))
         self._dtype = np.result_type(np.float64, *(w for *_, w in self._terms if w is not None))
 
+    @cached_property
+    def _complex_terms(self) -> list:
+        """The terms, a sampled weight cast to complex once: numpy would cast
+        a real one on every call with complex values, into the same products."""
+        return [(*t[:3], np.asarray(t[3], complex) if np.ndim(t[3]) else t[3]) for t in self._terms]
+
     def __call__(self, V: np.ndarray) -> np.ndarray:
         dtype = np.result_type(V, self._dtype)
         acc = None
-        for axis, B, at, weight in self._terms:
+        for axis, B, at, weight in self._complex_terms if V.dtype.kind == "c" else self._terms:
             term = (V if axis is None else apply_lines(B, axis, V))[at]
             if weight is not None:
                 term = weight * term

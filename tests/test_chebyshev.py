@@ -68,20 +68,27 @@ def test_grid_scaling():
     g = leaf_stencil(18, 2.0, None)
     nodes = cheb_nodes(18) + 1.0  # the interval [0, 2]
     f = np.sin(nodes)
-    np.testing.assert_allclose(g.Dx @ f, np.cos(nodes), atol=1e-12)
-    np.testing.assert_allclose(g.Dxx @ f, -np.sin(nodes), atol=1e-10)
+    np.testing.assert_allclose(g.Dx1 @ f, np.cos(nodes), atol=1e-12)
+    np.testing.assert_allclose(g.Dxx1 @ f, -np.sin(nodes), atol=1e-10)
 
 
 def test_stencil_tensor_layout():
     # row-major, y outer / x inner: Dx must act within each row of nodes
     p = 6
     st = leaf_stencil(p, 2.0, 2.0)
+    Dx, Dy = np.kron(np.eye(p), st.Dx1), np.kron(st.Dy1, np.eye(p))  # the 2-D matrices
     X, Y = np.meshgrid(cheb_nodes(p), cheb_nodes(p))  # X varies along axis 1
     u = (X**3 * Y**2).ravel()
-    np.testing.assert_allclose(st.Dx @ u, (3 * X**2 * Y**2).ravel(), atol=1e-10)
-    np.testing.assert_allclose(st.Dy @ u, (2 * X**3 * Y).ravel(), atol=1e-10)
-    np.testing.assert_allclose(st.Dx @ st.Dy @ u, (6 * X**2 * Y).ravel(), atol=1e-9)
-    np.testing.assert_allclose(st.Dxx @ u, (6 * X * Y**2).ravel(), atol=1e-9)
+    np.testing.assert_allclose(Dx @ u, (3 * X**2 * Y**2).ravel(), atol=1e-10)
+    np.testing.assert_allclose(Dy @ u, (2 * X**3 * Y).ravel(), atol=1e-10)
+    np.testing.assert_allclose(Dx @ Dy @ u, (6 * X**2 * Y).ravel(), atol=1e-9)
+    np.testing.assert_allclose(Dx @ Dx @ u, (6 * X * Y**2).ravel(), atol=1e-9)
+    # the stencil places the same matrices' rows
+    every = np.arange(p * p)
+    np.testing.assert_array_equal(st.rows("Dx1", every, every), Dx)
+    np.testing.assert_array_equal(st.rows("Dy1", every, every), Dy)
+    Dxx = st.rows("Dxx1", every, every)
+    np.testing.assert_allclose(Dxx @ u, (6 * X * Y**2).ravel(), atol=1e-9)
 
 
 def test_batched_apply_matches_kron():
@@ -90,12 +97,25 @@ def test_batched_apply_matches_kron():
     st = leaf_stencil(p, 1.5, 0.5)
     U = rng.standard_normal((4, p, p))
     flat = U.reshape(4, p * p)
+    Dx, Dy = np.kron(np.eye(p), st.Dx1), np.kron(st.Dy1, np.eye(p))
     np.testing.assert_allclose(
-        apply_lines(st.Dx1, "x", U).reshape(4, -1), flat @ st.Dx.T, atol=1e-12
+        apply_lines(st.Dx1, "x", U).reshape(4, -1), flat @ Dx.T, atol=1e-12
     )
     np.testing.assert_allclose(
-        apply_lines(st.Dy1, "y", U).reshape(4, -1), flat @ st.Dy.T, atol=1e-12
+        apply_lines(st.Dy1, "y", U).reshape(4, -1), flat @ Dy.T, atol=1e-12
     )
+
+
+def test_stencil_stores_only_1d_blocks():
+    # O(p^2) numbers per leaf size; p^2-by-p^2 matrices took 10.6 MB at p=24
+    st = leaf_stencil(24, 0.25, 0.25)
+    stored = vars(st).values()
+    assert all(B.shape == (24, 24) for B in stored)
+    assert sum(B.nbytes for B in stored) < 50_000
+    np.testing.assert_array_equal(st.Dxx1, st.Dx1 @ st.Dx1)
+    np.testing.assert_array_equal(st.Dyy1, st.Dy1 @ st.Dy1)
+    line = leaf_stencil(24, 0.25, None)
+    assert line.Dy1 is None and line.Dyy1 is None
 
 
 @pytest.mark.parametrize("p", [8, 12])

@@ -5,14 +5,16 @@ import errno
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpstep import cli
+from hpstep import cli, studies
 from hpstep.cli import (
     FORMULATIONS,
     RESULT_COLUMNS,
@@ -410,6 +412,37 @@ def test_step_count_overflow_exits_2_naming_t_end_and_dt(tmp_path, capsys, rule)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "harmonic-extrapolation", "--set", "dt=1e-300"],
+        ["run", "heat1d-order", "--set", "t_end=1e300"],
+        # h**(p/q) underflows to a zero step
+        ["run", "heat1d-order", "--set", "dt=null", "--set", "dt_rule=resolution",
+         "--set", "mesh.p=100000"],
+        # 2e6 steps at the first point, 1.6e7 at the fourth
+        ["sweep", "heat1d-order", "--set", "dt=1e-6", "--axis", "dt", "--points", "4"],
+        # 6.25e6 steps, and 1.25e7 in the extra halving that is the reference
+        ["sweep", "burgers-rotating-desk", "--set", "dt=1.6e-7", "--axis", "dt", "--points", "1"],
+    ],
+    ids=["dt", "t_end", "resolution", "sweep", "sweep-reference"],
+)
+def test_step_count_past_the_ceiling_exits_2(tmp_path, monkeypatch, capsys, argv):
+    def not_reached(*args, **kw):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(cli, "make_stepper", not_reached)
+    monkeypatch.setattr(studies, "make_stepper", not_reached)
+    command, name, *rest = argv
+    out = tmp_path / "out"
+    code = main([command, str(CONFIG_DIR / f"{name}.json"), "--set", f"output_dir={out}", *rest])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: t_end: ") and " dt " in err[0], err
+    assert f"more than {cli.MAX_STEPS} steps" in err[0]
+    assert not out.exists()
+
+
 def test_run_outputs(tmp_path):
     cfg = load_config(str(heat_config(tmp_path)))
     out = cmd_run(cfg)
@@ -631,3 +664,108 @@ def test_reproduce_reports_a_failing_claim(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines() == ['criterion 1: {"checks": 1}']
     assert captured.err.splitlines() == ["error: step 3 (t=0.3): field is not finite"]
+
+
+# -- the no-traceback promise over mutations of the shipped configs ---------
+
+SHIPPED = sorted(CONFIG_DIR.glob("*.json"))
+DESK = [p for p in SHIPPED if "-full" not in p.name]  # small enough to sweep
+# wrong types, signs, inf/nan and huge integers; mesh integers are drawn
+# small or far beyond any memory, so no mesh between is ever built
+_MUTANT_VALUES = st.one_of(
+    st.sampled_from([None, True, "", "x", [], [1], {}, {"n1": 2}, 0.5]),  # wrong types
+    st.sampled_from(["slopes", "stages", "resolution", "heat1d-bc"]),  # strings out of place
+    st.sampled_from([0, -1, -0.5, -(10**30)]),  # signs
+    st.sampled_from([float("inf"), -float("inf"), float("nan"), 1e300, 1e-300, 5e-324]),
+    st.sampled_from([10**15, 10**30, 2**63, 10**400]),  # huge integers
+    st.integers(-3, 16),
+)
+_FIELDS = tuple(RunConfig.__dataclass_fields__) + ("bogus",)
+_MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(_FIELDS), _MUTANT_VALUES),
+        st.tuples(st.just("mesh"), st.sampled_from(["n1", "n2", "p", "q"]), _MUTANT_VALUES),
+        st.tuples(st.just("drop"), st.sampled_from(_FIELDS), st.none()),
+        st.tuples(st.just("unwritable"), st.none(), st.none()),
+    ),
+    min_size=1,
+    max_size=2,
+)
+_OVERRIDES = st.lists(
+    st.one_of(
+        st.builds(
+            "{}={}".format,
+            st.sampled_from(_FIELDS + ("mesh.n1", "mesh.n2", "mesh.p", "mesh.q", "dt.x")),
+            _MUTANT_VALUES.map(json.dumps),
+        ),
+        st.text(max_size=8),
+    ),
+    max_size=1,
+)
+
+
+class _StillStepper:
+    """A stepper that leaves its field as it is: the config handling, not
+    the stepping, is under test."""
+
+    formulation = "slopes"
+    fact = SimpleNamespace(condition={"leaf": 1.0})
+
+    def __init__(self, case, dt, **kw):
+        pass
+
+    def run(self, t, u, steps):
+        return u
+
+    def step(self, t, u):
+        return u
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    path=st.sampled_from(SHIPPED),
+    mutations=_MUTATIONS,
+    overrides=_OVERRIDES,
+    command=st.one_of(
+        st.just(["run"]),
+        st.tuples(st.sampled_from(cli.AXES), st.integers(-1, 2)).map(
+            lambda a: ["sweep", "--axis", a[0], "--points", str(a[1])]
+        ),
+    ),
+)
+def test_mutated_shipped_configs_exit_cleanly(path, mutations, overrides, command):
+    # exit 0, 1 or 2; a failure prints exactly one `error:` line; nothing
+    # ever escapes `main` as a traceback
+    if command[0] == "sweep" and path not in DESK:
+        path = DESK[0]
+    raw = json.loads(path.read_text())
+    with contextlib.ExitStack() as stack:
+        tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        raw["output_dir"] = str(tmp / "out")
+        for kind, key, value in mutations:
+            if kind == "set":
+                raw[key] = value
+            elif kind == "mesh" and isinstance(raw.get("mesh"), dict):
+                raw["mesh"][key] = value
+            elif kind == "drop":
+                raw.pop(key, None)
+            elif kind == "unwritable":
+                (tmp / "file").write_text("")
+                raw["output_dir"] = str(tmp / "file" / "out")
+        config = tmp / "config.json"
+        config.write_text(json.dumps(raw))
+        mp = stack.enter_context(pytest.MonkeyPatch.context())
+        mp.chdir(tmp)  # an overridden relative output_dir lands here
+        for module in (cli, studies):
+            mp.setattr(module, "make_stepper", _StillStepper)
+        mp.setattr(cli, "factor_bytes", lambda fact: 0)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], str(config), *command[1:],
+                         *(f"--set={item}" for item in overrides)])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), err.getvalue()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert lines == []

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -90,14 +92,12 @@ def test_mixed_term_rejected_and_why():
         rows(EllipticOperator(c11=1.0, c22=1.0, c12=0.5), m)
     # the reason: unlike every supported term, the mixed derivative's
     # interior rows carry nonzero weight on the dropped corner nodes
-    from hpstep.chebyshev import leaf_stencil
-
-    st = leaf_stencil(6, 1.0, 1.0)
+    D = kron_matrices(leaf_stencil(6, 1.0, 1.0))
     p = 6
     corners = [0, p - 1, p * (p - 1), p * p - 1]
     interior = m.interior_local
-    assert np.abs((st.Dx @ st.Dy)[np.ix_(interior, corners)]).max() > 1.0
-    for Dmat in (st.Dx, st.Dy, st.Dxx, st.Dyy):
+    assert np.abs((D["Dx1"] @ D["Dy1"])[np.ix_(interior, corners)]).max() > 1.0
+    for Dmat in D.values():
         assert np.abs(Dmat[np.ix_(interior, corners)]).max() == 0.0
 
 
@@ -516,12 +516,25 @@ COLLOCATION_MESHES = {
     "1d": lambda: build_mesh((0.0, 1.5), 3, p=7),
     "2d": lambda: build_mesh(((0.0, 2.0), (-0.5, 0.5)), 3, 2, p=6),
 }
-_TERM_MATRIX = {"c11": (-1.0, "Dxx"), "c22": (-1.0, "Dyy"), "c1": (1.0, "Dx"), "c2": (1.0, "Dy")}
+_TERM_MATRIX = {
+    "c11": (-1.0, "Dxx1"), "c22": (-1.0, "Dyy1"), "c1": (1.0, "Dx1"), "c2": (1.0, "Dy1")
+}
+
+
+def kron_matrices(st):
+    """The derivative matrices of a leaf stencil over all of a leaf's local
+    nodes, built here from its 1-D blocks: in 2D with np.kron on the
+    row-major flattening, and second derivatives as products of first."""
+    if st.Dy1 is None:
+        return {"Dx1": st.Dx1, "Dxx1": st.Dx1 @ st.Dx1}
+    eye = np.eye(len(st.Dx1))
+    Dx, Dy = np.kron(eye, st.Dx1), np.kron(st.Dy1, eye)
+    return {"Dx1": Dx, "Dy1": Dy, "Dxx1": Dx @ Dx, "Dyy1": Dy @ Dy}
 
 
 def dense_leaf_rows(m, op, l):
     """sigma*I + scale*sum(sign*c*D) of leaf l over all of its local nodes."""
-    st = mesh_stencil(m)
+    D = kron_matrices(mesh_stencil(m))
     x, y = leaf_coordinates(m)
     x, y = x[l].ravel(), None if y is None else y[l].ravel()
     n = x.size
@@ -530,7 +543,7 @@ def dense_leaf_rows(m, op, l):
         c = getattr(op, name)
         c = (c(x) if y is None else c(x, y)) if callable(c) else np.full(n, c)
         sign, key = _TERM_MATRIX.get(name, (1.0, None))
-        A += sign * c[:, None] * (np.eye(n) if key is None else getattr(st, key))
+        A += sign * c[:, None] * (np.eye(n) if key is None else D[key])
     return op.sigma * np.eye(n) + op.scale * A
 
 
@@ -551,6 +564,44 @@ def test_collocation_matches_dense_leaf_build(dim, sampled):
         got = np.broadcast_to(got, (m.n_leaves,) + got.shape[1:])
         ref = want[:, :, cols]
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@functools.lru_cache(maxsize=2)
+def kron_referee(p, hx, hy):
+    """`kron_matrices` of one leaf size, kept for the next call."""
+    return kron_matrices(leaf_stencil(p, hx, hy))
+
+
+@pytest.mark.parametrize("dim", list(COLLOCATION_MESHES))
+@pytest.mark.parametrize("p", range(4, 25))
+def test_placed_rows_match_kron_referee_at_every_p(p, dim):
+    # rows placed from the 1-D blocks against np.kron matrices: each term
+    # alone, constant and sampled, then the flux rows
+    if dim == "1d":
+        m = build_mesh((0.0, 1.5), 2, p=p)
+        names, D = ("c11", "c1", "c0"), kron_referee(p, m.hx, None)
+    else:
+        m = build_mesh(((0.0, 2.0), (-0.5, 0.5)), 2, 1, p=p)
+        names, D = tuple(COLLOCATION_COEFS), kron_referee(p, m.hx, m.hy)
+    ii, every = m.interior_local, np.arange(m.leaf_grid[0].size)
+    x, y = (c.reshape(m.n_leaves, -1) if c is not None else None for c in leaf_coordinates(m))
+    for name in names:
+        sign, key = _TERM_MATRIX.get(name, (1.0, None))
+        M = np.eye(every.size) if key is None else D[key]
+        for c in COLLOCATION_COEFS[name]:
+            op = EllipticOperator(**{name: c}, sigma=0.3 - 1.1j, scale=-0.7 + 0.4j)
+            vals = (c(x) if y is None else c(x, y)) if callable(c) else np.full(x.shape, c)
+            want = op.sigma * np.eye(every.size)[ii] + op.scale * sign * vals[:, ii, None] * M[ii]
+            got = np.broadcast_to(collocate_interior(op, m, every), want.shape)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+    if dim == "1d":
+        want = D["Dx1"][m.edge_local]
+    else:
+        horizontal = np.repeat([True, False, True, False], p - 2)  # S, E, N, W
+        want = np.where(horizontal[:, None], D["Dy1"][m.edge_local], D["Dx1"][m.edge_local])
+    F = flux_matrix(m)
+    assert F.shape == want.shape
+    assert np.abs(F - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def real_part(coef):
