@@ -23,6 +23,9 @@ Cases, each the last field of its run:
                              criterion 3 of `hpstep.studies.CLAIMS`
     heat1d-kink-uncorrected  the same without the derivative-jump penalty
     schrodinger-asymmetric   schrodinger-asymmetric at its defaults, 25 steps to t=1
+    general-sampled          u - lap(u) + (1 + x^2 + y^2) u = f on 16x16 p=8, the general
+                             leaf form with a sampled coefficient: seeds 1-4's random
+                             loads and boundary data solved as one stack of four rows
     burgers-cross            burgers-cross 8x8 p=12 at its dt=1/80, 3 steps (max|u| 13.8
                              from 6.96); its 4th step reaches 5.6e7, its 5th is not finite
     tableau-q3 .. -q5        the float arrays A_im, A_ex, b and c of each order's pair,
@@ -88,6 +91,23 @@ def _poisson(seed, n=32, p=8, solves=8):
     return run
 
 
+def _general_sampled(n=16, p=8, seeds=(1, 2, 3, 4)):
+    def run():
+        from hpstep.mesh import build_mesh
+        from hpstep.operators import EllipticOperator
+        from hpstep.solver import build_factorization
+
+        mesh = build_mesh(((0.0, 1.0), (0.0, 1.0)), n, n, p=p)
+        op = EllipticOperator(c11=1.0, c22=1.0, c0=lambda x, y: 1.0 + x**2 + y**2)
+        fact = build_factorization(mesh, op.shifted(1.0, 1.0))
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        load = np.stack([rng.standard_normal(mesh.n_nodes) for rng in rngs])
+        dirichlet = np.stack([rng.standard_normal(fact.gamma_ids.size) for rng in rngs])
+        return fact.solve(load, dirichlet)
+
+    return run
+
+
 def _tableau(order):
     def run():
         from hpstep.tableaus import load_tableau
@@ -107,6 +127,7 @@ CASES = {
     "heat1d-kink-corrected": _stepped("heat1d-kink", 2, 9, 3, "slopes", 100),
     "heat1d-kink-uncorrected": _stepped("heat1d-kink", 2, 9, 3, "slopes", 100, corrected=False),
     "schrodinger-asymmetric": _stepped("schrodinger-asymmetric", 8, 8, 3, "stages", 25),
+    "general-sampled": _general_sampled(),
     "burgers-cross": _stepped("burgers-cross", 8, 12, 5, "stages", 3, dt=1.0 / 80),
     **{f"tableau-q{order}": _tableau(order) for order in (3, 4, 5)},
 }

@@ -5,8 +5,9 @@ from barycentric weights, and the leaf stencil used on 1D and 2D leaf
 boxes. Node ordering is ascending in each coordinate; 2D flattening is
 row-major with y outer and x inner. A leaf is a tensor-product grid, so
 each of its derivatives is a 1-D block along one axis: the stencil keeps
-only those, O(p^2) numbers, and places a 2-D matrix's rows from them
-(`LeafStencil.rows`).
+only those, O(p^2) numbers. Every 2-D derivative, and every dense row of
+one, is such a block applied along an axis of leaf arrays
+(`hpstep.operators.apply_lines`).
 """
 from __future__ import annotations
 
@@ -98,21 +99,6 @@ class LeafStencil:
     Dy1: np.ndarray | None = field(repr=False)
     Dxx1: np.ndarray = field(repr=False)
     Dyy1: np.ndarray | None = field(repr=False)
-
-    def rows(self, key: str, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The 2-D derivative of the 1-D block `key` ("Dx1", "Dy1", "Dxx1"
-        or "Dyy1") at flat local rows and columns: the block's entry where
-        a row node and a column node share an x-line (x-derivatives) or a
-        y-line (y-derivatives), zero elsewhere; in 1D, the block's own rows."""
-        B = getattr(self, key)
-        p, n = len(B), len(rows)
-        ry, rx = np.divmod(rows, p)
-        lines = np.zeros((n, p, p))  # each row over the (y, x) nodes of a leaf
-        if "y" in key:
-            lines[np.arange(n), :, rx] = B[ry]  # along the row node's y-line
-        else:
-            lines[np.arange(n), ry, :] = B[rx]  # along its x-line
-        return lines.reshape(n, p * p)[:, cols]
 
 
 @cache

@@ -16,6 +16,12 @@ sample of the coefficients, and they form a stack with one block per
 leaf only in the columns that a sampled coefficient weighs; elsewhere
 one block stands for every leaf.
 
+The operator is stated once, as the matrix-free kernels the stepper
+runs: a dense row block is a kernel applied to unit leaf fields, one per
+kept column (`collocate_interior`, `flux_matrix`). That reads each 1-D
+block entry exactly, so the rows the solver inverts and the values the
+stepper applies are the same numbers.
+
 Every leaf is built in one pass over runs of about 4 MB of leaves
 (`build_leaf_operators`), which inverts their interior blocks M_II and
 forms from each inverse the edge-to-flux map Fb - Fi M_II^-1 M_IB that
@@ -36,8 +42,7 @@ with 1-D derivative blocks (`RealLeafOperatorSet.shift`). Forming P as
 Every leaf derivative of a field is one kernel, `apply_lines`: a real
 1-D Chebyshev row block along x or y of batched leaf arrays. The applier
 takes the interior rows D[1:-1, :], the interior shift D[1:-1, 1:-1] and
-`edge_fluxes` the end rows D[0] and D[-1]; the collocation and flux rows
-are placed from the same entries (`LeafStencil.rows`). Complex values
+`edge_fluxes` the end rows D[0] and D[-1]. Complex values
 meet real operators as float pairs: viewed as float64, a complex array
 holds each value's real and imaginary parts side by side, so a real
 matrix applied to that view acts on both at once and streams as the
@@ -136,11 +141,12 @@ _TERMS = (
 def collocate_interior(
     op: EllipticOperator, mesh: Mesh, cols: np.ndarray, coefs: dict | None = None
 ) -> np.ndarray:
-    """Interior collocation rows of every leaf, restricted to local columns.
-
-    The constant terms, scaled and shifted, form one block that every leaf
-    shares. A sampled term is then added at the nonzero slots of its
-    matrix alone; the identity term (c0) touches only the diagonal.
+    """Interior collocation rows of every leaf, restricted to local columns:
+    the interior kernel of the applier (`_LineTerms`, rows D[1:-1, :])
+    applied to the unit leaf field of each kept column, then scaled and
+    shifted. The unit fields have a leaf axis of length one, which a
+    sampled weight broadcasts over the sample's leaves. The identity term
+    (c0) weighs only interior columns, so it is left out when none is kept.
 
     Args:
         cols: flat local node indices of the columns to keep.
@@ -149,38 +155,23 @@ def collocate_interior(
             the only ones formed.
 
     Returns:
-        Shape (nl, n_int, cols.size), or (1, n_int, cols.size) standing
-        for every leaf when no sampled term weighs the kept columns: with
-        constant coefficients, and for the edge columns when c0 is the
-        only sampled term. nl is the sample's leaf count.
+        Shape (nl, n_int, cols.size), C-ordered, or (1, n_int, cols.size)
+        standing for every leaf when no sampled term weighs the kept
+        columns: with constant coefficients, and for the edge columns when
+        c0 is the only sampled term. nl is the sample's leaf count.
     """
     coefs = _sample_leaves(op, mesh) if coefs is None else coefs
-    st = mesh_stencil(mesh)
-    ii = mesh.interior_local
-    eye = np.equal.outer(ii, cols)  # rows of the identity
-    dtype = np.result_type(op.sigma, op.scale, *coefs.values())
-    block = np.zeros((ii.size, cols.size), dtype=dtype)
-    sampled = []
-    for name, sign, key in _TERMS:
-        if name in coefs:
-            c = coefs[name]
-            D = eye if key == "I" else st.rows(key, ii, cols)
-            if not np.ndim(c):
-                block += c * (sign * D)
-            elif D.any():
-                sampled.append((c, sign, D))
-    block *= op.scale
-    block += op.sigma * eye
-    if not sampled:
-        return block[None]
-    nl = len(sampled[0][0])
-    A = np.empty((nl,) + block.shape, dtype=dtype)
-    A[:] = block
-    flat = A.reshape(nl, -1)
-    for c, sign, D in sampled:
-        r, k = np.nonzero(D)
-        c = np.reshape(c, (nl, -1))[:, ii[r]]
-        flat[:, r * cols.size + k] += c * (op.scale * sign * D[r, k])
+    units = np.zeros((cols.size, 1) + mesh.leaf_grid.shape[1:])
+    units.reshape(cols.size, -1)[np.arange(cols.size), cols] = 1.0
+    # the identity's interior rows: the unit fields' interior values
+    eye = units[(Ellipsis,) + (slice(1, -1),) * mesh.dim].reshape(cols.size, -1).T
+    if not eye.any():
+        coefs = {name: c for name, c in coefs.items() if name != "c0"}
+    V = _LineTerms(mesh, coefs, slice(1, -1), slice(None))(units)
+    V = V.reshape(cols.size, -1, len(eye)).transpose(1, 2, 0)  # (nl or 1, n_int, cols)
+    A = np.empty(V.shape, dtype=np.result_type(V, op.sigma, op.scale))
+    np.multiply(V, op.scale, out=A)
+    A += op.sigma * eye
     return A
 
 
@@ -232,7 +223,8 @@ def _worst(cond: np.ndarray, what: str) -> float:
 
 
 def flux_matrix(mesh: Mesh) -> np.ndarray:
-    """Directional-derivative rows at the leaf edge nodes.
+    """Directional-derivative rows at the leaf edge nodes: the kernel of
+    `edge_fluxes` applied to the unit fields of a leaf's local nodes.
 
     One row per edge node in S, E, N, W order; horizontal edges take the
     y-derivative, vertical edges the x-derivative, both without an outward
@@ -240,13 +232,9 @@ def flux_matrix(mesh: Mesh) -> np.ndarray:
     comparable. Columns span all p**2 (or p) local nodes; the corner
     columns of these rows are identically zero.
     """
-    st = mesh_stencil(mesh)
-    edge, every = mesh.edge_local, np.arange(mesh.leaf_grid[0].size)
-    F = st.rows("Dx1", edge, every)
-    if mesh.dim == 2:
-        horizontal = np.repeat([True, False, True, False], mesh.p - 2)  # S, E, N, W
-        F[horizontal] = st.rows("Dy1", edge[horizontal], every)
-    return F
+    n = mesh.leaf_grid[0].size
+    units = np.eye(n).reshape((n,) + mesh.leaf_grid.shape[1:])
+    return np.ascontiguousarray(_leaf_edge_fluxes(mesh, units).T)
 
 
 def apply_lines(B: np.ndarray, axis: str, U: np.ndarray) -> np.ndarray:
@@ -273,12 +261,14 @@ class _LineTerms:
     nodes `cols` along each axis (slices of a leaf's p nodes). A term's
     sign is folded into its 1-D block, and so is a real scalar coefficient
     that is a power of two, which changes no rounding; any other
-    coefficient weighs the term's values, a sampled one at `rows`."""
+    coefficient weighs the term's values, a sampled one at `rows`, and
+    spreads a length-one leaf axis of v over the sample's leaves."""
 
     def __init__(self, mesh: Mesh, coefs: dict, rows: slice, cols: slice):
         st = mesh_stencil(mesh)
         keep = slice(None) if rows == cols else rows  # `rows` within `cols`
         self.grid = (len(range(mesh.p)[cols]),) * mesh.dim  # of the leaf arrays it takes
+        self._out = (len(range(mesh.p)[rows]),) * mesh.dim  # of the values it gives
         # (axis or None, 1-D block, index of the kept values, weight or None) per present term
         self._terms = []
         for name, sign, key in _TERMS:
@@ -313,17 +303,25 @@ class _LineTerms:
                 term = weight * term
             if acc is None:  # a term is a new array, or a view of one
                 acc = np.ascontiguousarray(term, dtype=dtype)
-            else:
+            elif term.size <= acc.size:
                 acc += term
+            else:  # a sampled weight spread a length-one leaf axis: sum into its product
+                acc = np.add(term, acc, out=term if term.dtype == dtype else None)
+        if acc is None:  # the zero operator
+            return np.zeros(V.shape[: V.ndim - len(self.grid)] + self._out, dtype=dtype)
         return acc
 
 
 def edge_fluxes(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Every leaf's edge-normal derivatives of a field, the numbers of
     `flux_matrix` applied to its leaf values: (..., nl, n_edge) for
-    u (..., N), in S, E, N, W order (two end nodes in 1D). They are the
-    end rows D[0] and D[-1] of each axis's 1-D derivative."""
-    U = gather_leaf_fields(mesh, u)
+    u (..., N), in S, E, N, W order (two end nodes in 1D)."""
+    return _leaf_edge_fluxes(mesh, gather_leaf_fields(mesh, u))
+
+
+def _leaf_edge_fluxes(mesh: Mesh, U: np.ndarray) -> np.ndarray:
+    """The edge-normal derivatives of batched leaf arrays U, (..., n_edge):
+    the end rows D[0] and D[-1] of each axis's 1-D derivative."""
     st = mesh_stencil(mesh)
     ends = [0, -1]
     we = apply_lines(st.Dx1[ends], "x", U)  # (..., p, 2) in 2D
@@ -453,7 +451,7 @@ def build_leaf_operators(mesh: Mesh, op: EllipticOperator) -> LeafOperators:
     s = _imaginary_shift(op, coefs)
     M_IB = collocate_interior(op, mesh, bb, coefs)
     nl = mesh.n_leaves if any(np.ndim(c) for c in coefs.values()) else 1
-    dtype = M_IB.dtype  # the operator's, and the inverse's
+    dtype = np.result_type(op.sigma, op.scale, *coefs.values())  # the inverse's
     real = s is not None
     P = np.empty((nl, ii.size, ii.size), dtype=float if real else dtype)
     # the second stack: Fi @ P for the real form, G for the general one
@@ -535,16 +533,18 @@ class OperatorApplier:
         if op.sigma != 0 or op.scale != 1:
             raise ValueError("OperatorApplier wants the bare operator: sigma = 0 and scale = 1")
         self.mesh = mesh
-        self._op = op
-        self._interior = _LineTerms(mesh, _sample_leaves(op, mesh), slice(1, -1), slice(None))
+        self._coefs = _sample_leaves(op, mesh)
+        self._interior = _LineTerms(mesh, self._coefs, slice(1, -1), slice(None))
+
+    @cached_property
+    def _every(self) -> _LineTerms:
+        return _LineTerms(self.mesh, self._coefs, slice(None), slice(None))
 
     def leaf_values(self, u: np.ndarray) -> np.ndarray:
         """Batched values of A(u) on leaf arrays, from the full 1-D
         derivatives. The interior slots are valid, and so are the edge
         slots of a 1D mesh; 2D edge slots read the zero corners."""
-        every = slice(None)
-        terms = _LineTerms(self.mesh, _sample_leaves(self._op, self.mesh), every, every)
-        return terms(gather_leaf_fields(self.mesh, u))
+        return self._every(gather_leaf_fields(self.mesh, u))
 
     def interior_apply(self, u: np.ndarray) -> np.ndarray:
         """Global array holding operator values at interior ids, 0 elsewhere."""

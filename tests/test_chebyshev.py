@@ -83,12 +83,6 @@ def test_stencil_tensor_layout():
     np.testing.assert_allclose(Dy @ u, (2 * X**3 * Y).ravel(), atol=1e-10)
     np.testing.assert_allclose(Dx @ Dy @ u, (6 * X**2 * Y).ravel(), atol=1e-9)
     np.testing.assert_allclose(Dx @ Dx @ u, (6 * X * Y**2).ravel(), atol=1e-9)
-    # the stencil places the same matrices' rows
-    every = np.arange(p * p)
-    np.testing.assert_array_equal(st.rows("Dx1", every, every), Dx)
-    np.testing.assert_array_equal(st.rows("Dy1", every, every), Dy)
-    Dxx = st.rows("Dxx1", every, every)
-    np.testing.assert_allclose(Dxx @ u, (6 * X * Y**2).ravel(), atol=1e-9)
 
 
 def test_batched_apply_matches_kron():

@@ -202,16 +202,17 @@ def test_shared_factorization_detection():
     ids=["2d", "1d"],
 )
 def test_applier_matches_collocation_rows(m, op):
-    # two independent routes to the interior operator values
+    # the matrix-free kernel against dense rows built with np.kron; the
+    # solver's rows are the same kernel applied to unit fields
     rng = np.random.default_rng(3)
     u = rng.standard_normal(m.n_nodes)
     applier = OperatorApplier(m, op)
     got = applier.interior_apply(u)
-    M = rows(op, m)
     for l in range(m.n_leaves):
         u_leaf = gather_leaf_fields(m, u)[l].ravel()
         ids = m.leaf_grid[l].ravel()[m.interior_local]
-        np.testing.assert_allclose(got[ids], M[l] @ u_leaf, atol=1e-10)
+        want = dense_leaf_rows(m, op, l)[m.interior_local] @ u_leaf
+        np.testing.assert_allclose(got[ids], want, atol=1e-10)
 
 
 NEAR_SINGULAR = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0 + 1e-15]]])  # cond 3.6e15
@@ -364,11 +365,11 @@ def fancy_scatter(m, vals):
 @index_cases
 def test_edge_fluxes_match_flux_matrix(dim, kind):
     # each leaf's edge-normal derivatives from the end rows of the 1-D
-    # blocks against the dense flux rows applied to its values
+    # blocks against dense flux rows built with np.kron, applied to its values
     m, u = index_case(dim, kind)
     got = edge_fluxes(m, u)
     lead = u.shape[:-1]
-    want = gather_leaf_fields(m, u).reshape(lead + (m.n_leaves, -1)) @ flux_matrix(m).T
+    want = gather_leaf_fields(m, u).reshape(lead + (m.n_leaves, -1)) @ kron_flux_rows(m).T
     assert got.shape == want.shape and got.dtype == u.dtype
     # measured: at most 1.9e-16 of max|want| over these cases
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -405,6 +406,21 @@ def test_interior_apply_matches_fancy_index(dim, kind):
     got = applier.interior_apply(u)
     np.testing.assert_array_equal(got, want)
     assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dim", list(INDEX_MESHES))
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["one-row", "two-rows"])
+def test_zero_operator_applies_as_zeros(dim, dtype, lead):
+    # an operator with no term is the zero operator, not a missing value
+    m = INDEX_MESHES[dim]()
+    u = np.ones(lead + (m.n_nodes,), dtype=dtype)
+    applier = OperatorApplier(m, EllipticOperator())
+    got = applier.interior_apply(u)
+    assert got.shape == u.shape and got.dtype == u.dtype
+    assert not got.any()
+    vals = applier.leaf_values(u)
+    assert vals.shape == lead + m.leaf_grid.shape and not vals.any()
 
 
 @pytest.mark.parametrize("kind", ["pair", "complex"])
@@ -532,6 +548,17 @@ def kron_matrices(st):
     return {"Dx1": Dx, "Dy1": Dy, "Dxx1": Dx @ Dx, "Dyy1": Dy @ Dy}
 
 
+def kron_flux_rows(m):
+    """The flux rows of `flux_matrix` from `kron_matrices`: x-derivative
+    rows at vertical edges (and both 1D ends), y-derivative rows at
+    horizontal ones."""
+    D = kron_referee(m.p, m.hx, m.hy if m.dim == 2 else None)
+    if m.dim == 1:
+        return D["Dx1"][m.edge_local]
+    horizontal = np.repeat([True, False, True, False], m.p - 2)  # S, E, N, W
+    return np.where(horizontal[:, None], D["Dy1"][m.edge_local], D["Dx1"][m.edge_local])
+
+
 def dense_leaf_rows(m, op, l):
     """sigma*I + scale*sum(sign*c*D) of leaf l over all of its local nodes."""
     D = kron_matrices(mesh_stencil(m))
@@ -575,13 +602,14 @@ def kron_referee(p, hx, hy):
 @pytest.mark.parametrize("dim", list(COLLOCATION_MESHES))
 @pytest.mark.parametrize("p", range(4, 25))
 def test_placed_rows_match_kron_referee_at_every_p(p, dim):
-    # rows placed from the 1-D blocks against np.kron matrices: each term
-    # alone, constant and sampled, then the flux rows
+    # rows the kernels form from unit fields against np.kron matrices: each
+    # term alone, constant and sampled, then the flux rows; this also pins
+    # the row-major (y outer, x inner) layout of every 2-D derivative
     if dim == "1d":
         m = build_mesh((0.0, 1.5), 2, p=p)
         names, D = ("c11", "c1", "c0"), kron_referee(p, m.hx, None)
     else:
-        m = build_mesh(((0.0, 2.0), (-0.5, 0.5)), 2, 1, p=p)
+        m = build_mesh(((0.0, 2.0), (-0.5, 0.5)), 2, 2, p=p)  # hx = 2 hy: x and y differ
         names, D = tuple(COLLOCATION_COEFS), kron_referee(p, m.hx, m.hy)
     ii, every = m.interior_local, np.arange(m.leaf_grid[0].size)
     x, y = (c.reshape(m.n_leaves, -1) if c is not None else None for c in leaf_coordinates(m))
@@ -594,11 +622,7 @@ def test_placed_rows_match_kron_referee_at_every_p(p, dim):
             want = op.sigma * np.eye(every.size)[ii] + op.scale * sign * vals[:, ii, None] * M[ii]
             got = np.broadcast_to(collocate_interior(op, m, every), want.shape)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
-    if dim == "1d":
-        want = D["Dx1"][m.edge_local]
-    else:
-        horizontal = np.repeat([True, False, True, False], p - 2)  # S, E, N, W
-        want = np.where(horizontal[:, None], D["Dy1"][m.edge_local], D["Dx1"][m.edge_local])
+    want = kron_flux_rows(m)
     F = flux_matrix(m)
     assert F.shape == want.shape
     assert np.abs(F - want).max() <= 1e-13 * np.abs(want).max()

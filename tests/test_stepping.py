@@ -265,6 +265,25 @@ def test_uniform_in_space_solution_is_time_quadrature():
     assert rate == pytest.approx(3.0, abs=0.35)
 
 
+@pytest.mark.parametrize("formulation", ["slopes", "stages"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_zero_operator_integrates_the_forcing(formulation, dim):
+    # u' = cos(t) with u(0) = 0 and no spatial operator: u = sin(t) everywhere
+    box = (0.0, 1.0) if dim == 1 else ((0.0, 1.0), (0.0, 1.0))
+    mesh = build_mesh(box, 2, *((2,) if dim == 2 else ()), p=6)
+    evo = Evolution(
+        mesh=mesh,
+        operator=EllipticOperator(),
+        lam=-1.0,
+        bc=lambda t, x, y: np.full_like(x, np.sin(t)),
+        bc_rate=lambda t, x, y: np.full_like(x, np.cos(t)),
+        forcing=lambda t, x, y: np.full_like(x, np.cos(t)),
+    )
+    st = ImexStepper(evo, load_tableau(3), 0.1, formulation=formulation)
+    u = st.run(0.0, np.zeros(mesh.n_nodes), 10)
+    assert np.abs(u - np.sin(1.0)).max() < 1e-5
+
+
 def test_complex_evolution():
     # u(x, t) = exp(-i t) sin(x) under u_t = i u_xx with zero boundary
     mesh = build_mesh((0.0, np.pi), 3, p=12)
