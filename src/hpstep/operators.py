@@ -26,18 +26,23 @@ Every leaf is built in one pass over runs of about 4 MB of leaves
 (`build_leaf_operators`), which inverts their interior blocks M_II and
 forms from each inverse the edge-to-flux map Fb - Fi M_II^-1 M_IB that
 the merges start from; the build hands it over once
-(`LeafOperators.edge_to_flux`). Each leaf form keeps a stack P: in
-general M_II^-1, beside G = M_II^-1 M_IB, in the operator's arithmetic.
-An operator M = sigma I + i tau A with sigma, tau and every coefficient
-of A real (every Schrodinger stage operator, s = tau / sigma) has a real
-leaf solution operator instead: since (I + isA)(I - isA) = I + s^2 A^2
-is real,
+(`LeafOperators.edge_to_flux`). There is one leaf form: stacks P and G
+and a shift S, with interior values u_I = S (P f_I - G e) for interior
+load f_I and edge values e. In general S = I, P = M_II^-1 and
+G = P M_IB, in the operator's arithmetic. An operator M = sigma I +
+i tau A with sigma, tau and every coefficient of A real (every
+Schrodinger stage operator, s = tau / sigma) keeps real stacks instead:
+since (I + isA)(I - isA) = I + s^2 A^2 is real,
 
     M_II^-1 = P (I - i s A_II),    P = Re(M_II^-1) real,
 
-so P and Fi P are kept as float64 and the solve applies (I - i s A_II)
-with 1-D derivative blocks (`RealLeafOperatorSet.shift`). Forming P as
-(sigma (I + s^2 A_II^2))^-1 would square the block's condition number.
+and P, which is (sigma (I + s^2 A_II^2))^-1 in exact arithmetic and so
+a function of A_II, commutes with S = I - i s A_II: M_II^-1 = S P.
+M_IB = i tau A_IB is imaginary, since the identity weighs no edge
+column, so G = P Im(M_IB) is real and is applied times i. The solve
+applies S with 1-D derivative blocks (`LeafOperators.shift`).
+Forming P as (sigma (I + s^2 A_II^2))^-1 would square the block's
+condition number, so P is the real part of the inverse of M_II itself.
 
 Every leaf derivative of a field is one kernel, `apply_lines`: a real
 1-D Chebyshev row block along x or y of batched leaf arrays. The applier
@@ -262,9 +267,11 @@ class _LineTerms:
     sign is folded into its 1-D block, and so is a real scalar coefficient
     that is a power of two, which changes no rounding; any other
     coefficient weighs the term's values, a sampled one at `rows`, and
-    spreads a length-one leaf axis of v over the sample's leaves."""
+    spreads a length-one leaf axis of v over the sample's leaves. A
+    sampled weight is stored as `dtype` at least: complex for a kernel
+    that meets only complex values."""
 
-    def __init__(self, mesh: Mesh, coefs: dict, rows: slice, cols: slice):
+    def __init__(self, mesh: Mesh, coefs: dict, rows: slice, cols: slice, dtype=np.float64):
         st = mesh_stencil(mesh)
         keep = slice(None) if rows == cols else rows  # `rows` within `cols`
         self.grid = (len(range(mesh.p)[cols]),) * mesh.dim  # of the leaf arrays it takes
@@ -282,7 +289,8 @@ class _LineTerms:
                 at[-1 if axis == "x" else -2] = slice(None)
             if np.ndim(weight):
                 weight = weight.reshape((len(weight),) + (mesh.p,) * mesh.dim)
-                weight = np.ascontiguousarray(weight[(slice(None),) + (rows,) * mesh.dim])
+                weight = weight[(slice(None),) + (rows,) * mesh.dim]
+                weight = np.ascontiguousarray(weight, np.result_type(weight, dtype))
             elif axis is not None and np.isrealobj(weight) and abs(np.frexp(weight)[0]) == 0.5:
                 B, weight = weight * B, None
             self._terms.append((axis, B, (Ellipsis, *at), weight))
@@ -359,17 +367,21 @@ class LeafOperators:
     over, once, the map Fb - Fi M_II^-1 M_IB, (nl or 1, n_edge, n_edge),
     with Fi and Fb the interior and edge columns of `flux_matrix`.
 
-    A solve reads a form through two steps over (k, nl, .) rows:
-    `upward(f_I, flux)` writes into `flux` the edge fluxes of the
-    particular solution with interior load f_I (zero edge values) and
-    returns what `downward` needs of f_I; `downward(kept, e)` gives the
-    interior values for edge values e.
+    A solve takes two steps over (k, nl, .) rows, with S the shift, the
+    identity when s is None: `upward(f_I, flux)` writes into `flux` the
+    particular edge fluxes Fi S z and returns z = P f_I; `downward(z, e)`
+    gives the interior values S (z - G e) for edge values e, G applied
+    times i with a shift (module docstring).
     """
 
-    P: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_int): M_II^-1 or its real part
+    P: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_int)
+    G: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_edge)
+    Fi: np.ndarray = field(repr=False)  # (n_edge, n_int), the interior flux columns
     dtype: np.dtype  # of the solution values
     condition: float  # worst 1-norm condition number of the blocks inverted
     dtn: np.ndarray | None = field(repr=False)  # the edge-to-flux map, until taken
+    A_II: "_LineTerms | None" = field(default=None, repr=False)  # A on the interior lines
+    s: float | None = None
 
     @property
     def shared(self) -> bool:
@@ -380,46 +392,21 @@ class LeafOperators:
         dtn, self.dtn = self.dtn, None
         return dtn
 
-
-@dataclass
-class LeafOperatorSet(LeafOperators):
-    """The general form: u_I = P @ f_I - G @ e with P = M_II^-1 and
-    G = P @ M_IB, in the operator's arithmetic."""
-
-    Fi: np.ndarray = field(repr=False)  # (n_edge, n_int), the interior flux columns
-    G: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_edge)
-
     def upward(self, f_I: np.ndarray, flux: np.ndarray) -> np.ndarray:
         z = apply_blocks(self.P, f_I)
-        np.matmul(z, self.Fi.T, out=flux)
+        np.matmul(self.shift(z), self.Fi.T, out=flux)
         return z
 
     def downward(self, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-        return z - apply_blocks(self.G, e)
-
-
-@dataclass
-class RealLeafOperatorSet(LeafOperators):
-    """The form of M = sigma I + i tau A with sigma, tau and A real:
-    u_I = P (I - i s A_II)(f_I - M_IB @ e), with P = Re(M_II^-1) and
-    Fi @ P stored as float64 and s = tau / sigma (module docstring)."""
-
-    FiP: np.ndarray = field(repr=False)  # (nl or 1, n_edge, n_int), float64
-    M_IB: np.ndarray = field(repr=False)  # (nl or 1, n_int, n_edge)
-    A_II: "_LineTerms" = field(repr=False)  # A on the (p-2)-node interior lines
-    s: float
-
-    def upward(self, f_I: np.ndarray, flux: np.ndarray) -> np.ndarray:
-        flux[...] = apply_blocks(self.FiP, self.shift(f_I))
-        return f_I
-
-    def downward(self, f_I: np.ndarray, e: np.ndarray) -> np.ndarray:
-        return apply_blocks(self.P, self.shift(f_I - apply_blocks(self.M_IB, e)))
+        Ge = apply_blocks(self.G, e)
+        return self.shift(z - (Ge if self.s is None else 1j * Ge))
 
     def shift(self, x: np.ndarray) -> np.ndarray:
-        """(I - i s A_II) x on the interior values x of every leaf,
-        (..., nl or 1, n_int); A_II's derivatives are 1-D blocks at interior
-        rows and columns, so edge values weigh nothing."""
+        """S x on the interior values x of every leaf, (..., nl or 1, n_int):
+        x itself without a shift, else (I - i s A_II) x, whose derivatives
+        are 1-D blocks at interior rows and columns."""
+        if self.s is None:
+            return x
         X = np.ascontiguousarray(x, dtype=complex).reshape(x.shape[:-1] + self.A_II.grid)
         acc = self.A_II(X)
         acc *= -1j * self.s
@@ -440,10 +427,9 @@ def _imaginary_shift(op: EllipticOperator, coefs: dict) -> float | None:
 
 
 def build_leaf_operators(mesh: Mesh, op: EllipticOperator) -> LeafOperators:
-    """Factorize every leaf of the mesh for the given operator, as stacks:
-    a `RealLeafOperatorSet` when the operator is sigma I + i tau A with
-    everything real, a `LeafOperatorSet` otherwise, in one pass over
-    runs of leaves (`_groups`)."""
+    """Factorize every leaf of the mesh for the given operator, as stacks,
+    in one pass over runs of leaves (`_groups`); an operator
+    sigma I + i tau A with everything real gets the shift."""
     F = flux_matrix(mesh)
     ii, bb = mesh.interior_local, mesh.edge_local
     Fi, Fb = F[:, ii], F[:, bb]
@@ -452,25 +438,26 @@ def build_leaf_operators(mesh: Mesh, op: EllipticOperator) -> LeafOperators:
     M_IB = collocate_interior(op, mesh, bb, coefs)
     nl = mesh.n_leaves if any(np.ndim(c) for c in coefs.values()) else 1
     dtype = np.result_type(op.sigma, op.scale, *coefs.values())  # the inverse's
-    real = s is not None
-    P = np.empty((nl, ii.size, ii.size), dtype=float if real else dtype)
-    # the second stack: Fi @ P for the real form, G for the general one
-    K = np.empty((nl, bb.size, ii.size) if real else (nl, ii.size, bb.size), dtype=P.dtype)
+    P = np.empty((nl, ii.size, ii.size), dtype=dtype if s is None else float)
+    G = np.empty((nl, ii.size, bb.size), dtype=P.dtype)
     dtn = np.empty((nl, bb.size, bb.size), dtype=dtype)
     cond = np.empty(nl)
     what = "leaf interior block"
     for group in _groups(nl, dtype.itemsize * ii.size**2):
         part = {name: c[group] if np.ndim(c) else c for name, c in coefs.items()}
         inv, cond[group] = _inverse(collocate_interior(op, mesh, ii, part), what)
-        G = inv @ (M_IB if len(M_IB) == 1 else M_IB[group])
-        dtn[group] = Fb - Fi @ G
-        P[group] = inv.real if real else inv
-        K[group] = Fi @ P[group] if real else G
-    base = dict(P=P, dtype=dtype, condition=_worst(cond, what), dtn=dtn)
-    if not real:
-        return LeafOperatorSet(**base, Fi=Fi, G=K)
-    A_II = _LineTerms(mesh, coefs, *(slice(1, -1),) * 2)
-    return RealLeafOperatorSet(**base, FiP=K, M_IB=M_IB, A_II=A_II, s=s)
+        B = M_IB if len(M_IB) == 1 else M_IB[group]
+        inv_B = inv @ B
+        dtn[group] = Fb - Fi @ inv_B
+        if s is None:
+            P[group], G[group] = inv, inv_B
+        else:  # M_IB = i tau A_IB is imaginary
+            P[group] = inv.real
+            G[group] = P[group] @ B.imag
+    # the shift meets only complex values: its weights are cast here, once,
+    # so a solve stores no new array
+    A_II = None if s is None else _LineTerms(mesh, coefs, *(slice(1, -1),) * 2, complex)
+    return LeafOperators(P, G, Fi, dtype, _worst(cond, what), dtn, A_II, s)
 
 
 def gather_leaf_fields(mesh: Mesh, u: np.ndarray) -> np.ndarray:

@@ -19,13 +19,15 @@ table of its own: its solve reads every one from the plan.
 
 The numeric phase is `build_factorization`: the leaf operators, then per
 level the children's edge-to-flux maps cut at the plan's columns, which
-leave three stacks per level. The leaves, in the general form or a real
-one for Schrodinger stage operators (`operators` module docstring), hand
-over one leaf edge-to-flux map, Fb - Fi M_II^-1 M_IB, formed from the
-inverse of each leaf's interior block (`edge_to_flux`), so the merge
-levels do not depend on the form. Each merge eliminates the shared interface by equating the
-one-sided edge-normal derivatives of the two children, which yields a
-dense interface operator
+leave three stacks per level. The leaves have one form,
+`operators.LeafOperators`: stacks P and G and a shift S that is the
+identity except for Schrodinger stage operators, whose P and G are then
+real (`operators` module docstring). They hand over one leaf
+edge-to-flux map, Fb - Fi M_II^-1 M_IB, formed from the inverse of each
+leaf's interior block (`edge_to_flux`), so the merge levels do not
+depend on the shift. Each merge eliminates the shared interface by
+equating the one-sided edge-normal derivatives of the two children,
+which yields a dense interface operator
 
     X = T_left[33] - T_right[33]
 
@@ -43,9 +45,9 @@ every stack the build stores, shared or full.
 A solve takes and returns fields as rows, (N,) or (k, N), and reads
 them with `operators.take_rows(rows, table)`. The upward pass writes
 the particular outer edge fluxes of every block, leaves first, into one
-flat buffer, at slots the plan has worked out; the leaves' form writes
-theirs (`upward`), and gives their interior values at the end of the
-downward pass (`downward`). A level is two takes (its interface
+flat buffer, at slots the plan has worked out; the leaves write theirs
+(`upward`), and give their interior values at the end of the downward
+pass (`downward`). A level is two takes (its interface
 fluxes), a product with the inverse, one take (the children's other
 outer fluxes), a product with the stacked flux correction and one slice
 store. The root has no parent, so it passes no outer fluxes up: its
@@ -229,7 +231,8 @@ def factor_bytes(fact: HpsFactorization) -> int:
     """Bytes of every array a factorization stores: the leaf form's arrays
     and every level's stacks. An array that views another counts
     its base, once; the mesh and its merge plan, which every factorization
-    on the mesh shares, are not counted."""
+    on the mesh shares, are not counted. A solve stores no new array, so
+    the figure is the same before and after one."""
     bases, todo = {}, [fact.leaf_ops, fact.levels]
     while todo:
         o = todo.pop()

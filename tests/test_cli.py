@@ -5,6 +5,8 @@ import errno
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -633,6 +635,23 @@ def test_main_rejects_bad_config_with_exit_code(tmp_path, capsys, case):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_point_rejects_bad_config(tmp_path):
+    # `python -m hpstep` is the console script: one error line, exit 2
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"experiment": "no-such-experiment"}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "hpstep", "run", str(config)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
 
 
 def test_main_verify_passes(capsys):

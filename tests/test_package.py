@@ -71,37 +71,29 @@ def test_solve_reads_every_level_field():
 
 
 def test_leaf_forms_read_every_array_field():
-    # a stack a leaf form stores but its solve steps never read is dead
-    # weight; the base's hand-over map is read once, by `edge_to_flux`
+    # one leaf class, no subclass: a stack it stores but its solve steps
+    # never read is dead weight; the hand-over map is read once, by
+    # `edge_to_flux`
     tree = ast.parse((SRC / "operators.py").read_text())
     classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
-    base = classes["LeafOperators"]
-
-    def array_fields(cls):
-        return {
-            s.target.id
-            for s in cls.body
-            if isinstance(s, ast.AnnAssign) and "ndarray" in ast.unparse(s.annotation)
-        }
-
-    def self_reads(cls, names):
-        methods = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name in names]
-        return {
-            n.attr
-            for m in methods
-            for n in ast.walk(m)
-            if isinstance(n, ast.Attribute) and getattr(n.value, "id", "") == "self"
-        }
-
-    handed_over = array_fields(base) & self_reads(base, {"edge_to_flux"})
-    forms = [c for c in classes.values() if any(getattr(b, "id", "") == base.name for b in c.bases)]
-    unread = sorted(
-        f"{form.name}.{name}"
-        for form in forms
-        for name in (array_fields(base) | array_fields(form)) - handed_over
-        if name not in self_reads(form, {"upward", "downward", "shift"})
-    )
-    assert len(forms) == 2 and not unread, f"no solve step reads {unread}"
+    leaf = classes["LeafOperators"]
+    forms = [c.name for c in classes.values() if any(ast.unparse(b) == leaf.name for b in c.bases)]
+    assert not forms, f"subclasses of LeafOperators: {forms}"
+    arrays = {
+        s.target.id
+        for s in leaf.body
+        if isinstance(s, ast.AnnAssign) and "ndarray" in ast.unparse(s.annotation)
+    }
+    names = ("upward", "downward", "shift")
+    steps = [n for n in leaf.body if isinstance(n, ast.FunctionDef) and n.name in names]
+    read = {
+        n.attr
+        for m in steps
+        for n in ast.walk(m)
+        if isinstance(n, ast.Attribute) and getattr(n.value, "id", "") == "self"
+    }
+    unread = sorted(arrays - read - {"dtn"})
+    assert len(steps) == 3 and "dtn" in arrays and not unread, f"no solve step reads {unread}"
 
 
 def test_every_mesh_field_is_read():

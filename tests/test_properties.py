@@ -7,9 +7,10 @@ drawn independently (so neither square nor powers of two); p is 4-9 and
 the data has one or two rows. `derandomize=True` fixes the examples, so
 a failure reproduces on every run.
 
-Operators sigma I + i tau A with A real take the real leaf form
-(`operators.RealLeafOperatorSet`); `test_real_leaf_solve_matches_oracle`
-draws them, with and without a penalty field.
+Operators sigma I + i tau A with A real take real leaf stacks and the
+shift (I - i s A_II) (`operators.LeafOperators`);
+`test_real_leaf_solve_matches_oracle` draws them, with and without a
+penalty field.
 `test_complex_fields_are_float_pairs` checks that every consumer of the
 1-D kernel takes a complex field as its two real parts.
 """
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpstep.mesh import BOUNDARY, INTERFACE, build_mesh
-from hpstep.operators import EllipticOperator, OperatorApplier, RealLeafOperatorSet, edge_fluxes
+from hpstep.operators import EllipticOperator, OperatorApplier, edge_fluxes
 from hpstep.operators import build_leaf_operators
 from hpstep.oracle import OracleCompleter, assemble_global, oracle_solve
 from hpstep.solver import build_factorization
@@ -142,7 +143,7 @@ IMAGINARY_SHIFT_PARTS = {
 def test_real_leaf_solve_matches_oracle(mesh, part, sigma, tau, lead, penalized, seed):
     op = IMAGINARY_SHIFT_PARTS[part].shifted(sigma, 1j * tau)
     fact = build_factorization(mesh, op)
-    assert isinstance(fact.leaf_ops, RealLeafOperatorSet)
+    assert fact.leaf_ops.s == tau / sigma and fact.leaf_ops.P.dtype == np.float64
     n, n_gamma, dt = mesh.n_nodes, fact.gamma_ids.size, 0.1
     rng = np.random.default_rng(seed)
     f, g, pen = (a + 1j * b for a, b in zip(*(random_rows(rng, lead, n, n_gamma, n) for _ in "ri")))

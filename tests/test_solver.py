@@ -8,8 +8,6 @@ import pytest
 from hpstep.mesh import BOUNDARY, INTERFACE, build_mesh
 from hpstep.operators import (
     EllipticOperator,
-    LeafOperatorSet,
-    RealLeafOperatorSet,
     edge_fluxes,
     flux_matrix,
     gather_leaf_fields,
@@ -93,7 +91,7 @@ def test_non_imaginary_shifts_keep_complex_leaves(name):
     mesh = build_mesh(((-1.0, 2.0), (0.0, 1.0)), 3, 2, p=7)
     op = NON_IMAGINARY_SHIFTS[name]
     fact = build_factorization(mesh, op)
-    assert isinstance(fact.leaf_ops, LeafOperatorSet)
+    assert fact.leaf_ops.s is None  # no shift
     assert fact.leaf_ops.P.dtype == fact.leaf_ops.G.dtype == complex
     f, g = random_data(mesh, np.random.default_rng(8), complex)
     want = oracle_solve(assemble_global(mesh, op), f, dirichlet=g)
@@ -104,36 +102,50 @@ def test_schrodinger_factorization_stores_float64_leaf_stacks():
     mesh = build_mesh(((-2.0, 2.0), (-2.0, 2.0)), 4, 4, p=8)
     fact = build_factorization(mesh, schrodinger_stage())
     leaf = fact.leaf_ops
-    assert isinstance(leaf, RealLeafOperatorSet) and fact.dtype == complex
-    stacks = {
-        name: a for name, a in vars(leaf).items()
-        if isinstance(a, np.ndarray) and a.ndim == 3 and len(a) > 1
-    }
-    # one stack per leaf: P and Fi P; the edge columns M_IB are shared
-    assert sorted(stacks) == ["FiP", "P"] and len(leaf.M_IB) == 1
-    assert {a.dtype for a in stacks.values()} == {np.dtype(np.float64)}
+    assert leaf.s == 0.07 and fact.dtype == complex
+    arrays = {name: a for name, a in vars(leaf).items() if isinstance(a, np.ndarray)}
+    stacks = {name: a for name, a in arrays.items() if a.ndim == 3 and len(a) > 1}
+    # one stack per leaf: P and G; no complex array, so no edge columns M_IB
+    assert sorted(stacks) == ["G", "P"]
+    assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
     assert all(len(a) == mesh.n_leaves and a.flags.c_contiguous for a in stacks.values())
     assert leaf.dtn is None  # the merges took it
     # half the bytes of the general form's complex inverse and G
     general = build_factorization(mesh, schrodinger_stage().shifted(1.0, 0.01 + 0.07j)).leaf_ops
-    assert leaf.P.nbytes + leaf.FiP.nbytes == (general.P.nbytes + general.G.nbytes) // 2
+    assert leaf.P.nbytes + leaf.G.nbytes == (general.P.nbytes + general.G.nbytes) // 2
+
+
+def factor_cases():
+    mesh = build_mesh(((-2.0, 2.0), (-1.0, 1.0)), 4, 2, p=7)
+    return {
+        "real": (mesh, shifted_laplace()),
+        "schrodinger": (mesh, schrodinger_stage()),
+        "general-sampled": (mesh, NON_IMAGINARY_SHIFTS["non-quadrature-shift"]),
+    }
 
 
 @pytest.mark.parametrize("case", ["real", "schrodinger"])
 def test_factor_bytes_counts_every_stored_array(case):
-    mesh = build_mesh(((-2.0, 2.0), (-1.0, 1.0)), 4, 2, p=7)
-    op = shifted_laplace() if case == "real" else schrodinger_stage()
-    fact = build_factorization(mesh, op)
+    fact = build_factorization(*factor_cases()[case])
     leaf = fact.leaf_ops
-    names = ("P", "G", "Fi") if case == "real" else ("P", "FiP", "M_IB")
-    arrays = [getattr(leaf, n) for n in names]
+    arrays = [leaf.P, leaf.G, leaf.Fi]
     if case == "schrodinger":  # the interior shift's 1-D blocks and sampled weights
-        terms = leaf.A_II._terms
-        arrays += [a for _, B, _, w in terms for a in (B, w) if a is not None]
+        arrays += [a for _, B, _, w in leaf.A_II._terms for a in (B, w) if a is not None]
     for lv in fact.levels:  # the root's empty C is a view of its inv_X
         arrays += [lv.inv_X, lv.S] + ([lv.C] if lv.C.base is None else [])
     assert len({id(a) for a in arrays}) == len(arrays)
     assert factor_bytes(fact) == sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.parametrize("case", ["real", "schrodinger", "general-sampled"])
+def test_factor_bytes_is_the_same_before_and_after_a_solve(case):
+    # a solve may fill caches, but none that adds stored bytes
+    mesh, op = factor_cases()[case]
+    fact = build_factorization(mesh, op)
+    before = factor_bytes(fact)
+    f, g = random_data(mesh, np.random.default_rng(2), complex)
+    fact.solve(f, g)
+    assert factor_bytes(fact) == before
 
 
 @pytest.mark.parametrize("n1", [1, 2, 5])
